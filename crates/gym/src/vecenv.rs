@@ -328,7 +328,7 @@ impl<E: Environment + Send> VecEnv<E> {
             let mut lane_chunks = self.lanes.chunks_mut(chunk_len);
             let mut result_chunks = results.chunks_mut(chunk_len);
             // The caller participates: chunk 0 runs inline on this thread
-            // while the pool workers handle the rest, so the worker count
+            // and the scope's wait helps with the rest, so the worker count
             // (which includes this thread) matches the threads doing work.
             let first = lane_chunks.next().zip(result_chunks.next());
             rayon::scope(|scope| {
@@ -418,8 +418,8 @@ impl<E: Environment + Send> VecEnv<E> {
             };
             let mut lane_chunks = self.lanes.chunks_mut(group_len);
             let mut result_chunks = results.chunks_mut(group_len);
-            // The caller participates: group 0 runs inline on this thread
-            // while the pool workers pipeline the rest.
+            // The caller participates: group 0 runs inline on this thread,
+            // then helps the pool workers pipeline the rest.
             let first = lane_chunks.next().zip(result_chunks.next());
             rayon::scope(|scope| {
                 for (group_idx, (lanes, out)) in lane_chunks.zip(result_chunks).enumerate() {

@@ -7,12 +7,14 @@
 //! This module provides the three pieces that makes possible:
 //!
 //! * [`GradBuffer`] — a detached copy of a model's accumulated gradients,
-//!   harvested from a replica after its backward pass;
+//!   harvested from a replica after its backward pass
+//!   ([`GradBuffer::harvest_into`] refills an existing buffer in place);
 //! * [`GradBuffer::accumulate_into`] — the fixed-order reduction step,
 //!   adding a shard's buffer into a model's live gradients;
 //! * [`snapshot_param_values`] / [`load_param_values`] — weight
 //!   synchronization, so every replica computes against the exact bytes
-//!   the primary model holds.
+//!   the primary model holds ([`snapshot_param_values_into`] reuses a
+//!   snapshot buffer).
 //!
 //! Everything here works through the same visitor idiom as
 //! [`crate::optim::clip_global_grad_norm`]: the caller passes a closure
@@ -30,7 +32,7 @@ type ParamVisitor<'a> = dyn FnMut(&mut Param) + 'a;
 
 /// A detached copy of every gradient tensor of one model, in parameter
 /// visitation order.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct GradBuffer {
     grads: Vec<Matrix>,
 }
@@ -38,10 +40,16 @@ pub struct GradBuffer {
 impl GradBuffer {
     /// Copies the accumulated gradients out of a model (one worker's shard
     /// result, ready for the fixed-order reduction).
-    pub fn harvest(mut visit: impl FnMut(&mut ParamVisitor)) -> Self {
-        let mut grads = Vec::new();
-        visit(&mut |p: &mut Param| grads.push(p.grad.clone()));
-        Self { grads }
+    pub fn harvest(visit: impl FnMut(&mut ParamVisitor)) -> Self {
+        let mut buf = Self { grads: Vec::new() };
+        buf.harvest_into(visit);
+        buf
+    }
+
+    /// [`GradBuffer::harvest`] into this buffer, reusing its tensors'
+    /// storage: no allocation once it has held the same model's gradients.
+    pub fn harvest_into(&mut self, visit: impl FnMut(&mut ParamVisitor)) {
+        copy_params_into(&mut self.grads, |p| &p.grad, visit);
     }
 
     /// Adds this buffer into a model's live gradients.
@@ -80,10 +88,35 @@ impl GradBuffer {
 
 /// Copies every parameter *value* out of a model, in visitation order
 /// (gradients and optimizer moments are not included).
-pub fn snapshot_param_values(mut visit: impl FnMut(&mut ParamVisitor)) -> Vec<Matrix> {
+pub fn snapshot_param_values(visit: impl FnMut(&mut ParamVisitor)) -> Vec<Matrix> {
     let mut values = Vec::new();
-    visit(&mut |p: &mut Param| values.push(p.value.clone()));
+    snapshot_param_values_into(&mut values, visit);
     values
+}
+
+/// [`snapshot_param_values`] into `values`, reusing its tensors' storage:
+/// no allocation once it has held the same model's snapshot.
+pub fn snapshot_param_values_into(values: &mut Vec<Matrix>, visit: impl FnMut(&mut ParamVisitor)) {
+    copy_params_into(values, |p| &p.value, visit);
+}
+
+/// Copies one tensor of every parameter into `out`, in visitation order,
+/// overwriting `out`'s existing tensors in place and growing or
+/// truncating it to the model's tensor count.
+fn copy_params_into(
+    out: &mut Vec<Matrix>,
+    field: fn(&Param) -> &Matrix,
+    mut visit: impl FnMut(&mut ParamVisitor),
+) {
+    let mut index = 0usize;
+    visit(&mut |p: &mut Param| {
+        match out.get_mut(index) {
+            Some(dst) => dst.clone_from(field(p)),
+            None => out.push(field(p).clone()),
+        }
+        index += 1;
+    });
+    out.truncate(index);
 }
 
 /// Overwrites a model's parameter values with a snapshot taken by
@@ -181,6 +214,36 @@ mod tests {
         // Gradients and moments are untouched by a weight sync.
         assert!(dst.grad.as_slice().iter().all(|&g| g == 5.0));
         assert!(dst.m.as_slice().iter().all(|&m| m == 0.0));
+    }
+
+    #[test]
+    fn in_place_refills_match_fresh_copies() {
+        let mut a = param(2, 3, 1.5);
+        let mut b = param(1, 2, -0.25);
+        a.value = Matrix::full(2, 3, 4.0);
+        // Stale contents of the wrong shapes and count must be replaced.
+        let mut buf = GradBuffer {
+            grads: vec![Matrix::full(5, 5, 9.0); 3],
+        };
+        buf.harvest_into(|f| {
+            f(&mut a);
+            f(&mut b);
+        });
+        let fresh = GradBuffer::harvest(|f| {
+            f(&mut a);
+            f(&mut b);
+        });
+        assert_eq!(buf, fresh);
+        let mut values = vec![Matrix::zeros(1, 1)];
+        snapshot_param_values_into(&mut values, |f| {
+            f(&mut a);
+            f(&mut b);
+        });
+        let fresh = snapshot_param_values(|f| {
+            f(&mut a);
+            f(&mut b);
+        });
+        assert_eq!(values, fresh);
     }
 
     #[test]

@@ -71,9 +71,12 @@ impl Activation {
         self.kind
     }
 
-    /// Forward pass, caching the input.
+    /// Forward pass, caching the input (into the previous pass's cache
+    /// storage, so repeated passes do not allocate).
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.cached_input = Some(x.clone());
+        self.cached_input
+            .get_or_insert_with(Matrix::default)
+            .clone_from(x);
         x.map(|v| self.kind.apply(v))
     }
 

@@ -48,11 +48,14 @@ impl Linear {
         self.w.value.cols()
     }
 
-    /// Forward pass, caching the input for the backward pass.
+    /// Forward pass, caching the input for the backward pass (into the
+    /// previous pass's cache storage, so repeated passes do not allocate).
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         let mut y = x.matmul(&self.w.value);
         y.add_row_broadcast(self.b.value.as_slice());
-        self.cached_input = Some(x.clone());
+        self.cached_input
+            .get_or_insert_with(Matrix::default)
+            .clone_from(x);
         y
     }
 

@@ -38,11 +38,29 @@ use std::ops::{Index, IndexMut};
 /// layers in [`crate::layers`] need, implemented straightforwardly. All
 /// shape mismatches panic — inside a training loop a shape mismatch is a
 /// programming error, not a recoverable condition.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Reuses `self`'s storage, so refilling a long-lived buffer from a
+    /// same-sized matrix does not allocate.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
@@ -189,11 +207,22 @@ impl Matrix {
 
     /// Returns a new matrix consisting of the given rows (gather).
     pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.cols);
-        for (i, &idx) in indices.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(self.row(idx));
-        }
+        let mut out = Matrix::zeros(0, self.cols);
+        self.gather_rows_into(indices, &mut out);
         out
+    }
+
+    /// [`Matrix::gather_rows`] into `out`, reshaping it to
+    /// `indices.len() x self.cols()` and reusing its storage: no
+    /// allocation once `out` has held a gather at least this large.
+    pub fn gather_rows_into(&self, indices: &[usize], out: &mut Matrix) {
+        out.rows = indices.len();
+        out.cols = self.cols;
+        out.data.clear();
+        out.data.reserve(indices.len() * self.cols);
+        for &idx in indices {
+            out.data.extend_from_slice(self.row(idx));
+        }
     }
 
     /// Matrix product `self * other`.
@@ -552,11 +581,13 @@ impl fmt::Debug for Matrix {
 }
 
 thread_local! {
-    /// Set inside [`with_inline_kernels`]: callers that already own the
-    /// worker pool (e.g. the sharded PPO update's inline shard, which
-    /// runs while its sibling shards occupy the workers) force matmuls on
-    /// this thread to stay serial, because chunks they dispatched would
-    /// only queue behind whole-shard tasks in the no-work-stealing shim.
+    /// Set inside [`with_inline_kernels`]: callers whose sibling tasks
+    /// already fill the pool (e.g. the sharded PPO update's shard 0, which
+    /// runs on the calling thread while the sibling shards are queued)
+    /// force matmuls on this thread to stay serial. Chunks they dispatched
+    /// would queue behind the whole-shard tasks in the pool's shared FIFO,
+    /// so the caller would end up running them itself, one by one, with
+    /// the dispatch overhead on top.
     static FORCE_INLINE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -1284,6 +1315,17 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0], &[2.0], &[3.0]]);
         let g = m.gather_rows(&[2, 0]);
         assert_eq!(g.as_slice(), &[3.0, 1.0]);
+    }
+
+    #[test]
+    fn gather_rows_into_reshapes_a_reused_buffer() {
+        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
+        let mut out = Matrix::full(4, 3, 9.0);
+        for rows in [&[2usize, 0, 1][..], &[1], &[0, 2]] {
+            m.gather_rows_into(rows, &mut out);
+            assert_eq!(out, m.gather_rows(rows));
+            assert_eq!((out.rows(), out.cols()), (rows.len(), 2));
+        }
     }
 
     #[test]

@@ -330,7 +330,7 @@ impl<E: Environment + Clone + Send> Trainer<E> {
             recent,
             recent_cap: req(table, "recent_cap")?.as_usize()?,
             // Transient: rebuilt lazily on the first sharded update.
-            replicas: Vec::new(),
+            workspace: Default::default(),
         })
     }
 

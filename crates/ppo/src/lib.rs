@@ -9,7 +9,7 @@
 //! * [`trainer`] — the clipped-surrogate PPO update with entropy bonus,
 //!   value loss, advantage normalization and global gradient clipping;
 //!   with `PpoConfig::grad_shards > 1` each minibatch is sharded across
-//!   model replicas on the rayon pool and the gradients reduced in fixed
+//!   model replicas run as rayon tasks and the gradients reduced in fixed
 //!   shard order, so the update is bit-identical for every
 //!   `RAYON_NUM_THREADS` setting,
 //! * [`eval`] — policy evaluation (the serial loop and the lane-batched

@@ -4,10 +4,13 @@
 //! forward/backward passes over every collected transition, all of which
 //! ran on one thread before this module existed. Sharding splits each
 //! minibatch into `PpoConfig::grad_shards` contiguous index ranges and
-//! runs each range's forward/backward concurrently — shard 0 on the
-//! calling thread directly against the primary model, shards 1..N on
-//! rayon workers against their own **model replicas** — then reduces the
-//! per-shard gradients into the primary **in fixed shard order**.
+//! runs each range's forward/backward concurrently — shard 0 directly
+//! against the primary model on the calling thread, shards 1..N against
+//! their own **model replicas** as rayon tasks, which the pool workers and
+//! the waiting caller share between them — then reduces the per-shard
+//! gradients into the primary **in fixed shard order**. The replicas and
+//! every buffer the update needs live in an `UpdateWorkspace` allocated
+//! once per trainer, so the steady-state update allocates none of them.
 //!
 //! # Determinism contract
 //!
@@ -22,17 +25,18 @@
 //!   rows, and a private gradient accumulation — no shared float state;
 //! * the reduction ([`GradBuffer::accumulate_into`]) happens on the
 //!   calling thread in shard order — shard 0's gradients are accumulated
-//!   in place, shards 1..N added on top — regardless of which worker
-//!   finished first; the per-shard loss sums are added in the same fixed
-//!   order.
+//!   in place, shards 1..N added on top — regardless of which thread ran
+//!   a shard or which finished first; the per-shard loss sums are added
+//!   in the same fixed order.
 //!
 //! Note that sharded results are *not* bit-identical to the unsharded
 //! (`grad_shards = 1`) update: splitting a matrix product over the batch
 //! dimension reassociates floating-point sums. `grad_shards` is therefore
 //! part of the training configuration (checkpointed like every other
-//! hyper-parameter), and the single-shard path is preserved verbatim.
+//! hyper-parameter), and the single-shard layout runs the historical
+//! single-threaded update's exact operations.
 
-use autocat_nn::grad::{load_param_values, snapshot_param_values, GradBuffer};
+use autocat_nn::grad::{load_param_values, snapshot_param_values_into, GradBuffer};
 use autocat_nn::matrix::with_inline_kernels;
 use autocat_nn::models::PolicyValueNet;
 use autocat_nn::{Categorical, Matrix};
@@ -74,10 +78,10 @@ impl LossSums {
 }
 
 /// The per-transition PPO loss gradient (clipped surrogate + entropy
-/// bonus + value loss), shared verbatim by the single-threaded and
-/// sharded paths so they cannot drift. `k` is the transition's index into
-/// the full batch; returns `(dL/dlogits, dL/dvalue)`.
-pub(crate) fn row_grad(
+/// bonus + value loss), identical for every shard. `k` is the
+/// transition's index into the full batch; returns
+/// `(dL/dlogits, dL/dvalue)`.
+fn row_grad(
     ctx: &MinibatchCtx,
     k: usize,
     logits: &[f32],
@@ -117,87 +121,117 @@ pub(crate) fn row_grad(
     (dlogits, dvalue)
 }
 
-/// One shard's result: its gradient buffer and loss sums, ready for the
-/// fixed-order reduction.
-pub(crate) struct ShardOutcome {
-    pub grads: GradBuffer,
-    pub sums: LossSums,
-}
-
 /// Forward/backward over `rows` on one (already weight-synced) model,
-/// harvesting the accumulated gradients.
-fn run_shard(net: &mut dyn PolicyValueNet, ctx: &MinibatchCtx, rows: &[usize]) -> ShardOutcome {
-    let obs = ctx.batch.obs.gather_rows(rows);
+/// gathering the rows' observations into `obs`. The gradients stay
+/// accumulated in the model; returns the rows' loss sums.
+fn forward_backward(
+    net: &mut dyn PolicyValueNet,
+    ctx: &MinibatchCtx,
+    rows: &[usize],
+    obs: &mut Matrix,
+) -> LossSums {
+    ctx.batch.obs.gather_rows_into(rows, obs);
     let mut sums = LossSums::default();
     net.zero_grad();
-    net.train_batch(&obs, &mut |i, logits, value| {
+    net.train_batch(obs, &mut |i, logits, value| {
         row_grad(ctx, rows[i], logits, value, &mut sums)
     });
-    ShardOutcome {
-        grads: GradBuffer::harvest(|f| net.visit_params(f)),
-        sums,
+    sums
+}
+
+/// One replica shard's model and buffers, reused by every minibatch.
+struct ShardSlot {
+    replica: Box<dyn PolicyValueNet>,
+    obs: Matrix,
+    grads: GradBuffer,
+    sums: LossSums,
+}
+
+/// Everything the update allocates, built once per trainer and reused by
+/// every minibatch: the replicas for shards 1..N with their gather and
+/// gradient buffers, shard 0's gather buffer and the weight snapshot the
+/// replicas sync from. Only the architecture matters (weights are
+/// re-synced every minibatch), so it is never checkpointed.
+#[derive(Default)]
+pub(crate) struct UpdateWorkspace {
+    slots: Vec<ShardSlot>,
+    obs0: Matrix,
+    weights: Vec<Matrix>,
+}
+
+impl UpdateWorkspace {
+    /// Keeps exactly `replicas` replicas of `net`'s architecture, one per
+    /// shard beyond shard 0 — sized by the config, never by the pool.
+    pub fn ensure_replicas(&mut self, net: &dyn PolicyValueNet, replicas: usize) {
+        while self.slots.len() < replicas {
+            self.slots.push(ShardSlot {
+                replica: net.clone_box(),
+                obs: Matrix::default(),
+                grads: GradBuffer::default(),
+                sums: LossSums::default(),
+            });
+        }
+        self.slots.truncate(replicas);
     }
 }
 
-/// Runs one minibatch split across up to `replicas.len() + 1` shards in
-/// parallel, leaving the **reduced** gradient in `primary`'s parameters
-/// and returning the combined loss sums.
+/// Runs one minibatch split across up to `replicas + 1` shards, leaving
+/// the **reduced** gradient in `primary`'s parameters and returning the
+/// combined loss sums.
 ///
-/// Shard 0 (the first rows of `chunk`) runs on the calling thread
-/// directly against `primary` — its backward pass accumulates into the
-/// primary's freshly-zeroed gradients in place, with parallel matmul
-/// dispatch suppressed ([`with_inline_kernels`]) since the pool workers
-/// are busy with the sibling shards. Shards 1..N run on pool workers
-/// against replicas synced to the primary's exact weight bytes, and
-/// their buffers are then reduced into the primary **in shard order**,
-/// whatever order the workers finished in; loss sums reduce identically.
+/// The sibling shards 1..N are queued on the rayon pool, each against a
+/// workspace replica synced to the primary's exact weight bytes. Shard 0
+/// (the first rows of `chunk`) then runs on the calling thread directly
+/// against `primary` — its backward pass accumulates into the primary's
+/// freshly-zeroed gradients in place, with parallel matmul dispatch
+/// suppressed ([`with_inline_kernels`]) since the siblings fill the pool.
+/// The calling thread then helps run whichever siblings are still queued
+/// while the workers take the rest. The replicas' buffers are reduced
+/// into the primary **in shard order**, whichever thread ran them and
+/// whatever order they finished in; loss sums reduce identically.
 ///
 /// The shard layout — `chunk` split into `ceil(len / shards)`-sized
 /// contiguous ranges — depends only on the arguments, so the result is
-/// bit-identical for every thread count.
+/// bit-identical for every thread count. A single-shard layout (no
+/// replicas, or a one-row chunk) is the plain unsharded update: one
+/// forward/backward on the primary, no weight sync, no reduction.
 pub(crate) fn sharded_minibatch(
     primary: &mut dyn PolicyValueNet,
-    replicas: &mut [Box<dyn PolicyValueNet>],
+    workspace: &mut UpdateWorkspace,
     ctx: &MinibatchCtx,
     chunk: &[usize],
 ) -> LossSums {
-    let shards = (replicas.len() + 1).min(chunk.len()).max(1);
+    let UpdateWorkspace {
+        slots,
+        obs0,
+        weights,
+    } = workspace;
+    let shards = (slots.len() + 1).min(chunk.len()).max(1);
+    if shards == 1 {
+        return forward_backward(primary, ctx, chunk, obs0);
+    }
     let sub_len = chunk.len().div_ceil(shards);
     let mut ranges = chunk.chunks(sub_len);
     let shard0_rows = ranges.next().expect("minibatch chunks are non-empty");
-    let rest: Vec<&[usize]> = ranges.collect();
-    // Replica weight sync reads the primary's bytes once per minibatch;
-    // skipped entirely in the degenerate single-shard layout.
-    let weights: Vec<Matrix> = if rest.is_empty() {
-        Vec::new()
-    } else {
-        snapshot_param_values(|f| primary.visit_params(f))
-    };
-    let mut slots: Vec<Option<ShardOutcome>> = Vec::new();
-    slots.resize_with(rest.len(), || None);
+    let siblings = &mut slots[..shards - 1];
+    snapshot_param_values_into(weights, |f| primary.visit_params(f));
     let mut sums = LossSums::default();
     rayon::scope(|scope| {
-        let weights = &weights;
-        for ((replica, slot), rows) in replicas.iter_mut().zip(slots.iter_mut()).zip(rest) {
+        let weights = &*weights;
+        for (slot, rows) in siblings.iter_mut().zip(ranges) {
             scope.spawn(move |_| {
-                load_param_values(weights, |f| replica.visit_params(f));
-                *slot = Some(run_shard(replica.as_mut(), ctx, rows));
+                load_param_values(weights, |f| slot.replica.visit_params(f));
+                slot.sums = forward_backward(slot.replica.as_mut(), ctx, rows, &mut slot.obs);
+                slot.grads.harvest_into(|f| slot.replica.visit_params(f));
             });
         }
-        with_inline_kernels(|| {
-            let obs = ctx.batch.obs.gather_rows(shard0_rows);
-            primary.zero_grad();
-            primary.train_batch(&obs, &mut |i, logits, value| {
-                row_grad(ctx, shard0_rows[i], logits, value, &mut sums)
-            });
-        });
+        sums = with_inline_kernels(|| forward_backward(primary, ctx, shard0_rows, obs0));
     });
     // Fixed-order reduction: shard 0's gradients are already in place;
     // add shards 1..N on top in layout order.
-    for slot in slots {
-        let outcome = slot.expect("every shard must have run");
-        outcome.grads.accumulate_into(|f| primary.visit_params(f));
-        sums.absorb(&outcome.sums);
+    for slot in siblings.iter() {
+        slot.grads.accumulate_into(|f| primary.visit_params(f));
+        sums.absorb(&slot.sums);
     }
     sums
 }
@@ -230,6 +264,19 @@ mod tests {
         let mut out = Vec::new();
         net.visit_params(&mut |p: &mut Param| out.extend_from_slice(p.grad.as_slice()));
         out
+    }
+
+    /// The unsharded reference: one forward/backward over `rows` with
+    /// fresh scratch, gradients left in `net`.
+    fn run_shard(net: &mut dyn PolicyValueNet, ctx: &MinibatchCtx, rows: &[usize]) -> LossSums {
+        forward_backward(net, ctx, rows, &mut Matrix::default())
+    }
+
+    /// A workspace holding `replicas` replicas of `net`.
+    fn workspace(net: &dyn PolicyValueNet, replicas: usize) -> UpdateWorkspace {
+        let mut ws = UpdateWorkspace::default();
+        ws.ensure_replicas(net, replicas);
+        ws
     }
 
     fn ctx_over<'a>(batch: &'a RolloutBatch, advantages: &'a [f32]) -> MinibatchCtx<'a> {
@@ -265,9 +312,8 @@ mod tests {
 
         // Sharded gradient (3 shards), reduced into the primary.
         let mut sharded_net = primary.clone();
-        let mut replicas: Vec<Box<dyn PolicyValueNet>> =
-            (0..2).map(|_| primary.clone_box()).collect();
-        let sums = sharded_minibatch(&mut sharded_net, &mut replicas, &ctx, &chunk);
+        let mut ws = workspace(&primary, 2);
+        let sums = sharded_minibatch(&mut sharded_net, &mut ws, &ctx, &chunk);
         let got = grads_of(&mut sharded_net);
 
         assert_eq!(expected.len(), got.len());
@@ -277,9 +323,9 @@ mod tests {
                 "grad {i}: unsharded {e} vs sharded {g}"
             );
         }
-        assert!((sums.policy_loss - outcome.sums.policy_loss).abs() < 1e-3);
-        assert!((sums.value_loss - outcome.sums.value_loss).abs() < 1e-3);
-        assert!((sums.entropy - outcome.sums.entropy).abs() < 1e-3);
+        assert!((sums.policy_loss - outcome.policy_loss).abs() < 1e-3);
+        assert!((sums.value_loss - outcome.value_loss).abs() < 1e-3);
+        assert!((sums.entropy - outcome.entropy).abs() < 1e-3);
         // The sharded path must not have touched the primary's weights.
         let mut untouched = sharded_net.clone();
         let mut original = primary.clone();
@@ -305,9 +351,8 @@ mod tests {
 
         let run = || {
             let mut net = primary.clone();
-            let mut replicas: Vec<Box<dyn PolicyValueNet>> =
-                (0..3).map(|_| primary.clone_box()).collect();
-            sharded_minibatch(&mut net, &mut replicas, &ctx, &chunk);
+            let mut ws = workspace(&primary, 3);
+            sharded_minibatch(&mut net, &mut ws, &ctx, &chunk);
             grads_of(&mut net)
                 .into_iter()
                 .map(f32::to_bits)
@@ -337,9 +382,8 @@ mod tests {
         // 7 replicas + primary against 3 rows: exactly 3 one-row shards.
         for replica_count in [7usize, 0] {
             let mut net = primary.clone();
-            let mut replicas: Vec<Box<dyn PolicyValueNet>> =
-                (0..replica_count).map(|_| primary.clone_box()).collect();
-            let sums = sharded_minibatch(&mut net, &mut replicas, &ctx, &chunk);
+            let mut ws = workspace(&primary, replica_count);
+            let sums = sharded_minibatch(&mut net, &mut ws, &ctx, &chunk);
             let got = grads_of(&mut net);
             for (e, g) in expected.iter().zip(got.iter()) {
                 assert!(
@@ -347,7 +391,7 @@ mod tests {
                     "replicas {replica_count}: grad {e} vs {g}"
                 );
             }
-            assert!((sums.entropy - ref_sums.sums.entropy).abs() < 1e-4);
+            assert!((sums.entropy - ref_sums.entropy).abs() < 1e-4);
         }
     }
 
@@ -367,7 +411,12 @@ mod tests {
         let mut direct = primary.clone();
         run_shard(&mut direct, &ctx, &chunk);
         let mut via_sharded = primary.clone();
-        sharded_minibatch(&mut via_sharded, &mut [], &ctx, &chunk);
+        sharded_minibatch(
+            &mut via_sharded,
+            &mut UpdateWorkspace::default(),
+            &ctx,
+            &chunk,
+        );
         let bits = |net: &mut MlpPolicy| {
             grads_of(net)
                 .into_iter()
@@ -375,5 +424,38 @@ mod tests {
                 .collect::<Vec<u32>>()
         };
         assert_eq!(bits(&mut direct), bits(&mut via_sharded));
+    }
+
+    /// One workspace reused across minibatches of different sizes (48
+    /// rows, then a ragged 37, so every gather buffer must reshape) gives
+    /// the same grads and loss sums, bit for bit, as a fresh workspace per
+    /// minibatch.
+    #[test]
+    fn reused_workspace_is_bitwise_a_fresh_one() {
+        let (n, obs_dim, num_actions) = (85usize, 7usize, 5usize);
+        let batch = fake_batch(n, obs_dim, num_actions, 11);
+        let advantages = batch.advantages.clone();
+        let mut rng = StdRng::seed_from_u64(6);
+        let cfg = MlpConfig::new(obs_dim, num_actions).with_hidden(vec![10]);
+        let primary = MlpPolicy::new(&cfg, &mut rng);
+        let indices: Vec<usize> = (0..n).rev().collect();
+        let chunks = [&indices[..48], &indices[48..]];
+
+        let outcome = |net: &mut MlpPolicy, ws: &mut UpdateWorkspace, chunk: &[usize]| {
+            let mut ctx = ctx_over(&batch, &advantages);
+            ctx.inv = 1.0 / chunk.len() as f32;
+            let sums = sharded_minibatch(net, ws, &ctx, chunk);
+            let grads: Vec<u32> = grads_of(net).into_iter().map(f32::to_bits).collect();
+            let sums = [sums.policy_loss, sums.value_loss, sums.entropy].map(f32::to_bits);
+            (grads, sums)
+        };
+        let mut reused = workspace(&primary, 7);
+        let mut net = primary.clone();
+        for chunk in chunks {
+            let got = outcome(&mut net, &mut reused, chunk);
+            let mut fresh_net = primary.clone();
+            let expected = outcome(&mut fresh_net, &mut workspace(&primary, 7), chunk);
+            assert_eq!(got, expected, "chunk of {} rows", chunk.len());
+        }
     }
 }

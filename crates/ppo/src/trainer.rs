@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 use crate::rollout::{collect, EpisodeTally};
-use crate::sharded::{row_grad, sharded_minibatch, LossSums, MinibatchCtx};
+use crate::sharded::{sharded_minibatch, MinibatchCtx, UpdateWorkspace};
 
 /// PPO hyper-parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -221,11 +221,11 @@ pub struct Trainer<E: Environment> {
     pub(crate) total_steps: u64,
     pub(crate) recent: VecDeque<(f32, usize, bool)>,
     pub(crate) recent_cap: usize,
-    /// Per-shard model replicas for the data-parallel update, built
-    /// lazily on the first sharded `train_update` and reused after
-    /// (their weights are re-synced from `net` every minibatch, so only
-    /// the architecture matters). Never checkpointed.
-    pub(crate) replicas: Vec<Box<dyn PolicyValueNet>>,
+    /// The update's replicas and buffers, built lazily on the first
+    /// `train_update` and reused by every minibatch after (replica
+    /// weights are re-synced from `net` every minibatch, so only the
+    /// architecture matters). Never checkpointed.
+    pub(crate) workspace: UpdateWorkspace,
 }
 
 impl<E: Environment + Clone + Send> Trainer<E> {
@@ -247,7 +247,7 @@ impl<E: Environment + Clone + Send> Trainer<E> {
             total_steps: 0,
             recent: VecDeque::new(),
             recent_cap: 100,
-            replicas: Vec::new(),
+            workspace: UpdateWorkspace::default(),
         }
     }
 }
@@ -268,7 +268,7 @@ impl<E: Environment + Send> Trainer<E> {
             total_steps: 0,
             recent: VecDeque::new(),
             recent_cap: 100,
-            replicas: Vec::new(),
+            workspace: UpdateWorkspace::default(),
         }
     }
 
@@ -373,14 +373,8 @@ impl<E: Environment + Send> Trainer<E> {
             ..UpdateStats::default()
         };
         let mut loss_samples = 0usize;
-        // Replicas for the sharded update: one per shard beyond shard 0
-        // (which runs in place on the primary net), sized by the config —
-        // never by the pool — and reused across updates.
-        let extra_shards = cfg.grad_shards.max(1) - 1;
-        while self.replicas.len() < extra_shards {
-            self.replicas.push(self.net.clone_box());
-        }
-        self.replicas.truncate(extra_shards);
+        self.workspace
+            .ensure_replicas(self.net.as_ref(), cfg.grad_shards.max(1) - 1);
         let mut indices: Vec<usize> = (0..n).collect();
         for _ in 0..cfg.epochs_per_update {
             indices.shuffle(&mut self.rng);
@@ -393,20 +387,11 @@ impl<E: Environment + Send> Trainer<E> {
                     value_coef: cfg.value_coef,
                     inv: 1.0 / chunk.len() as f32,
                 };
-                let mut sums = LossSums::default();
-                if self.replicas.is_empty() {
-                    // The historical single-threaded update, verbatim.
-                    let obs = batch.obs.gather_rows(chunk);
-                    self.net.zero_grad();
-                    self.net.train_batch(&obs, &mut |i, logits, value| {
-                        row_grad(&ctx, chunk[i], logits, value, &mut sums)
-                    });
-                } else {
-                    // Data-parallel: shard 0 runs in place on the primary
-                    // net, the rest on weight-synced replicas; gradients
-                    // and loss sums reduce in fixed shard order.
-                    sums = sharded_minibatch(self.net.as_mut(), &mut self.replicas, &ctx, chunk);
-                }
+                // One shard is the plain single-threaded update; more run
+                // shard 0 in place on the primary net and the rest on
+                // weight-synced replicas, reducing gradients and loss
+                // sums in fixed shard order.
+                let sums = sharded_minibatch(self.net.as_mut(), &mut self.workspace, &ctx, chunk);
                 stats.grad_norm =
                     clip_global_grad_norm(cfg.max_grad_norm, |f| self.net.visit_params(f));
                 self.adam.step(|f| self.net.visit_params(f));
