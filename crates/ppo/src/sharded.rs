@@ -213,7 +213,10 @@ pub(crate) fn sharded_minibatch(
     let sub_len = chunk.len().div_ceil(shards);
     let mut ranges = chunk.chunks(sub_len);
     let shard0_rows = ranges.next().expect("minibatch chunks are non-empty");
-    let siblings = &mut slots[..shards - 1];
+    // `ceil`-sized ranges can number fewer than `shards` (10 rows over 8
+    // shards make 5), so only as many replicas as there are ranges run —
+    // and only those are reduced; the rest hold a stale minibatch.
+    let siblings = &mut slots[..ranges.len()];
     snapshot_param_values_into(weights, |f| primary.visit_params(f));
     let mut sums = LossSums::default();
     rayon::scope(|scope| {
@@ -361,36 +364,40 @@ mod tests {
         assert_eq!(run(), run());
     }
 
-    /// Degenerate layouts: more shards than rows, and zero replicas
-    /// (single-shard), must reduce to a valid gradient over every row.
+    /// Degenerate layouts must reduce to a valid gradient over every row:
+    /// more shards than rows, zero replicas (single-shard), and chunks
+    /// whose `ceil`-sized ranges number fewer than the shards (10 rows
+    /// over 8 shards make 5 ranges, 4 rows over 3 make 2).
     #[test]
     fn shard_layout_handles_degenerate_sizes() {
-        let (n, obs_dim, num_actions) = (3usize, 4usize, 3usize);
-        let batch = fake_batch(n, obs_dim, num_actions, 2);
-        let advantages = batch.advantages.clone();
-        let chunk: Vec<usize> = (0..n).collect();
-        let ctx = ctx_over(&batch, &advantages);
-        let mut rng = StdRng::seed_from_u64(2);
-        let cfg = MlpConfig::new(obs_dim, num_actions).with_hidden(vec![4]);
-        let primary = MlpPolicy::new(&cfg, &mut rng);
+        let (obs_dim, num_actions) = (4usize, 3usize);
+        for (n, replica_count) in [(3usize, 7usize), (3, 0), (10, 7), (4, 2)] {
+            let batch = fake_batch(n, obs_dim, num_actions, 2);
+            let advantages = batch.advantages.clone();
+            let chunk: Vec<usize> = (0..n).collect();
+            let ctx = ctx_over(&batch, &advantages);
+            let mut rng = StdRng::seed_from_u64(2);
+            let cfg = MlpConfig::new(obs_dim, num_actions).with_hidden(vec![4]);
+            let primary = MlpPolicy::new(&cfg, &mut rng);
 
-        // Reference: one shard over the whole chunk.
-        let mut reference = primary.clone();
-        let ref_sums = run_shard(&mut reference, &ctx, &chunk);
-        let expected = grads_of(&mut reference);
+            // Reference: one shard over the whole chunk.
+            let mut reference = primary.clone();
+            let ref_sums = run_shard(&mut reference, &ctx, &chunk);
+            let expected = grads_of(&mut reference);
 
-        // 7 replicas + primary against 3 rows: exactly 3 one-row shards.
-        for replica_count in [7usize, 0] {
             let mut net = primary.clone();
             let mut ws = workspace(&primary, replica_count);
             let sums = sharded_minibatch(&mut net, &mut ws, &ctx, &chunk);
             let got = grads_of(&mut net);
+            assert_eq!(expected.len(), got.len());
             for (e, g) in expected.iter().zip(got.iter()) {
                 assert!(
                     (e - g).abs() <= 1e-4 * (1.0 + e.abs()),
-                    "replicas {replica_count}: grad {e} vs {g}"
+                    "{n} rows, replicas {replica_count}: grad {e} vs {g}"
                 );
             }
+            assert!((sums.policy_loss - ref_sums.policy_loss).abs() < 1e-4);
+            assert!((sums.value_loss - ref_sums.value_loss).abs() < 1e-4);
             assert!((sums.entropy - ref_sums.entropy).abs() < 1e-4);
         }
     }
@@ -427,19 +434,20 @@ mod tests {
     }
 
     /// One workspace reused across minibatches of different sizes (48
-    /// rows, then a ragged 37, so every gather buffer must reshape) gives
-    /// the same grads and loss sums, bit for bit, as a fresh workspace per
-    /// minibatch.
+    /// rows, then a ragged 37, so every gather buffer must reshape, then
+    /// 10, whose 5 ranges leave replicas holding the last minibatch idle)
+    /// gives the same grads and loss sums, bit for bit, as a fresh
+    /// workspace per minibatch.
     #[test]
     fn reused_workspace_is_bitwise_a_fresh_one() {
-        let (n, obs_dim, num_actions) = (85usize, 7usize, 5usize);
+        let (n, obs_dim, num_actions) = (95usize, 7usize, 5usize);
         let batch = fake_batch(n, obs_dim, num_actions, 11);
         let advantages = batch.advantages.clone();
         let mut rng = StdRng::seed_from_u64(6);
         let cfg = MlpConfig::new(obs_dim, num_actions).with_hidden(vec![10]);
         let primary = MlpPolicy::new(&cfg, &mut rng);
         let indices: Vec<usize> = (0..n).rev().collect();
-        let chunks = [&indices[..48], &indices[48..]];
+        let chunks = [&indices[..48], &indices[48..85], &indices[85..]];
 
         let outcome = |net: &mut MlpPolicy, ws: &mut UpdateWorkspace, chunk: &[usize]| {
             let mut ctx = ctx_over(&batch, &advantages);
