@@ -45,6 +45,25 @@ echo "==> autocat-lint (workspace invariant checker)"
 cargo run --release -q -p autocat-lint -- --list-allows
 cargo run --release -q -p autocat-lint
 
+echo "==> layering: the daemon does not link the bench harness; no serde"
+# The shared train -> evaluate pipeline lives in autocat-scenario, so the
+# daemon needs nothing from the harness crate; and serialization goes
+# through the workspace's own value codec, so no manifest names serde.
+# (Output captured first: `cargo tree | grep -q` under pipefail would let
+# an early grep exit turn a hit into a pass.)
+SERVE_TREE=$(cargo tree --offline -p autocat-serve -e normal)
+if grep -q "autocat-bench" <<<"$SERVE_TREE"; then
+    echo "error: autocat-serve depends on autocat-bench:" >&2
+    echo "$SERVE_TREE" >&2
+    exit 1
+fi
+SERDE_MANIFESTS=$(git ls-files -- 'Cargo.toml' '*/Cargo.toml' | xargs grep -l "serde" || true)
+if [ -n "$SERDE_MANIFESTS" ]; then
+    echo "error: these manifests name serde:" >&2
+    echo "$SERDE_MANIFESTS" >&2
+    exit 1
+fi
+
 # ---------------------------------------------------------------------------
 # End-to-end smoke gates: regressions on the *training path* (env, rollout,
 # sharded PPO update, checkpointing, report pipeline) must fail CI, not just

@@ -32,10 +32,9 @@ use autocat_cache::PolicyKind;
 fn policy_for_ways(_ways: usize) -> PolicyKind {
     PolicyKind::Lru
 }
-use serde::{Deserialize, Serialize};
 
 /// Which channel is being modelled.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ChannelKind {
     /// The LRU address-based covert channel (1 bit per iteration).
     LruAddrBased,
@@ -57,7 +56,7 @@ impl ChannelKind {
 }
 
 /// A modelled machine (rows of Table X).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MachineModel {
     /// Machine name as in Table X.
     pub name: &'static str,
@@ -152,7 +151,7 @@ impl MachineModel {
 }
 
 /// An operating point on the bit-rate/error-rate curve (Fig. 5).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OperatingPoint {
     /// Pacing factor (1.0 = calibrated; smaller = faster + noisier).
     pub pacing: f64,

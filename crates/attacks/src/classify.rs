@@ -2,11 +2,10 @@
 //! "attack analysis", Sec. IV-D).
 
 use autocat_gym::{Action, EnvConfig};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Attack categories the paper's Table IV reports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AttackCategory {
     /// Prime+probe: disjoint addresses, contention-based eviction.
     PrimeProbe,

@@ -7,11 +7,10 @@
 //! bringing in one new line and checking which old line got evicted.
 
 use autocat_cache::{Cache, CacheConfig, Domain};
-use serde::{Deserialize, Serialize};
 
 /// One iteration of an LRU-state channel: ordered accesses where a subset
 /// is timed, plus the victim's slot position.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LruIteration {
     /// Attacker accesses before the victim's slot (fills).
     pub pre_victim: Vec<u64>,

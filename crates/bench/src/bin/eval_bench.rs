@@ -34,8 +34,8 @@
 
 use autocat::gym::CacheGuessingGame;
 use autocat::ppo::{eval, EvalStats, Trainer};
-use autocat_bench::cli::TrainOverrides;
 use autocat_bench::sweep::{artifact_names, resolve_checkpoint_path, scenario_path};
+use autocat_scenario::run::TrainOverrides;
 use autocat_scenario::value;
 use autocat_scenario::Scenario;
 use std::path::Path;

@@ -7,22 +7,21 @@
 //! scenario-run --scenario table4-1 --steps 50000 --seed 3 --lanes 4
 //! scenario-run --scenario table4-6 --shards 8 --threads 8   # data-parallel update
 //! scenario-run --scenario table4-16 --export cfg16.toml   # write, don't run
-//! scenario-run --scenario table4-3 --ckpt runs/t3.ckpt.bin  # train-or-load + digests
+//! scenario-run --scenario table4-3 --ckpt runs/t3.ckpt.bin  # train-or-load
 //! ```
 //!
-//! `--ckpt PATH` routes the run through the checkpoint layer: when the
-//! file exists the policy is loaded from it (binary fast path, JSON
-//! fallback — the codec is sniffed from the bytes) and only evaluated;
-//! otherwise the scenario trains through the same shared path the sweep
-//! and the serving daemon use and the checkpoint is written there. Either
-//! way the run prints `params digest`/`eval digest` lines, which is what
+//! Every run trains through the pipeline the sweep and the serving daemon
+//! share (`autocat_scenario::run`), evaluates through the same report
+//! path, and prints `params digest`/`eval digest` lines — which is what
 //! lets ci.sh assert a daemon-trained checkpoint is bit-identical to this
-//! one-shot equivalent.
+//! one-shot equivalent. `--ckpt PATH` only adds persistence: when the file
+//! exists the policy is loaded from it (binary fast path, JSON fallback —
+//! the codec is sniffed from the bytes) and only evaluated; otherwise the
+//! freshly trained checkpoint is written there.
 
 use autocat::nn::state::params_digest;
 use autocat::ppo::Trainer;
-use autocat_bench::cli::TrainOverrides;
-use autocat_bench::sweep::{row_and_stats, train_trainer};
+use autocat_scenario::run::{row_and_stats, train_trainer, TrainOverrides};
 use autocat_scenario::Scenario;
 
 struct Args {
@@ -70,20 +69,23 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The `--ckpt` path: load the checkpoint if present, else train through
-/// the shared sweep/daemon code path and save it. Prints the row plus the
-/// two bit-identity fingerprints.
-fn run_with_checkpoint(scenario: &Scenario, ckpt: &str) -> Result<(), String> {
-    let path = std::path::Path::new(ckpt);
-    let mut trainer = if path.exists() {
-        println!("loading  : {ckpt}");
-        let env = scenario.build_env()?;
-        Trainer::load_checkpoint(path, env)?
-    } else {
-        let mut trainer = train_trainer(scenario, |_, _| {})?;
-        trainer.save_checkpoint(path)?;
-        println!("wrote    : {ckpt}");
-        trainer
+/// Trains the scenario — or, with `--ckpt`, loads the checkpoint when it
+/// exists and saves the trained one when it does not — then prints the
+/// evaluated row plus the two bit-identity fingerprints.
+fn run(scenario: &Scenario, ckpt: Option<&str>) -> Result<(), String> {
+    let mut trainer = match ckpt {
+        Some(path) if std::path::Path::new(path).exists() => {
+            println!("loading  : {path}");
+            Trainer::load_checkpoint(path, scenario.build_env()?)?
+        }
+        _ => {
+            let mut trainer = train_trainer(scenario, |_, _| {})?;
+            if let Some(path) = ckpt {
+                trainer.save_checkpoint(path)?;
+                println!("wrote    : {path}");
+            }
+            trainer
+        }
     };
     let (row, stats) = row_and_stats(&mut trainer, scenario);
     println!("sequence : {}", row.sequence);
@@ -95,6 +97,14 @@ fn run_with_checkpoint(scenario: &Scenario, ckpt: &str) -> Result<(), String> {
         row.detection_rate()
     );
     println!("steps    : {}", row.steps);
+    println!(
+        "converged: {}",
+        if row.converged {
+            "yes"
+        } else {
+            "no (raise --steps for a full run)"
+        }
+    );
     let (_, net, _) = trainer.parts_mut();
     println!("params digest : {:016x}", params_digest(net));
     println!("eval digest   : {:016x}", stats.digest());
@@ -149,26 +159,8 @@ fn main() {
         scenario.train.seed,
         scenario.train.ppo.num_lanes
     );
-    if let Some(ckpt) = &args.ckpt {
-        if let Err(e) = run_with_checkpoint(&scenario, ckpt) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    let report = scenario.run().unwrap_or_else(|e| {
+    if let Err(e) = run(&scenario, args.ckpt.as_deref()) {
         eprintln!("error: {e}");
         std::process::exit(1);
-    });
-    println!("sequence : {}", report.sequence_notation);
-    println!("category : {}", report.category);
-    println!(
-        "accuracy : {:.3} over {} episodes (detection rate {:.3})",
-        report.accuracy, report.eval_episodes, report.detection_rate
-    );
-    println!("steps    : {}", report.training_steps);
-    match report.epochs_to_converge {
-        Some(epochs) => println!("converged: {epochs:.1} paper-epochs (3000 steps each)"),
-        None => println!("converged: no (raise --steps for a full run)"),
     }
 }

@@ -36,11 +36,11 @@
 //! `RAYON_NUM_THREADS=<n>`. Within a scenario, `--lanes` (or the
 //! scenario's own `num_lanes`) controls VecEnv rollout width as usual.
 
-use autocat_bench::cli::TrainOverrides;
 use autocat_bench::sweep::{
     artifact_names, fill_missing_rows, resume_complete, row_from_artifacts, sort_rows, train_one,
     write_report, SweepRow,
 };
+use autocat_scenario::run::TrainOverrides;
 use std::path::Path;
 
 struct Args {

@@ -20,7 +20,7 @@
 
 use autocat::nn::state::params_digest;
 use autocat::ppo::Trainer;
-use autocat_bench::cli::TrainOverrides;
+use autocat_scenario::run::TrainOverrides;
 use std::process::Command;
 use std::time::Instant;
 

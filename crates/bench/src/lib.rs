@@ -8,8 +8,13 @@
 //! full sweep finishes on a laptop.
 
 pub mod census;
-pub mod cli;
 pub mod sweep;
+
+/// The shared training-override flags, re-exported from
+/// [`autocat_scenario::run`] so existing `autocat_bench::cli` paths resolve.
+pub mod cli {
+    pub use autocat_scenario::run::TrainOverrides;
+}
 
 use autocat::gym::EnvConfig;
 use autocat::ppo::{Backbone, PpoConfig};
@@ -48,17 +53,10 @@ impl Budget {
         }
     }
 
-    /// Parallel rollout lanes for the training harnesses. Overridable with
-    /// `AUTOCAT_LANES`; defaults to 1 lane in quick mode (bit-for-bit the
-    /// historical scalar path) and 4 lanes for paper-scale runs.
+    /// Parallel rollout lanes for the training harnesses: 1 lane in quick
+    /// mode (bit-for-bit the historical scalar path) and 4 lanes for
+    /// paper-scale runs.
     pub fn lanes(self) -> usize {
-        if let Ok(v) = std::env::var("AUTOCAT_LANES") {
-            if let Ok(n) = v.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
         match self {
             Budget::Quick => 1,
             Budget::Full => 4,
@@ -99,14 +97,14 @@ mod tests {
 
     #[test]
     fn lane_defaults_keep_quick_mode_scalar() {
-        std::env::remove_var("AUTOCAT_LANES");
         assert_eq!(
             Budget::Quick.lanes(),
             1,
             "quick runs stay bit-for-bit scalar"
         );
-        assert!(
-            Budget::Full.lanes() > 1,
+        assert_eq!(
+            Budget::Full.lanes(),
+            4,
             "full runs use the vectorized engine"
         );
     }

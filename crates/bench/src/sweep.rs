@@ -1,16 +1,15 @@
-//! The scenario-sweep pipeline behind the `sweep` binary: train every
+//! The scenario-sweep artifacts behind the `sweep` binary: train every
 //! registry scenario, checkpoint each policy, evaluate each over its
 //! scenario's episode budget, and render a Table IV reproduction report.
+//! Training and evaluation go through the shared pipeline in
+//! [`autocat_scenario::run`] ([`train_trainer`], [`row_and_stats`]); this
+//! module owns the artifact files, the resume manifest and the report.
 //!
-//! A report row is a **per-policy statistic**, not a single replay: each
-//! scenario is evaluated over `train.eval_episodes` sampled episodes with
-//! the lane-batched engine ([`autocat::ppo::eval::evaluate_batched`],
-//! [`EVAL_LANES`] lanes), and the row carries N-episode accuracy,
-//! detection rate, average length and an attack-category census. The
-//! printed sequence is a *representative replay*: the first (preferring
-//! correct) episode of the census's majority category, so rows on
-//! stochastic backends (random-replacement caches, `SimulatedProcessor`)
-//! stop flapping between runs.
+//! A report row is a **per-policy statistic**, not a single replay (see
+//! [`SweepRow`]): N-episode accuracy, detection rate, average length and
+//! an attack-category census, with a *representative replay* of the
+//! majority category so rows on stochastic backends (random-replacement
+//! caches, `SimulatedProcessor`) stop flapping between runs.
 //!
 //! The pipeline is deliberately split from the CLI so the
 //! train-→-artifacts-→-report round trip is testable: a report generated
@@ -46,78 +45,14 @@
 //! (same name, same spec) and an interrupted multi-scenario sweep
 //! continues in slices instead of retraining from zero.
 
-use autocat::attacks::classify::classify_sequence;
-use autocat::gym::{Action, CacheGuessingGame};
-use autocat::ppo::{eval, Trainer};
+use autocat::ppo::Trainer;
 use autocat_scenario::value::{self, req, u64_from, u64_value, Value};
 use autocat_scenario::Scenario;
 use std::path::{Path, PathBuf};
 
-/// Evaluation lanes used when decoding a report row — the canonical width
-/// shared with `Explorer` (`autocat::ppo::eval::EVAL_LANES`), so a
-/// scenario evaluated by `scenario-run` and by the sweep report sees the
-/// identical sampling plan. Fixed (not a CLI knob) because the lane split
-/// is part of that plan: the same artifacts must yield the same rows on
-/// every machine.
-pub use autocat::ppo::eval::EVAL_LANES;
-
-/// One row of the sweep report (one trained scenario), carrying N-episode
-/// evaluation statistics rather than a single-replay coin flip.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepRow {
-    /// Scenario name (registry or file-derived).
-    pub scenario: String,
-    /// The scenario's human-readable summary (for Table IV rows, the
-    /// attack the paper's agent found).
-    pub summary: String,
-    /// Environment steps trained.
-    pub steps: u64,
-    /// Trailing average episode return when training stopped.
-    pub final_return: f32,
-    /// Whether the trailing return reached the scenario's threshold.
-    pub converged: bool,
-    /// Episodes evaluated for this row (the scenario's
-    /// `train.eval_episodes`).
-    pub eval_episodes: u64,
-    /// Evaluation episodes ending in a correct guess.
-    pub correct: u64,
-    /// Evaluation episodes ending in any guess.
-    pub guessed: u64,
-    /// Evaluation episodes terminated by a detector.
-    pub detected: u64,
-    /// Mean evaluation episode length.
-    pub avg_length: f32,
-    /// Majority attack category across the census (the paper's analysis).
-    pub category: String,
-    /// Attack-category census over every evaluated episode, rendered as
-    /// `category:count` pairs sorted by descending count.
-    pub census: String,
-    /// A representative replay in the paper's notation: the first
-    /// (preferring correct) evaluated episode of the majority category.
-    pub sequence: String,
-}
-
-impl SweepRow {
-    /// Correct guesses over **all** evaluation episodes (the paper's
-    /// accuracy column).
-    pub fn accuracy(&self) -> f64 {
-        if self.eval_episodes == 0 {
-            0.0
-        } else {
-            self.correct as f64 / self.eval_episodes as f64
-        }
-    }
-
-    /// Detector-terminated episodes over all evaluation episodes (the
-    /// Sec. V-D defense metric).
-    pub fn detection_rate(&self) -> f64 {
-        if self.eval_episodes == 0 {
-            0.0
-        } else {
-            self.detected as f64 / self.eval_episodes as f64
-        }
-    }
-}
+// The shared train → evaluate pipeline lives in `autocat_scenario::run`;
+// re-exported here so existing `autocat_bench::sweep::*` paths resolve.
+pub use autocat_scenario::run::{row_and_stats, spec_digest, train_trainer, SweepRow};
 
 /// Checkpoint file a sweep **writes** for a scenario name under `out`:
 /// the binary fast path.
@@ -148,148 +83,6 @@ pub fn scenario_path(out: &Path, name: &str) -> PathBuf {
     out.join(format!("{name}.scenario.json"))
 }
 
-/// The train-spec digest of a scenario: FNV-1a over its canonical JSON
-/// (after any CLI overrides). This is the second half of the store/
-/// manifest index key — two submissions of one scenario name with
-/// different seeds, budgets or lane counts index separately.
-pub fn spec_digest(scenario: &Scenario) -> u64 {
-    autocat::nn::state::fnv1a(scenario.to_json().into_bytes())
-}
-
-/// Decodes a report row from a trainer whose state equals the checkpoint
-/// on disk — either because the checkpoint was just saved from it, or
-/// because it was just loaded from one.
-///
-/// Evaluates the policy over `scenario.train.eval_episodes` sampled
-/// episodes on [`EVAL_LANES`] batched lanes (sampling, not argmax: the
-/// honest statistic on stochastic backends), then takes a census of the
-/// classified attack categories across every episode. The row's printed
-/// sequence is the first (preferring correct) episode of the majority
-/// category.
-fn report_row(trainer: &mut Trainer<CacheGuessingGame>, scenario: &Scenario) -> SweepRow {
-    row_and_stats(trainer, scenario).0
-}
-
-/// The evaluated [`SweepRow`] plus the raw [`eval::EvalStats`] it was decoded
-/// from. Public so every consumer of a checkpoint-equivalent trainer —
-/// the sweep, `scenario-run --ckpt`, the serving daemon — evaluates
-/// through the *same* code path and therefore produces the same stats
-/// digest for the same checkpoint (the daemon/one-shot bit-identity
-/// gate in ci.sh compares exactly this).
-pub fn row_and_stats(
-    trainer: &mut Trainer<CacheGuessingGame>,
-    scenario: &Scenario,
-) -> (SweepRow, eval::EvalStats) {
-    let steps = trainer.total_steps();
-    let final_return = trainer.avg_return();
-    let converged = final_return >= scenario.train.return_threshold;
-    let episodes = scenario.train.eval_episodes.max(1);
-    let (env, net, rng) = trainer.parts_mut();
-    let report = eval::evaluate_batched(&*env, net, episodes, EVAL_LANES, false, rng);
-
-    let decode = |ep: &eval::EpisodeRecord| -> Vec<Action> {
-        ep.actions
-            .iter()
-            .map(|&i| env.action_space().decode(i))
-            .collect()
-    };
-    let categories: Vec<String> = report
-        .episodes
-        .iter()
-        .map(|ep| classify_sequence(&decode(ep), env.config()).to_string())
-        .collect();
-    let mut counts: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-    for category in &categories {
-        *counts.entry(category).or_default() += 1;
-    }
-    // Majority category; ties break to the lexicographically first name
-    // (BTreeMap order) so the winner never depends on episode order.
-    let category = counts
-        .iter()
-        .max_by_key(|(name, count)| (*count, std::cmp::Reverse(*name)))
-        .map(|(name, _)| (*name).to_string())
-        .unwrap_or_default();
-    let mut census_pairs: Vec<(&str, u64)> = counts.iter().map(|(n, c)| (*n, *c)).collect();
-    census_pairs.sort_by_key(|&(name, count)| (std::cmp::Reverse(count), name));
-    let census = census_pairs
-        .iter()
-        .map(|(name, count)| format!("{name}:{count}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    // Representative replay: first correct episode of the majority
-    // category, else the first episode of that category.
-    let mut first_match = None;
-    let mut first_correct = None;
-    for (ep, cat) in report.episodes.iter().zip(&categories) {
-        if *cat != category {
-            continue;
-        }
-        if first_match.is_none() {
-            first_match = Some(ep);
-        }
-        if ep.correct {
-            first_correct = Some(ep);
-            break;
-        }
-    }
-    let representative = first_correct.or(first_match);
-    let sequence = representative
-        .map(|ep| {
-            decode(ep)
-                .iter()
-                .map(|a| a.to_string())
-                .collect::<Vec<_>>()
-                .join(" -> ")
-        })
-        .unwrap_or_default();
-
-    let row = SweepRow {
-        scenario: scenario.name.clone(),
-        summary: scenario.summary.clone(),
-        steps,
-        final_return,
-        converged,
-        eval_episodes: report.stats.episodes as u64,
-        correct: report.stats.correct as u64,
-        guessed: report.stats.guessed as u64,
-        detected: report.stats.detected as u64,
-        avg_length: report.stats.avg_length,
-        category,
-        census,
-        sequence,
-    };
-    (row, report.stats)
-}
-
-/// Builds and trains a scenario's trainer to its budget — the one
-/// training path shared by [`train_one`], `scenario-run --ckpt` and the
-/// serving daemon, which is what makes a daemon job bit-identical to its
-/// one-shot equivalent. `on_update` observes `(total steps, trailing
-/// average return)` after every PPO update (pass a no-op for silence;
-/// observation cannot perturb training).
-///
-/// # Errors
-///
-/// Returns an error if the scenario's environment cannot be built.
-pub fn train_trainer(
-    scenario: &Scenario,
-    on_update: impl FnMut(u64, f32),
-) -> Result<Trainer<CacheGuessingGame>, String> {
-    let env = scenario.build_env()?;
-    let mut trainer = Trainer::new(
-        env,
-        scenario.train.backbone.clone(),
-        scenario.train.ppo,
-        scenario.train.seed,
-    );
-    trainer.train_until_with(
-        scenario.train.return_threshold,
-        scenario.train.max_steps,
-        on_update,
-    );
-    Ok(trainer)
-}
-
 /// Trains one scenario to its budget, writes its artifacts (scenario
 /// sidecar + checkpoint) under `out`, and returns its report row.
 ///
@@ -316,7 +109,7 @@ pub fn train_one(scenario: &Scenario, out: &Path) -> Result<SweepRow, String> {
     manifest::record(out, &scenario.name, spec_digest(scenario)).map_err(err)?;
     // Decode *after* saving: the in-memory state now equals the artifact,
     // so `row_from_artifacts` reproduces this row exactly.
-    Ok(report_row(&mut trainer, scenario))
+    Ok(row_and_stats(&mut trainer, scenario).0)
 }
 
 /// Whether `--resume` may skip a scenario under `out`: its manifest entry
@@ -337,7 +130,7 @@ pub fn resume_complete(out: &Path, scenario: &Scenario) -> bool {
 /// it (thread-safely — sweeps train scenarios on parallel rayon tasks)
 /// and `sweep --resume` consults it via [`resume_complete`].
 pub mod manifest {
-    use super::{spec_digest, Path, PathBuf, Scenario};
+    use super::{Path, PathBuf};
     use autocat_scenario::value::{self, Value};
     use std::collections::BTreeMap;
     use std::sync::Mutex;
@@ -370,7 +163,7 @@ pub mod manifest {
             .collect()
     }
 
-    /// Records (or refreshes) one scenario's spec digest. Serialized by a
+    /// Records (or refreshes) one scenario's spec digest. Guarded by a
     /// process-wide lock and written via rename, so concurrent rayon
     /// training tasks cannot tear the file.
     ///
@@ -395,16 +188,6 @@ pub mod manifest {
         std::fs::rename(&tmp, &file)
             .map_err(|e| format!("renaming {} -> {}: {e}", tmp.display(), file.display()))
     }
-
-    /// Convenience for callers holding a scenario: record its current
-    /// spec digest.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`record`]'s errors.
-    pub fn record_scenario(out: &Path, scenario: &Scenario) -> Result<(), String> {
-        record(out, &scenario.name, spec_digest(scenario))
-    }
 }
 
 /// Regenerates one report row from artifacts alone: loads the scenario
@@ -420,7 +203,7 @@ pub fn row_from_artifacts(out: &Path, name: &str) -> Result<SweepRow, String> {
     let env = scenario.build_env().map_err(err)?;
     let mut trainer =
         Trainer::load_checkpoint(resolve_checkpoint_path(out, name), env).map_err(err)?;
-    Ok(report_row(&mut trainer, &scenario))
+    Ok(row_and_stats(&mut trainer, &scenario).0)
 }
 
 /// Lists the scenario names with artifacts under `out` (every

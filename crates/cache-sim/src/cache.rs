@@ -5,7 +5,6 @@ use crate::event::{CacheEvent, Domain};
 use crate::mapping::ResolvedMapping;
 use crate::policy::SetPolicy;
 use crate::prefetch::PrefetchState;
-use serde::{Deserialize, Serialize};
 
 /// Result of a demand access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,7 +21,7 @@ pub struct AccessResult {
 
 /// Aggregate counters, including per-domain miss counts used by the
 /// µarch-statistics detector (Sec. V-D).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total demand hits.
     pub hits: u64,

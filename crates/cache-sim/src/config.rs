@@ -1,12 +1,11 @@
 //! Cache configuration (the `Cache configs` block of the paper's Table II).
 
 use crate::mapping::AddressMapping;
-use serde::{Deserialize, Serialize};
 
 /// Replacement policy selection (paper Sec. IV-A implements LRU, random,
 /// PLRU and RRIP; NRU is added as an "undocumented" policy for the simulated
 /// real-hardware backend).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// True least-recently-used with full age ordering.
     Lru,
@@ -44,7 +43,7 @@ impl PolicyKind {
 }
 
 /// Hardware prefetcher selection (configs 2, 13, 14 of Table IV).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum PrefetcherKind {
     /// No prefetching.
     #[default]
@@ -56,7 +55,7 @@ pub enum PrefetcherKind {
 }
 
 /// Configuration of a single cache (one level).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CacheConfig {
     /// Number of sets (`num_blocks / num_ways`).
     pub num_sets: usize,

@@ -1,13 +1,11 @@
 //! Cache events consumed by the timing-channel detectors.
 
-use serde::{Deserialize, Serialize};
-
 /// The security domain issuing a memory operation.
 ///
 /// The paper's detectors distinguish the victim program from the attack
 /// program (CC-Hunter's `A→V` / `V→A` conflict misses, Cyclone's
 /// cross-domain cyclic interference).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// The attack program.
     Attacker,
@@ -33,7 +31,7 @@ impl Domain {
 /// The simulator appends these to a log that detector implementations
 /// consume; this mirrors how CC-Hunter taps conflict misses and how Cyclone
 /// taps per-line cross-domain accesses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheEvent {
     /// A demand access completed.
     Access {

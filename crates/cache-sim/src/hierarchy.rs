@@ -4,10 +4,9 @@
 use crate::cache::Cache;
 use crate::config::CacheConfig;
 use crate::event::Domain;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`TwoLevelCache`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TwoLevelConfig {
     /// Number of cores (each gets a private L1).
     pub num_cores: usize,

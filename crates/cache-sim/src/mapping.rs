@@ -2,14 +2,13 @@
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// How line addresses map to cache sets.
 ///
 /// The paper's Sec. V-B also studies "a fixed random address-to-set mapping
 /// where an address is mapped to a set using a fixed random permutation";
 /// [`AddressMapping::RandomPermutation`] reproduces that.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AddressMapping {
     /// Conventional modulo indexing: `set = addr % num_sets`.
     Direct,
@@ -52,7 +51,7 @@ fn build_permutation(seed: u64, n: usize) -> Vec<usize> {
 
 /// A memoized random permutation mapping, avoiding re-deriving the
 /// permutation on every access (used by [`crate::Cache`]).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum ResolvedMapping {
     Direct,
     Permuted(Vec<usize>),

@@ -39,7 +39,7 @@
 //!
 //! The sibling `autocat-scenario` crate (which layers on top of this
 //! facade) adds the declarative scenario registry and TOML/JSON scenario
-//! files; its `scenario-run` harness drives [`Explorer`] from data.
+//! files; `Scenario::run` drives [`Explorer`] from data.
 
 pub use autocat_attacks as attacks;
 pub use autocat_cache as cache;

@@ -7,10 +7,9 @@
 //! `1 ≤ p ≤ P`.
 
 use autocat_cache::{CacheEvent, Domain};
-use serde::{Deserialize, Serialize};
 
 /// A binary train of cross-domain conflict-miss events.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventTrain {
     events: Vec<u8>,
 }
@@ -97,7 +96,7 @@ impl EventTrain {
 
 /// CC-Hunter-style detector: flags an attack when the event train's
 /// autocorrelation exceeds `threshold` at any lag `1..=max_lag`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AutocorrDetector {
     /// Detection threshold on `C_p` (the paper uses 0.75).
     pub threshold: f64,

@@ -12,10 +12,9 @@
 
 use autocat_cache::{Cache, CacheConfig, CacheEvent, Domain};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Access pattern of one benign program.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BenignPattern {
     /// Sequential scan through a region.
     Sequential,
@@ -47,7 +46,7 @@ impl BenignPattern {
 }
 
 /// A pair of benign programs co-running on a shared cache.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BenignWorkload {
     /// Pattern of the program mapped to the attacker domain slot.
     pub pattern_a: BenignPattern,

@@ -9,7 +9,6 @@
 //! per-interval cyclic counts form the SVM's feature vector.
 
 use autocat_cache::{CacheEvent, Domain};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Extracts Cyclone features from a cache event log.
@@ -17,7 +16,7 @@ use std::collections::BTreeMap;
 /// The trace is split into `num_intervals` equal time intervals (by access
 /// index); the feature vector holds the cyclic-interference count of each
 /// interval.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CycloneFeatures {
     /// Number of intervals (feature dimension).
     pub num_intervals: usize,

@@ -7,10 +7,9 @@
 //! access triggers a cache miss", which corresponds to `threshold = 1`.
 
 use autocat_cache::{CacheEvent, Domain};
-use serde::{Deserialize, Serialize};
 
 /// Detector counting victim-program demand misses.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MissCountDetector {
     /// Number of victim misses at or above which an attack is signalled.
     pub threshold: u64,

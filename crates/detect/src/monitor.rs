@@ -12,7 +12,6 @@ use crate::cyclone::CycloneFeatures;
 use crate::misscount::MissCountDetector;
 use crate::svm::LinearSvm;
 use autocat_cache::CacheEvent;
-use serde::{Deserialize, Serialize};
 
 /// A monitor's judgement after observing one event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -267,7 +266,7 @@ impl Monitor for CompositeMonitor {
 
 /// Serializable description of an in-loop monitor (what scenario files
 /// store). [`MonitorSpec::build`] instantiates the described detector.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub enum MonitorSpec {
     /// No in-loop detection.
     #[default]

@@ -8,11 +8,10 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A linear SVM `f(x) = w·x + b`, classifying `f(x) >= 0` as positive
 /// (attack) and `f(x) < 0` as negative (benign).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LinearSvm {
     /// Weight vector.
     pub w: Vec<f32>,
@@ -21,7 +20,7 @@ pub struct LinearSvm {
 }
 
 /// Training hyper-parameters for [`LinearSvm::train`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SvmTrainConfig {
     /// Regularization strength (Pegasos λ).
     pub lambda: f32,

@@ -1,11 +1,10 @@
 //! The discrete action space (paper Sec. IV-C, "RL Action Space").
 
 use crate::config::EnvConfig;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One attack-program action.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Action {
     /// `aX` — access attacker-accessible address `X`.
     Access(u64),
@@ -37,7 +36,7 @@ impl fmt::Display for Action {
 ///
 /// Layout: accesses, then flushes (if enabled), then the victim trigger,
 /// then guesses (victim addresses), then guess-no-access (if enabled).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ActionSpace {
     actions: Vec<Action>,
 }

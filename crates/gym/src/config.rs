@@ -2,13 +2,12 @@
 
 use autocat_cache::{CacheConfig, PolicyKind, TwoLevelConfig};
 use autocat_detect::MonitorSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::hardware::HardwareProfile;
 
 /// Which cache implementation backs the environment (paper Fig. 2: a cache
 /// simulator or real hardware).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CacheSpec {
     /// A single-level simulated cache.
     Single(CacheConfig),
@@ -20,7 +19,7 @@ pub enum CacheSpec {
 }
 
 /// Reward values (Table II, RL config block).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RewardConfig {
     /// Reward for a correct guess (paper: 1.0).
     pub correct_guess: f32,
@@ -47,7 +46,7 @@ impl Default for RewardConfig {
 }
 
 /// Full environment configuration, mirroring the paper's Table II options.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EnvConfig {
     /// Cache implementation.
     pub cache: CacheSpec,

@@ -4,7 +4,6 @@ use autocat_cache::{Cache, CacheBackend, CacheEvent, Domain, TwoLevelCache};
 use autocat_detect::Monitor;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::action::{Action, ActionSpace};
 use crate::config::{CacheSpec, EnvConfig};
@@ -13,7 +12,7 @@ use crate::obs::{Latency, ObsEncoder, StepRecord};
 use crate::{Environment, StepInfo, StepResult};
 
 /// The victim's secret for an episode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Secret {
     /// The victim accesses this address when triggered.
     Addr(u64),

@@ -11,14 +11,13 @@
 use autocat_cache::{Cache, CacheBackend, CacheConfig, CacheEvent, CacheStats, Domain, PolicyKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Timing-measurement noise.
 ///
 /// Real measurements misclassify hit/miss occasionally (interrupts, TLB
 /// effects, frequency transitions); we model that as an independent flip of
 /// the observed outcome.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NoiseModel {
     /// Probability that an observed hit/miss outcome is flipped.
     pub flip_prob: f64,
@@ -40,7 +39,7 @@ impl NoiseModel {
 ///
 /// `N.O.D.` (not officially documented) levels are modelled with an NRU
 /// policy the agent cannot see; L1 levels use tree-PLRU as documented.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum HardwareProfile {
     /// Core i7-6700 (SkyLake) L1: 8-way PLRU.
     SkylakeL1,

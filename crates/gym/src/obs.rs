@@ -5,10 +5,8 @@
 //! becomes one fixed-width token; the window is flattened for the MLP
 //! backbone and reshaped to `(W, token_dim)` by the Transformer backbone.
 
-use serde::{Deserialize, Serialize};
-
 /// The latency observation of a step (`S_lat = {hit, miss, N.A.}`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Latency {
     /// The attacker's access hit.
     Hit,
@@ -19,7 +17,7 @@ pub enum Latency {
 }
 
 /// One step of history.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StepRecord {
     /// Index of the action taken.
     pub action: usize,
@@ -32,7 +30,7 @@ pub struct StepRecord {
 }
 
 /// Encodes a history of [`StepRecord`]s into the flattened observation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ObsEncoder {
     window: usize,
     num_actions: usize,

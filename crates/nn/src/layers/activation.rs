@@ -1,10 +1,9 @@
 //! Element-wise activation layers.
 
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// The supported activation functions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ActivationKind {
     /// Rectified linear unit, `max(0, x)`.
     Relu,
@@ -51,7 +50,7 @@ impl ActivationKind {
 }
 
 /// An element-wise activation layer with cached input.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Activation {
     kind: ActivationKind,
     cached_input: Option<Matrix>,

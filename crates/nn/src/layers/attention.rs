@@ -4,7 +4,6 @@ use crate::layers::Linear;
 use crate::matrix::Matrix;
 use crate::param::Param;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Multi-head self-attention for one sequence of shape `(seq_len, d_model)`.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// sequences here are short action/observation histories (the RL window), so
 /// this implementation processes one sequence per forward/backward pair and
 /// the model loops over a batch, accumulating parameter gradients.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MultiHeadAttention {
     wq: Linear,
     wk: Linear,
@@ -23,7 +22,7 @@ pub struct MultiHeadAttention {
     cache: Option<AttnCache>,
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct AttnCache {
     q: Matrix,
     k: Matrix,

@@ -2,11 +2,10 @@
 
 use crate::matrix::Matrix;
 use crate::param::Param;
-use serde::{Deserialize, Serialize};
 
 /// Layer normalization: normalizes each row to zero mean / unit variance and
 /// applies a learned per-feature scale (`gamma`) and shift (`beta`).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LayerNorm {
     /// Learned scale, shape `(1, dim)`.
     pub gamma: Param,

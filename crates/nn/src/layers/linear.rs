@@ -4,12 +4,11 @@ use crate::init;
 use crate::matrix::Matrix;
 use crate::param::Param;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A fully-connected layer computing `y = x W + b`.
 ///
 /// `x` is `(batch, in_dim)`, `W` is `(in_dim, out_dim)`, `b` is `out_dim`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Linear {
     /// Weight matrix, shape `(in_dim, out_dim)`.
     pub w: Param,

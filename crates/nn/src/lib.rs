@@ -19,9 +19,9 @@
 //!   reduce shard buffers in fixed order, copy weights to replicas.
 //! * [`dist::Categorical`] — sampling, log-probabilities and entropy for the
 //!   discrete action distribution, plus the analytic gradients PPO needs.
-//! * [`value`] — the workspace's hand-rolled TOML/JSON document model
-//!   (the vendored `serde` is a no-op marker), shared by scenario files,
-//!   checkpoints and sweep reports.
+//! * [`value`] — the workspace's hand-rolled TOML/JSON document model and
+//!   its only serialization, shared by scenario files, checkpoints and
+//!   sweep reports.
 //! * [`state`] — backbone-agnostic parameter/optimizer (de)serialization:
 //!   any [`models::PolicyValueNet`] checkpoints through its `visit_params`
 //!   walk, bit-exactly, with no per-model code.

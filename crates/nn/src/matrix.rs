@@ -27,7 +27,6 @@
 //!   order when the kernels were vectorized; training digests were
 //!   re-pinned once at that point.
 
-use serde::{Deserialize, Serialize};
 use simd::{Isa, SimdF32x16, SimdF32x8};
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -38,7 +37,7 @@ use std::ops::{Index, IndexMut};
 /// layers in [`crate::layers`] need, implemented straightforwardly. All
 /// shape mismatches panic — inside a training loop a shape mismatch is a
 /// programming error, not a recoverable condition.
-#[derive(Default, PartialEq, Serialize, Deserialize)]
+#[derive(Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

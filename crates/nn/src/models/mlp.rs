@@ -5,10 +5,9 @@ use crate::matrix::Matrix;
 use crate::models::PolicyValueNet;
 use crate::param::Param;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`MlpPolicy`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MlpConfig {
     /// Flattened observation dimension.
     pub obs_dim: usize,
@@ -51,7 +50,7 @@ impl MlpConfig {
 
 /// A multi-layer perceptron with a shared trunk, categorical policy head and
 /// scalar value head.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MlpPolicy {
     trunk: Vec<(Linear, Activation)>,
     policy_head: Linear,

@@ -11,10 +11,9 @@ use crate::matrix::Matrix;
 use crate::models::PolicyValueNet;
 use crate::param::Param;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for [`TransformerPolicy`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TransformerConfig {
     /// Number of tokens (the RL history window size).
     pub seq_len: usize,
@@ -72,7 +71,7 @@ impl TransformerConfig {
 
 /// A single-layer Transformer encoder with mean pooling and policy/value
 /// heads, processing flattened `(seq_len * token_dim)` observations.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TransformerPolicy {
     embed: Linear,
     pos: Param,

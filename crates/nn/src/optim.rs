@@ -1,13 +1,12 @@
 //! Optimizers: Adam with bias correction, plus global gradient-norm clipping.
 
 use crate::param::Param;
-use serde::{Deserialize, Serialize};
 
 /// The Adam optimizer (Kingma & Ba, 2015).
 ///
 /// Each [`Param`] carries its own first/second moment estimates; `Adam`
 /// holds the shared hyper-parameters and step counter.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,

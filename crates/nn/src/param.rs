@@ -1,7 +1,6 @@
 //! Trainable parameters: value, accumulated gradient, and Adam moments.
 
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A trainable parameter tensor with its gradient and Adam state.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// pass; [`crate::optim::Adam`] consumes the gradient to update
 /// [`Param::value`] and maintains the first/second moment estimates here so
 /// every parameter carries its own optimizer state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Param {
     /// Current parameter values.
     pub value: Matrix,

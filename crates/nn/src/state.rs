@@ -43,7 +43,7 @@ fn floats_from_value(value: &Value) -> Result<Vec<f32>, String> {
     value.as_array()?.iter().map(Value::as_f32).collect()
 }
 
-/// Serializes every parameter of `net` — values and Adam moments — in
+/// Encodes every parameter of `net` — values and Adam moments — in
 /// `visit_params` order.
 ///
 /// Takes `&mut` because [`PolicyValueNet::visit_params`] does; the network
@@ -173,7 +173,7 @@ pub fn params_digest(net: &mut dyn PolicyValueNet) -> u64 {
     fnv1a(bytes)
 }
 
-/// Serializes an [`Adam`] optimizer (hyper-parameters and step counter;
+/// Encodes an [`Adam`] optimizer (hyper-parameters and step counter;
 /// the per-parameter moments live with the parameters).
 pub fn adam_to_value(adam: &Adam) -> Value {
     let mut table = Value::table();

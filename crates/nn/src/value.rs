@@ -1,9 +1,8 @@
 //! A tiny self-describing document model with TOML and JSON codecs.
 //!
-//! The build environment vendors `serde` as a no-op marker (no
-//! `serde_json` / `toml` in the tree), so every on-disk artifact in the
-//! workspace goes through this hand-rolled value layer instead: one
-//! [`Value`] tree, two textual codecs. It serves scenario files
+//! This value layer is the workspace's only serialization: every on-disk
+//! artifact goes through one [`Value`] tree and two textual codecs (the
+//! binary checkpoint codec in `autocat-store` encodes the same tree). It serves scenario files
 //! (`autocat-scenario` re-exports this module as `autocat_scenario::value`),
 //! trainer checkpoints (`autocat_ppo::checkpoint`) and sweep reports. The
 //! TOML codec covers the subset those files need — dotted
@@ -234,7 +233,7 @@ fn emit_toml_section(out: &mut String, path: &str, map: &BTreeMap<String, Value>
     }
 }
 
-/// Serializes a table value as TOML.
+/// Encodes a table value as TOML.
 ///
 /// # Errors
 ///
@@ -246,7 +245,7 @@ pub fn to_toml(value: &Value) -> Result<String, String> {
     Ok(out)
 }
 
-/// Serializes any value as JSON.
+/// Encodes any value as JSON.
 pub fn to_json(value: &Value) -> String {
     match value {
         Value::Str(s) => escape(s),

@@ -187,7 +187,7 @@ fn rng_state_from_value(value: &Value) -> Result<[u64; 4], String> {
 }
 
 impl<E: Environment + Send> Trainer<E> {
-    /// Serializes the trainer's full training state as a [`Value`] tree.
+    /// Encodes the trainer's full training state as a [`Value`] tree.
     ///
     /// Takes `&mut` because parameter visitation does; the trainer is not
     /// modified.

@@ -9,14 +9,13 @@ use autocat_nn::Adam;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 use crate::rollout::{collect, EpisodeTally};
 use crate::sharded::{sharded_minibatch, MinibatchCtx, UpdateWorkspace};
 
 /// PPO hyper-parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PpoConfig {
     /// Adam learning rate.
     pub lr: f32,
@@ -115,7 +114,7 @@ impl PpoConfig {
 
 /// Network backbone selection (paper Sec. VI-B compares Transformer and
 /// MLP).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Backbone {
     /// MLP with the given hidden widths.
     Mlp {

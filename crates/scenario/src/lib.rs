@@ -9,6 +9,12 @@
 //! case studies ([`replacement`]) and the Table III hardware profiles
 //! ([`hardware`]), so scenario diversity is data, not code edits.
 //!
+//! The [`run`] module is the one train → evaluate → classify pipeline
+//! every scenario front end shares (`scenario-run`, the `sweep` harness,
+//! the serving daemon): [`run::train_trainer`], [`run::row_and_stats`],
+//! the [`run::TrainOverrides`] flag set and the [`run::spec_digest`]
+//! index key.
+//!
 //! # Example: load a scenario file and run it
 //!
 //! ```no_run
@@ -48,6 +54,7 @@
 mod encode;
 pub mod generate;
 pub mod registry;
+pub mod run;
 pub use autocat_nn::value;
 
 use autocat::{ExplorationReport, Explorer};
@@ -171,13 +178,13 @@ impl Scenario {
         self.explorer().run()
     }
 
-    /// Serializes the scenario as TOML.
+    /// Encodes the scenario as TOML.
     pub fn to_toml(&self) -> String {
         value::to_toml(&encode::scenario_to_value(self))
             .expect("scenario encoding is always a table")
     }
 
-    /// Serializes the scenario as JSON.
+    /// Encodes the scenario as JSON.
     pub fn to_json(&self) -> String {
         value::to_json(&encode::scenario_to_value(self))
     }

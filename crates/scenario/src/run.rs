@@ -1,10 +1,19 @@
-//! CLI plumbing shared by the scenario-driven binaries (`scenario-run`,
-//! `sweep`, `train-bench`) and the serving daemon: the common
-//! training-override flags, parsed, applied and wire-encoded one way so
-//! the front ends cannot drift.
+//! The one train → evaluate → classify pipeline every scenario front end
+//! shares: `scenario-run`, the `sweep` harness and the serving daemon all
+//! train through [`train_trainer`] and report through [`row_and_stats`],
+//! which is what makes a daemon job bit-identical to its one-shot
+//! equivalent and a sweep report reproducible from its artifacts.
+//!
+//! [`TrainOverrides`] is the common `--steps`/`--seed`/... flag set,
+//! parsed, applied and wire-encoded one way so the front ends cannot
+//! drift; [`spec_digest`] is the train-spec key the sweep manifest and the
+//! daemon's store index by.
 
-use autocat_scenario::value::{self, u64_from, Value};
-use autocat_scenario::Scenario;
+use crate::value::{self, u64_from, Value};
+use crate::Scenario;
+use autocat::attacks::classify::classify_sequence;
+use autocat_gym::{Action, CacheGuessingGame};
+use autocat_ppo::{eval, Trainer};
 
 /// The `--steps` / `--seed` / `--lanes` / `--shards` / `--threads` /
 /// `--eval-episodes` override set.
@@ -145,6 +154,198 @@ impl TrainOverrides {
     }
 }
 
+/// The train-spec digest of a scenario: FNV-1a over its canonical JSON
+/// (after any CLI overrides). This is the second half of the store/
+/// manifest index key — two submissions of one scenario name with
+/// different seeds, budgets or lane counts index separately.
+pub fn spec_digest(scenario: &Scenario) -> u64 {
+    autocat_nn::state::fnv1a(scenario.to_json().into_bytes())
+}
+
+/// Builds and trains a scenario's trainer to its budget — the one
+/// training path of every scenario front end. `on_update` observes
+/// `(total steps, trailing average return)` after every PPO update (pass
+/// a no-op for silence; observation cannot perturb training).
+///
+/// # Errors
+///
+/// Returns an error if the scenario's environment cannot be built.
+pub fn train_trainer(
+    scenario: &Scenario,
+    on_update: impl FnMut(u64, f32),
+) -> Result<Trainer<CacheGuessingGame>, String> {
+    let env = scenario.build_env()?;
+    let mut trainer = Trainer::new(
+        env,
+        scenario.train.backbone.clone(),
+        scenario.train.ppo,
+        scenario.train.seed,
+    );
+    trainer.train_until_with(
+        scenario.train.return_threshold,
+        scenario.train.max_steps,
+        on_update,
+    );
+    Ok(trainer)
+}
+
+/// One evaluated scenario (one sweep report row), carrying N-episode
+/// evaluation statistics rather than a single-replay coin flip.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SweepRow {
+    /// Scenario name (registry or file-derived).
+    pub scenario: String,
+    /// The scenario's human-readable summary (for Table IV rows, the
+    /// attack the paper's agent found).
+    pub summary: String,
+    /// Environment steps trained.
+    pub steps: u64,
+    /// Trailing average episode return when training stopped.
+    pub final_return: f32,
+    /// Whether the trailing return reached the scenario's threshold.
+    pub converged: bool,
+    /// Episodes evaluated for this row (the scenario's
+    /// `train.eval_episodes`).
+    pub eval_episodes: u64,
+    /// Evaluation episodes ending in a correct guess.
+    pub correct: u64,
+    /// Evaluation episodes ending in any guess.
+    pub guessed: u64,
+    /// Evaluation episodes terminated by a detector.
+    pub detected: u64,
+    /// Mean evaluation episode length.
+    pub avg_length: f32,
+    /// Majority attack category across the census (the paper's analysis).
+    pub category: String,
+    /// Attack-category census over every evaluated episode, rendered as
+    /// `category:count` pairs sorted by descending count.
+    pub census: String,
+    /// A representative replay in the paper's notation: the first
+    /// (preferring correct) evaluated episode of the majority category.
+    pub sequence: String,
+}
+
+impl SweepRow {
+    /// Correct guesses over **all** evaluation episodes (the paper's
+    /// accuracy column).
+    pub fn accuracy(&self) -> f64 {
+        if self.eval_episodes == 0 {
+            0.0
+        } else {
+            self.correct as f64 / self.eval_episodes as f64
+        }
+    }
+
+    /// Detector-terminated episodes over all evaluation episodes (the
+    /// Sec. V-D defense metric).
+    pub fn detection_rate(&self) -> f64 {
+        if self.eval_episodes == 0 {
+            0.0
+        } else {
+            self.detected as f64 / self.eval_episodes as f64
+        }
+    }
+}
+
+/// Evaluates a trained (or checkpoint-loaded) trainer into a [`SweepRow`]
+/// plus the raw [`eval::EvalStats`] it was decoded from. Every front end
+/// evaluates through this one path, so the same checkpoint always yields
+/// the same stats digest (the daemon/one-shot bit-identity gate in ci.sh
+/// compares exactly this).
+///
+/// Evaluates the policy over `scenario.train.eval_episodes` sampled
+/// episodes (sampling, not argmax: the honest statistic on stochastic
+/// backends) on the canonical [`eval::EVAL_LANES`] batched width shared
+/// with `Explorer`. The width is fixed, not a knob, because the lane split
+/// is part of the sampling plan: the same checkpoint must yield the same
+/// row on every machine. The classified attack categories of every
+/// episode form the census; the row's sequence is the first (preferring
+/// correct) episode of the majority category.
+pub fn row_and_stats(
+    trainer: &mut Trainer<CacheGuessingGame>,
+    scenario: &Scenario,
+) -> (SweepRow, eval::EvalStats) {
+    let steps = trainer.total_steps();
+    let final_return = trainer.avg_return();
+    let converged = final_return >= scenario.train.return_threshold;
+    let episodes = scenario.train.eval_episodes.max(1);
+    let (env, net, rng) = trainer.parts_mut();
+    let report = eval::evaluate_batched(&*env, net, episodes, eval::EVAL_LANES, false, rng);
+
+    let decode = |ep: &eval::EpisodeRecord| -> Vec<Action> {
+        ep.actions
+            .iter()
+            .map(|&i| env.action_space().decode(i))
+            .collect()
+    };
+    let categories: Vec<String> = report
+        .episodes
+        .iter()
+        .map(|ep| classify_sequence(&decode(ep), env.config()).to_string())
+        .collect();
+    let mut counts: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
+    for category in &categories {
+        *counts.entry(category).or_default() += 1;
+    }
+    // Majority category; ties break to the lexicographically first name
+    // (BTreeMap order) so the winner never depends on episode order.
+    let category = counts
+        .iter()
+        .max_by_key(|(name, count)| (*count, std::cmp::Reverse(*name)))
+        .map(|(name, _)| (*name).to_string())
+        .unwrap_or_default();
+    let mut census_pairs: Vec<(&str, u64)> = counts.iter().map(|(n, c)| (*n, *c)).collect();
+    census_pairs.sort_by_key(|&(name, count)| (std::cmp::Reverse(count), name));
+    let census = census_pairs
+        .iter()
+        .map(|(name, count)| format!("{name}:{count}"))
+        .collect::<Vec<_>>()
+        .join(", ");
+    // Representative replay: first correct episode of the majority
+    // category, else the first episode of that category.
+    let mut first_match = None;
+    let mut first_correct = None;
+    for (ep, cat) in report.episodes.iter().zip(&categories) {
+        if *cat != category {
+            continue;
+        }
+        if first_match.is_none() {
+            first_match = Some(ep);
+        }
+        if ep.correct {
+            first_correct = Some(ep);
+            break;
+        }
+    }
+    let representative = first_correct.or(first_match);
+    let sequence = representative
+        .map(|ep| {
+            decode(ep)
+                .iter()
+                .map(|a| a.to_string())
+                .collect::<Vec<_>>()
+                .join(" -> ")
+        })
+        .unwrap_or_default();
+
+    let row = SweepRow {
+        scenario: scenario.name.clone(),
+        summary: scenario.summary.clone(),
+        steps,
+        final_return,
+        converged,
+        eval_episodes: report.stats.episodes as u64,
+        correct: report.stats.correct as u64,
+        guessed: report.stats.guessed as u64,
+        detected: report.stats.detected as u64,
+        avg_length: report.stats.avg_length,
+        category,
+        census,
+        sequence,
+    };
+    (row, report.stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,7 +367,7 @@ mod tests {
     fn parses_and_applies_the_trio() {
         let overrides = parse_all(&["--steps", "5000", "--seed", "7", "--lanes", "0"]).unwrap();
         assert!(overrides.any());
-        let mut scenario = autocat_scenario::table4(1).unwrap();
+        let mut scenario = crate::table4(1).unwrap();
         overrides.apply(&mut scenario);
         assert_eq!(scenario.train.max_steps, 5000);
         assert_eq!(scenario.train.seed, 7);
@@ -177,7 +378,7 @@ mod tests {
     fn parses_and_applies_shards() {
         let overrides = parse_all(&["--shards", "8"]).unwrap();
         assert!(overrides.any());
-        let mut scenario = autocat_scenario::table4(1).unwrap();
+        let mut scenario = crate::table4(1).unwrap();
         assert_eq!(scenario.train.ppo.grad_shards, 1);
         overrides.apply(&mut scenario);
         assert_eq!(scenario.train.ppo.grad_shards, 8);
@@ -191,7 +392,7 @@ mod tests {
     fn parses_and_applies_eval_episodes() {
         let overrides = parse_all(&["--eval-episodes", "500"]).unwrap();
         assert!(overrides.any());
-        let mut scenario = autocat_scenario::table4(1).unwrap();
+        let mut scenario = crate::table4(1).unwrap();
         overrides.apply(&mut scenario);
         assert_eq!(scenario.train.eval_episodes, 500);
 

@@ -89,7 +89,7 @@ impl Client {
     pub fn submit(
         mut self,
         source: proto::JobSource,
-        overrides: autocat_bench::cli::TrainOverrides,
+        overrides: autocat_scenario::run::TrainOverrides,
         priority: i64,
     ) -> Result<JobHandle, String> {
         match self.request(&Request::Submit {

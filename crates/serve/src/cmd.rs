@@ -7,7 +7,7 @@
 
 use crate::client::{Client, JobHandle};
 use crate::proto::{Event, FetchKey, JobSource, JobStatus, Which};
-use autocat_bench::cli::TrainOverrides;
+use autocat_scenario::run::TrainOverrides;
 use autocat_scenario::Scenario;
 use autocat_store::digest_hex;
 

@@ -26,7 +26,7 @@
 // See lib.rs: the compiler-level half of lint rule R1.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-use autocat_bench::cli::TrainOverrides;
+use autocat_scenario::run::TrainOverrides;
 use autocat_serve::{cmd, server};
 
 fn usage() -> ! {

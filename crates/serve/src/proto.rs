@@ -53,7 +53,7 @@
 //!
 //! Digests travel as 16-hex strings (the store's object-name form).
 
-use autocat_bench::cli::TrainOverrides;
+use autocat_scenario::run::TrainOverrides;
 use autocat_scenario::value::{self, req, u64_from, u64_value, Value};
 use autocat_scenario::Scenario;
 use autocat_store::StoreEntry;
@@ -93,18 +93,21 @@ pub fn write_line(stream: &mut impl Write, payload: &Value) -> std::io::Result<(
 /// Returns an error on unreadable input or malformed JSON.
 pub fn read_line(reader: &mut impl BufRead) -> Result<Option<Value>, String> {
     let mut line = String::new();
-    let n = reader
-        .read_line(&mut line)
-        .map_err(|e| format!("reading protocol line: {e}"))?;
-    if n == 0 {
-        return Ok(None);
+    // Tolerate blank keep-alive lines between requests. A loop, not
+    // recursion: a client streaming blank lines must not grow the stack.
+    loop {
+        line.clear();
+        let n = reader
+            .read_line(&mut line)
+            .map_err(|e| format!("reading protocol line: {e}"))?;
+        if n == 0 {
+            return Ok(None);
+        }
+        let trimmed = line.trim();
+        if !trimmed.is_empty() {
+            return value::from_json(trimmed).map(Some);
+        }
     }
-    let line = line.trim();
-    if line.is_empty() {
-        // Tolerate blank keep-alive lines between requests.
-        return read_line(reader);
-    }
-    value::from_json(line).map(Some)
 }
 
 /// Writes `bytes` as length-prefixed chunks plus the zero-length
@@ -1079,6 +1082,23 @@ mod tests {
         let second = read_line(&mut reader).unwrap().unwrap();
         assert_eq!(Response::from_value(&second).unwrap(), Response::Pong);
         assert!(read_line(&mut reader).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn blank_line_floods_do_not_grow_the_stack() {
+        // A connection thread has the default stack; a client sending a
+        // long run of keep-alive blank lines must not overflow it.
+        let mut wire = vec![b'\n'; 200_000];
+        write_line(&mut wire, &Request::Ping.to_value()).unwrap();
+        let request = std::thread::spawn(move || {
+            let mut reader = std::io::BufReader::new(wire.as_slice());
+            let value = read_line(&mut reader).unwrap().unwrap();
+            assert!(read_line(&mut reader).unwrap().is_none(), "clean EOF");
+            Request::from_value(&value).unwrap()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(request, Request::Ping);
     }
 
     #[test]

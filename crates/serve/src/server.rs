@@ -12,7 +12,7 @@
 //! worker claims the highest-priority queued job (FIFO within a
 //! priority), marks it **running**, and trains it through the *same*
 //! shared code path as one-shot `scenario-run`/`sweep`
-//! (`autocat_bench::sweep::train_trainer` + `row_and_stats`), appending
+//! (`autocat_scenario::run::train_trainer` + `row_and_stats`), appending
 //! `(steps, avg return)` to the job's progress log after every PPO
 //! update. On success the canonical binary checkpoint bytes go into the
 //! content-addressed store and the job becomes **done**, carrying the
@@ -56,9 +56,8 @@ use crate::proto::{
     self, fault, ErrorKind, Event, Fault, FetchKey, JobSource, JobState, JobStatus, Request,
     Response, Which, PROTOCOL_VERSION,
 };
-use autocat_bench::cli::TrainOverrides;
-use autocat_bench::sweep::{row_and_stats, spec_digest, train_trainer};
 use autocat_nn::state::params_digest;
+use autocat_scenario::run::{row_and_stats, spec_digest, train_trainer, TrainOverrides};
 use autocat_scenario::value::{self, req, u64_from, u64_value, Value};
 use autocat_scenario::Scenario;
 use autocat_store::{codec, EntryMeta, Journal, RetentionPolicy, Store, StoreEntry};

@@ -2,11 +2,10 @@
 //! drive it with the client subcommands (also subprocesses — the exact
 //! surface ci.sh uses), and assert the daemon-trained checkpoint is
 //! bit-identical to an in-process one-shot run through the shared
-//! `sweep::train_trainer`/`row_and_stats` path.
+//! `autocat_scenario::run::train_trainer`/`row_and_stats` path.
 
-use autocat_bench::cli::TrainOverrides;
-use autocat_bench::sweep::{row_and_stats, train_trainer};
 use autocat_nn::state::params_digest;
+use autocat_scenario::run::{row_and_stats, train_trainer, TrainOverrides};
 use autocat_store::{codec, digest_hex};
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};

@@ -10,7 +10,7 @@
 //! (and bump `PROTOCOL_VERSION` — old clients must fail the handshake,
 //! not misparse).
 
-use autocat_bench::cli::TrainOverrides;
+use autocat_scenario::run::TrainOverrides;
 use autocat_scenario::value::to_json;
 use autocat_serve::proto::{
     ErrorKind, Event, FetchKey, JobSource, JobState, JobStatus, Request, Response, Which,

@@ -9,9 +9,8 @@
 //! asserts two identical submissions share one training run and see the
 //! identical event stream.
 
-use autocat_bench::cli::TrainOverrides;
-use autocat_bench::sweep::{row_and_stats, train_trainer};
 use autocat_nn::state::params_digest;
+use autocat_scenario::run::{row_and_stats, train_trainer, TrainOverrides};
 use autocat_scenario::value::{to_json, u64_from};
 use autocat_serve::client::Client;
 use autocat_serve::proto::JobSource;
