@@ -17,7 +17,24 @@ echo "==> cargo test (scalar-fallback: the compile-time no-SIMD path stays green
 # The `scalar-fallback` feature compiles the x86 kernel tiers out entirely;
 # the kernel, training, and golden-fixture suites must pass with identical
 # results — SIMD is an implementation detail, never a semantic.
-cargo test -q -p autocat-nn -p autocat-bench --features autocat-nn/scalar-fallback
+cargo test -q -p autocat-nn -p autocat-ppo -p autocat-bench --features autocat-nn/scalar-fallback
+
+echo "==> cargo test perf/ (the benchmark's smoke tests still build and pass)"
+# perf/ builds against the crates by path, so an API change that breaks
+# the benchmark fails here rather than in the benchmark run. Cargo
+# rewrites perf/Cargo.lock whenever the crate graph has moved on from it,
+# and perf/ must stay byte-identical, so the lockfile is saved first and
+# restored on every exit path.
+PERF_LOCK=$(mktemp)
+cp perf/Cargo.lock "$PERF_LOCK"
+restore_perf_lock() {
+    cp "$PERF_LOCK" perf/Cargo.lock
+    rm -f "$PERF_LOCK"
+}
+trap restore_perf_lock EXIT
+cargo test -q --release --offline --manifest-path perf/Cargo.toml
+restore_perf_lock
+trap - EXIT
 
 echo "==> cargo build --examples"
 cargo build --release --examples

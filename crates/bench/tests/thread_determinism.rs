@@ -10,6 +10,15 @@
 
 use std::process::Command;
 
+/// The `--shards 1` run's final-weight digest, pinned: the runs below
+/// must agree not only with each other but with this recorded value, so
+/// a bit drift in any kernel, layer or optimizer fails here.
+const PINNED_DIGEST_SHARDS_1: &str = "e0f757cad59ed09f";
+
+/// The `--shards 4` run's final-weight digest, pinned (see
+/// [`PINNED_DIGEST_SHARDS_1`]).
+const PINNED_DIGEST_SHARDS_4: &str = "8a5de4fd4fccf9ad";
+
 /// Runs one `train-bench --child` measurement and returns its
 /// `(steps, digest)` fields.
 fn train_digest(threads: &str, extra: &[&str]) -> (u64, String) {
@@ -70,6 +79,10 @@ fn sharded_training_is_bit_identical_across_thread_counts() {
         digest_1, digest_4,
         "weights diverged between 1 and 4 threads"
     );
+    assert_eq!(
+        digest_1, PINNED_DIGEST_SHARDS_4,
+        "weights drifted from the pinned digest"
+    );
 }
 
 #[test]
@@ -101,5 +114,9 @@ fn unsharded_training_is_also_thread_count_invariant() {
     assert_eq!(
         digest_1, digest_8,
         "rollout collection diverged between 1 and 8 threads"
+    );
+    assert_eq!(
+        digest_1, PINNED_DIGEST_SHARDS_1,
+        "weights drifted from the pinned digest"
     );
 }

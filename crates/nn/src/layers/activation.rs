@@ -25,6 +25,24 @@ impl ActivationKind {
         }
     }
 
+    /// `f'(x)` from the value [`Activation::forward`] cached: the output
+    /// `y = f(x)` for `Relu`/`Tanh`, `x` itself for `Gelu`.
+    fn derivative_from_cache(self, cached: f32) -> f32 {
+        match self {
+            ActivationKind::Relu => {
+                if cached > 0.0 {
+                    1.0
+                } else {
+                    0.0
+                }
+            }
+            ActivationKind::Tanh => 1.0 - cached * cached,
+            ActivationKind::Gelu => self.derivative(cached),
+        }
+    }
+
+    /// `f'(x)`, computed from the input (the definition the cached
+    /// derivatives reproduce bit for bit).
     fn derivative(self, x: f32) -> f32 {
         match self {
             ActivationKind::Relu => {
@@ -49,20 +67,25 @@ impl ActivationKind {
     }
 }
 
-/// An element-wise activation layer with cached input.
+/// An element-wise activation layer.
+///
+/// The training forward caches what the derivative needs, so the backward
+/// pass never evaluates the activation again: the *output* for `Tanh`
+/// (`f'(x) = 1 - y²`) and `Relu` (`f'(x) = [y > 0]`), the *input* for
+/// `Gelu` (whose derivative is not a function of its output). Each
+/// derivative is bit-identical to the one computed from the input: the
+/// cached output is the very `f32` the forward computed, and
+/// `max(x, 0) > 0` holds exactly when `x > 0` (NaN included).
 #[derive(Clone, Debug)]
 pub struct Activation {
     kind: ActivationKind,
-    cached_input: Option<Matrix>,
+    cache: Option<Matrix>,
 }
 
 impl Activation {
     /// Creates an activation layer of the given kind.
     pub fn new(kind: ActivationKind) -> Self {
-        Self {
-            kind,
-            cached_input: None,
-        }
+        Self { kind, cache: None }
     }
 
     /// The activation kind.
@@ -70,13 +93,20 @@ impl Activation {
         self.kind
     }
 
-    /// Forward pass, caching the input (into the previous pass's cache
-    /// storage, so repeated passes do not allocate).
+    /// Forward pass, caching the output (`Tanh`, `Relu`) or the input
+    /// (`Gelu`) for the backward pass, into the previous pass's cache
+    /// storage so repeated passes do not allocate.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        self.cached_input
+        let y = self.forward_inference(x);
+        let saved = if self.kind == ActivationKind::Gelu {
+            x
+        } else {
+            &y
+        };
+        self.cache
             .get_or_insert_with(Matrix::default)
-            .clone_from(x);
-        x.map(|v| self.kind.apply(v))
+            .clone_from(saved);
+        y
     }
 
     /// Forward pass without caching (inference only).
@@ -84,17 +114,17 @@ impl Activation {
         x.map(|v| self.kind.apply(v))
     }
 
-    /// Backward pass: `dx = dy * f'(x)`.
+    /// Backward pass: `dx = dy * f'(x)`, with `f'` read off the cache.
     ///
     /// # Panics
     ///
     /// Panics if called before `forward`.
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let x = self
-            .cached_input
+        let cached = self
+            .cache
             .as_ref()
             .expect("Activation::backward called before forward");
-        let deriv = x.map(|v| self.kind.derivative(v));
+        let deriv = cached.map(|c| self.kind.derivative_from_cache(c));
         dy.hadamard(&deriv)
     }
 }
@@ -162,5 +192,49 @@ mod tests {
         assert!(ActivationKind::Gelu.apply(0.0).abs() < 1e-7);
         assert!((ActivationKind::Gelu.apply(10.0) - 10.0).abs() < 1e-3);
         assert!(ActivationKind::Gelu.apply(-10.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn backward_matches_the_input_derivative_bit_for_bit() {
+        // The cached-output derivatives must reproduce `f'(x)` computed
+        // from the input exactly, at signed zeros, subnormals, saturation
+        // and NaN included.
+        let xs = [
+            0.0f32,
+            -0.0,
+            1e-40,
+            -1e-40,
+            20.0,
+            -20.0,
+            f32::NAN,
+            0.5,
+            -1.3,
+            3.7,
+        ];
+        let dys = [1.0f32, -0.5, 2.0, 0.25, -3.0, 1.5, 0.75, -1.0, 7.0, -0.125];
+        for kind in [
+            ActivationKind::Tanh,
+            ActivationKind::Relu,
+            ActivationKind::Gelu,
+        ] {
+            let mut a = Activation::new(kind);
+            let y = a.forward(&Matrix::from_vec(2, 5, xs.to_vec()));
+            let dx = a.backward(&Matrix::from_vec(2, 5, dys.to_vec()));
+            assert_eq!((dx.rows(), dx.cols()), (2, 5));
+            for (i, (&x, &dy)) in xs.iter().zip(&dys).enumerate() {
+                assert_eq!(y.as_slice()[i].to_bits(), kind.apply(x).to_bits());
+                assert_eq!(
+                    dx.as_slice()[i].to_bits(),
+                    (dy * kind.derivative(x)).to_bits(),
+                    "{kind:?} at x = {x:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "before forward")]
+    fn backward_before_forward_panics() {
+        let _ = Activation::new(ActivationKind::Tanh).backward(&Matrix::zeros(1, 2));
     }
 }

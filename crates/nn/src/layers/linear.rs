@@ -65,12 +65,28 @@ impl Linear {
         y
     }
 
-    /// Backward pass: accumulates `dW`, `db` and returns `dx`.
+    /// Backward pass: accumulates `dW`, `db` and returns `dx`
+    /// ([`Linear::backward_params`] plus the `dx = dy Wᵀ` product).
     ///
     /// # Panics
     ///
     /// Panics if called before `forward`.
     pub fn backward(&mut self, dy: &Matrix) -> Matrix {
+        self.backward_params(dy);
+        dy.matmul_nt(&self.w.value)
+    }
+
+    /// Parameter-only backward pass: accumulates `dW = xᵀ dy` and
+    /// `db = Σ_rows dy` and computes no input gradient. A network's input
+    /// layer calls this, since nothing reads the gradient of the
+    /// observation, and with a wide observation that `dx` would be the
+    /// backward pass's largest product. The parameter gradients are
+    /// bit-identical to [`Linear::backward`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before `forward`.
+    pub fn backward_params(&mut self, dy: &Matrix) {
         let x = self
             .cached_input
             .as_ref()
@@ -83,8 +99,6 @@ impl Linear {
         for (g, d) in self.b.grad.as_mut_slice().iter_mut().zip(db.iter()) {
             *g += d;
         }
-        // dx = dy W^T
-        dy.matmul_nt(&self.w.value)
     }
 
     /// Visits all parameters mutably (for the optimizer).
@@ -171,5 +185,28 @@ mod tests {
     fn backward_before_forward_panics() {
         let mut l = Linear::new(2, 2, &mut rng());
         let _ = l.backward(&Matrix::zeros(1, 2));
+    }
+
+    #[test]
+    fn backward_params_accumulates_the_same_bits_as_backward() {
+        let mut full = Linear::new(5, 3, &mut rng());
+        // Non-zero starting gradients: both must accumulate, not assign.
+        full.w.grad = Matrix::full(5, 3, 0.125);
+        full.b.grad = Matrix::from_row(&[-1.0, 0.5, 3.0]);
+        let mut params_only = full.clone();
+        let x = Matrix::from_rows(&[
+            &[0.0, 1.0, 0.0, -2.5, 0.0],
+            &[0.3, -0.7, 1.9, 0.0, 4.25],
+            &[1e-3, 0.0, -1e3, 0.5, 0.0],
+        ]);
+        let dy = Matrix::from_rows(&[&[0.5, -1.5, 2.0], &[1e-4, 3.0, -0.25], &[-7.0, 0.0, 1.0]]);
+        full.forward(&x);
+        params_only.forward(&x);
+        let dx = full.backward(&dy);
+        params_only.backward_params(&dy);
+        assert_eq!((dx.rows(), dx.cols()), (3, 5));
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&full.w.grad), bits(&params_only.w.grad));
+        assert_eq!(bits(&full.b.grad), bits(&params_only.b.grad));
     }
 }

@@ -145,9 +145,14 @@ impl PolicyValueNet for MlpPolicy {
         let mut dfeat = self.policy_head.backward(&dlogits);
         dfeat.add_assign(&self.value_head.backward(&dvalues));
         let mut grad = dfeat;
-        for (lin, act) in self.trunk.iter_mut().rev() {
+        let (input_layer, hidden) = self.trunk.split_first_mut().expect("non-empty trunk");
+        for (lin, act) in hidden.iter_mut().rev() {
             grad = lin.backward(&act.backward(&grad));
         }
+        // Nothing reads the observation's gradient: skip the input
+        // layer's `dx` product.
+        let (lin, act) = input_layer;
+        lin.backward_params(&act.backward(&grad));
     }
 
     fn zero_grad(&mut self) {
@@ -259,5 +264,56 @@ mod tests {
     fn empty_hidden_panics() {
         let cfg = MlpConfig::new(4, 2).with_hidden(vec![]);
         let _ = MlpPolicy::new(&cfg, &mut rng());
+    }
+
+    /// `train_batch` as it would run with the full `backward` (input
+    /// gradient included) on every layer: the reference for the
+    /// parameter-only input-layer backward.
+    fn reference_train_batch(net: &mut MlpPolicy, obs: &Matrix, dl: &Matrix, dv: &Matrix) {
+        let features = net.trunk_forward_train(obs);
+        net.policy_head.forward(&features);
+        net.value_head.forward(&features);
+        let mut grad = net.policy_head.backward(dl);
+        grad.add_assign(&net.value_head.backward(dv));
+        for (lin, act) in net.trunk.iter_mut().rev() {
+            grad = lin.backward(&act.backward(&grad));
+        }
+    }
+
+    fn grad_bits(net: &mut MlpPolicy) -> Vec<u32> {
+        let mut bits = Vec::new();
+        net.visit_params(&mut |p| bits.extend(p.grad.as_slice().iter().map(|g| g.to_bits())));
+        bits
+    }
+
+    #[test]
+    fn train_batch_gradients_match_the_full_backward_bit_for_bit() {
+        for activation in [ActivationKind::Tanh, ActivationKind::Relu] {
+            for hidden in [vec![7], vec![16, 9]] {
+                let cfg = MlpConfig::new(6, 3)
+                    .with_hidden(hidden)
+                    .with_activation(activation);
+                let mut net = MlpPolicy::new(&cfg, &mut rng());
+                // Sparse one-hot rows and dense rows, like the cache
+                // observations and hidden activations.
+                let obs = Matrix::from_rows(&[
+                    &[0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+                    &[0.4, -1.2, 2.5, 0.0, -0.3, 0.9],
+                    &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+                    &[-2.0, 0.7, 0.1, 3.3, -0.6, 0.0],
+                ]);
+                let dl = Matrix::from_rows(&[
+                    &[0.5, -0.25, 1.0],
+                    &[-1.5, 0.75, 0.1],
+                    &[0.0, 2.0, -0.3],
+                    &[0.9, -0.4, 0.05],
+                ]);
+                let dv = Matrix::from_vec(4, 1, vec![0.3, -1.1, 2.0, 0.0]);
+                let mut reference = net.clone();
+                net.train_batch(&obs, &mut |i, _, _| (dl.row(i).to_vec(), dv[(i, 0)]));
+                reference_train_batch(&mut reference, &obs, &dl, &dv);
+                assert_eq!(grad_bits(&mut net), grad_bits(&mut reference));
+            }
+        }
     }
 }

@@ -223,7 +223,8 @@ impl TransformerPolicy {
                 *g += d;
             }
         }
-        let _ = self.embed.backward(&dx);
+        // The token embedding is the input layer: no `dx` to compute.
+        self.embed.backward_params(&dx);
     }
 }
 

@@ -75,24 +75,22 @@ impl Adam {
         debug_assert!(self.t > 0, "call begin_step before update_param");
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let n = p.value.len();
-        let grad = p.grad.as_slice().to_vec();
-        let m = p.m.as_mut_slice();
-        let v = p.v.as_mut_slice();
-        for i in 0..n {
-            let g = grad[i];
-            m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-            v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
-        }
-        let value = p.value.as_mut_slice();
-        for ((val, &m_i), &v_i) in value
+        let Param { value, grad, m, v } = p;
+        debug_assert!(
+            grad.len() == value.len() && m.len() == value.len() && v.len() == value.len(),
+            "Param buffers must share one shape"
+        );
+        for (((val, &g), m_i), v_i) in value
+            .as_mut_slice()
             .iter_mut()
-            .zip(p.m.as_slice().iter())
-            .zip(p.v.as_slice().iter())
-            .take(n)
+            .zip(grad.as_slice())
+            .zip(m.as_mut_slice())
+            .zip(v.as_mut_slice())
         {
-            let m_hat = m_i / bc1;
-            let v_hat = v_i / bc2;
+            *m_i = self.beta1 * *m_i + (1.0 - self.beta1) * g;
+            *v_i = self.beta2 * *v_i + (1.0 - self.beta2) * g * g;
+            let m_hat = *m_i / bc1;
+            let v_hat = *v_i / bc2;
             *val -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
         }
     }
@@ -169,5 +167,54 @@ mod tests {
         p.grad = Matrix::from_row(&[0.5]);
         clip_global_grad_norm(1.0, |f| f(&mut p));
         assert_eq!(p.grad.as_slice()[0], 0.5);
+    }
+
+    /// The two-pass Adam update `update_param` replaced: moments first,
+    /// then values, from a copy of the gradient.
+    fn two_pass_update(adam: &Adam, p: &mut Param) {
+        let bc1 = 1.0 - adam.beta1.powi(adam.t as i32);
+        let bc2 = 1.0 - adam.beta2.powi(adam.t as i32);
+        let grad = p.grad.as_slice().to_vec();
+        let m = p.m.as_mut_slice();
+        let v = p.v.as_mut_slice();
+        for i in 0..grad.len() {
+            let g = grad[i];
+            m[i] = adam.beta1 * m[i] + (1.0 - adam.beta1) * g;
+            v[i] = adam.beta2 * v[i] + (1.0 - adam.beta2) * g * g;
+        }
+        for i in 0..grad.len() {
+            let m_hat = p.m.as_slice()[i] / bc1;
+            let v_hat = p.v.as_slice()[i] / bc2;
+            p.value.as_mut_slice()[i] -= adam.lr * m_hat / (v_hat.sqrt() + adam.eps);
+        }
+    }
+
+    #[test]
+    fn single_pass_update_is_bit_identical_to_the_two_pass_formula() {
+        let bits = |p: &Param| {
+            [&p.value, &p.grad, &p.m, &p.v]
+                .map(|m| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+        };
+        let init = [0.5f32, -1.25, 0.0, 3.0, -0.0, 1e-3, 7.5, -2.0];
+        let mut fast = Param::new(Matrix::from_vec(2, 4, init.to_vec()));
+        let mut slow = fast.clone();
+        let mut adam = Adam::new(3e-4);
+        // Zero, signed-zero, subnormal, large and overflowing-square
+        // gradients, varying across steps.
+        let grads: [[f32; 8]; 4] = [
+            [0.0, -0.0, 1e-40, 1e20, -3e38, 0.5, -0.125, 2.0],
+            [1.0, 0.0, -1e-40, -1e20, 0.0, 0.25, 1e-8, -7.0],
+            [-0.5, 3e38, 0.0, 0.0, 1.5, -0.0, 1e5, 0.0],
+            [0.0; 8],
+        ];
+        for step in 0..6 {
+            let g = grads[step % grads.len()];
+            fast.grad.as_mut_slice().copy_from_slice(&g);
+            slow.grad.as_mut_slice().copy_from_slice(&g);
+            adam.begin_step();
+            adam.update_param(&mut fast);
+            two_pass_update(&adam, &mut slow);
+            assert_eq!(bits(&fast), bits(&slow), "diverged at step {step}");
+        }
     }
 }

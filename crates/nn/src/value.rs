@@ -270,6 +270,25 @@ pub fn to_json(value: &Value) -> String {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// The deepest container nesting any parser of a [`Value`] tree accepts:
+/// [`from_json`], [`from_toml`]'s inline values and the binary codec in
+/// `autocat-store` return `Err` on a document nested deeper. Parsing
+/// recurses once per level, so without the bound a line of `[`s sized
+/// like a network request would overflow the thread's stack and abort
+/// the process. Every document the workspace writes is nested a handful
+/// of levels deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// The error for a container opened at `depth` enclosing containers, if
+/// that is one level too many (see [`MAX_DEPTH`]).
+pub fn check_depth(depth: usize) -> Result<(), String> {
+    if depth >= MAX_DEPTH {
+        Err(format!("nesting deeper than {MAX_DEPTH} levels"))
+    } else {
+        Ok(())
+    }
+}
+
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
@@ -390,13 +409,15 @@ impl<'a> Parser<'a> {
             .map_err(|_| format!("invalid number `{text}`"))
     }
 
-    /// Parses one value; `sep` is the key/value separator for nested
-    /// tables (`=` for TOML inline tables, `:` for JSON objects).
-    fn parse_value(&mut self, sep: u8) -> Result<Value, String> {
+    /// Parses one value inside `depth` enclosing containers; `sep` is the
+    /// key/value separator for nested tables (`=` for TOML inline tables,
+    /// `:` for JSON objects).
+    fn parse_value(&mut self, sep: u8, depth: usize) -> Result<Value, String> {
         self.skip_ws();
         match self.peek().ok_or("expected a value")? {
             b'"' => Ok(Value::Str(self.parse_string()?)),
             b'[' => {
+                check_depth(depth)?;
                 self.pos += 1;
                 let mut items = Vec::new();
                 loop {
@@ -405,7 +426,7 @@ impl<'a> Parser<'a> {
                         self.pos += 1;
                         return Ok(Value::Array(items));
                     }
-                    items.push(self.parse_value(sep)?);
+                    items.push(self.parse_value(sep, depth + 1)?);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.pos += 1,
@@ -415,6 +436,7 @@ impl<'a> Parser<'a> {
                 }
             }
             b'{' => {
+                check_depth(depth)?;
                 self.pos += 1;
                 let mut map = BTreeMap::new();
                 loop {
@@ -426,7 +448,7 @@ impl<'a> Parser<'a> {
                     let key = self.parse_key()?;
                     self.skip_ws();
                     self.expect(sep)?;
-                    let value = self.parse_value(sep)?;
+                    let value = self.parse_value(sep, depth + 1)?;
                     map.insert(key, value);
                     self.skip_ws();
                     match self.peek() {
@@ -516,7 +538,7 @@ pub fn from_toml(src: &str) -> Result<Value, String> {
                 .split_once('=')
                 .ok_or_else(|| err(format!("expected `key = value`, found `{line}`")))?;
             let mut parser = Parser::new(rest.trim());
-            let value = parser.parse_value(b'=').map_err(err)?;
+            let value = parser.parse_value(b'=', 0).map_err(err)?;
             if !parser.at_end() {
                 return Err(err(format!("trailing input after value in `{line}`")));
             }
@@ -531,10 +553,11 @@ pub fn from_toml(src: &str) -> Result<Value, String> {
 ///
 /// # Errors
 ///
-/// Returns a message describing the first syntax error.
+/// Returns a message describing the first syntax error, or the nesting
+/// error for a document deeper than [`MAX_DEPTH`].
 pub fn from_json(src: &str) -> Result<Value, String> {
     let mut parser = Parser::new(src);
-    let value = parser.parse_value(b':')?;
+    let value = parser.parse_value(b':', 0)?;
     if !parser.at_end() {
         return Err("trailing input after JSON value".into());
     }
@@ -666,5 +689,31 @@ value = 3
         assert!(v.as_str().unwrap_err().contains("integer"));
         assert!(Value::Bool(true).as_f64().unwrap_err().contains("bool"));
         assert!(Value::Int(-1).as_u64().is_err());
+    }
+
+    #[test]
+    fn nesting_beyond_max_depth_is_an_error_not_a_stack_overflow() {
+        // A default-stack thread, like the daemon's connection handlers:
+        // unbounded recursion here aborts the whole test process.
+        std::thread::spawn(|| {
+            let flood = "[".repeat(100_000);
+            assert!(from_json(&flood).unwrap_err().contains("nesting deeper"));
+            assert!(from_toml(&format!("x = {flood}")).is_err());
+            let objects = r#"{"a":"#.repeat(100_000);
+            assert!(from_json(&objects).unwrap_err().contains("nesting deeper"));
+
+            let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+            let mut value = from_json(&nested(MAX_DEPTH)).expect("MAX_DEPTH levels parse");
+            for _ in 0..MAX_DEPTH {
+                value = value.as_array().expect("one array per level")[0].clone();
+            }
+            assert_eq!(value, Value::Int(1));
+            assert!(from_json(&nested(MAX_DEPTH + 1)).is_err());
+            // TOML inline values count the same levels.
+            assert!(from_toml(&format!("x = {}", nested(MAX_DEPTH))).is_ok());
+            assert!(from_toml(&format!("x = {}", nested(MAX_DEPTH + 1))).is_err());
+        })
+        .join()
+        .expect("parser thread must not panic");
     }
 }

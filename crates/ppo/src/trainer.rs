@@ -637,6 +637,30 @@ mod tests {
     }
 
     #[test]
+    fn small_transformer_training_matches_the_pinned_digest() {
+        // A recorded value, not a second run: any bit drift in the
+        // Transformer's layers, the PPO loss or Adam fails here.
+        let env = CacheGuessingGame::new(EnvConfig::flush_reload_fa4().with_window(8)).unwrap();
+        let mut t = Trainer::new(
+            env,
+            Backbone::small_transformer(),
+            PpoConfig {
+                horizon: 64,
+                minibatch: 32,
+                epochs_per_update: 2,
+                ..PpoConfig::default()
+            },
+            4,
+        );
+        t.train_update();
+        t.train_update();
+        assert_eq!(
+            format!("{:016x}", autocat_nn::state::params_digest(t.net_mut())),
+            "c6d603bdf9c5243b"
+        );
+    }
+
+    #[test]
     fn single_lane_trainer_matches_default_config() {
         // num_lanes: 1 (the default) and an explicit with_lanes(1) must
         // produce identical training traces for identical seeds.

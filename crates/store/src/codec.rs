@@ -28,7 +28,7 @@
 //! digests rely on. Trailing bytes after the root value are an error
 //! (a truncated *or* padded file must never decode).
 
-use autocat_nn::value::Value;
+use autocat_nn::value::{check_depth, Value};
 use std::collections::BTreeMap;
 
 /// Leading magic of every binary value file.
@@ -112,8 +112,9 @@ fn encode_value(value: &Value, out: &mut Vec<u8>) {
 /// # Errors
 ///
 /// Returns an error on a bad magic, an unsupported format version,
-/// truncation at any depth, an unknown tag, invalid UTF-8 or trailing
-/// bytes — never panics on malformed input.
+/// truncation at any depth, nesting deeper than
+/// [`autocat_nn::value::MAX_DEPTH`], an unknown tag, invalid UTF-8 or
+/// trailing bytes — never panics on malformed input.
 pub fn decode(bytes: &[u8]) -> Result<Value, String> {
     if bytes.len() < MAGIC.len() + 2 {
         return Err(format!(
@@ -135,7 +136,7 @@ pub fn decode(bytes: &[u8]) -> Result<Value, String> {
         bytes,
         pos: MAGIC.len() + 2,
     };
-    let value = cursor.value()?;
+    let value = cursor.value(0)?;
     if cursor.pos != bytes.len() {
         return Err(format!(
             "{} trailing byte(s) after the root value",
@@ -183,7 +184,10 @@ impl Cursor<'_> {
         String::from_utf8(raw.to_vec()).map_err(|_| "invalid UTF-8 in string".to_string())
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    /// Decodes one value inside `depth` enclosing containers; deeper
+    /// than [`autocat_nn::value::MAX_DEPTH`] is an error, not unbounded
+    /// recursion.
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
         match self.u8()? {
             TAG_STR => Ok(Value::Str(self.string()?)),
             TAG_INT => {
@@ -204,19 +208,21 @@ impl Cursor<'_> {
                 other => Err(format!("bad bool byte {other}")),
             },
             TAG_ARRAY => {
+                check_depth(depth)?;
                 let count = self.len()?;
                 let mut items = Vec::new();
                 for _ in 0..count {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                 }
                 Ok(Value::Array(items))
             }
             TAG_TABLE => {
+                check_depth(depth)?;
                 let count = self.len()?;
                 let mut map = BTreeMap::new();
                 for _ in 0..count {
                     let key = self.string()?;
-                    let item = self.value()?;
+                    let item = self.value(depth + 1)?;
                     map.insert(key, item);
                 }
                 Ok(Value::Table(map))
@@ -349,5 +355,48 @@ mod tests {
         let n = bytes.len();
         bytes[n - 1] = 0xFF; // clobber a string byte with a non-UTF-8 one
         assert!(decode(&bytes).unwrap_err().contains("UTF-8"));
+    }
+
+    /// A header followed by `depth` arrays of one element each, around an
+    /// integer.
+    fn nested_arrays(depth: usize) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        for _ in 0..depth {
+            bytes.push(TAG_ARRAY);
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+        }
+        bytes.push(TAG_INT);
+        bytes.extend_from_slice(&7i64.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn nesting_beyond_max_depth_is_an_error_not_a_stack_overflow() {
+        use autocat_nn::value::MAX_DEPTH;
+        // A default-stack thread, like the daemon's connection handlers:
+        // unbounded recursion here aborts the whole test process.
+        let (deep, at_max, over_max) = std::thread::spawn(|| {
+            (
+                decode(&nested_arrays(100_000)),
+                decode(&nested_arrays(MAX_DEPTH)),
+                decode(&nested_arrays(MAX_DEPTH + 1)),
+            )
+        })
+        .join()
+        .expect("decoder thread must not panic");
+        assert!(deep.unwrap_err().contains("nesting deeper"));
+        assert!(over_max.is_err());
+        let mut value = at_max.expect("MAX_DEPTH levels must decode");
+        for _ in 0..MAX_DEPTH {
+            value = value.as_array().expect("one array per level")[0].clone();
+        }
+        assert_eq!(value, Value::Int(7));
+        // The encoder writes what the decoder reads back at that depth.
+        let mut tree = Value::Int(7);
+        for _ in 0..MAX_DEPTH {
+            tree = Value::Array(vec![tree]);
+        }
+        assert_eq!(encode(&tree), nested_arrays(MAX_DEPTH));
     }
 }
