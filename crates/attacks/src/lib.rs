@@ -17,12 +17,13 @@
 //! # Where this sits in the pipeline
 //!
 //! The RL loop (`autocat-ppo`) ends with a converged policy; this crate
-//! turns that policy's behavior back into *security knowledge*. Greedy
-//! replay (`autocat_ppo::eval::extract_sequence`) decodes the policy into
-//! an action sequence, and [`classify::classify_sequence`] names the
-//! attack family the agent rediscovered — the label printed in the
-//! paper's Table IV "attack" column, in `Explorer` reports, and in the
-//! `sweep` harness's reproduction report. The scripted agents in
+//! turns that policy's behavior back into *security knowledge*. Evaluation
+//! (`autocat_ppo::eval::evaluate_batched`) records every episode's action
+//! sequence, and [`classify::classify_sequence`] names the attack family
+//! the agent rediscovered in each — the census and majority label printed
+//! in the paper's Table IV "attack" column by every report
+//! (`autocat_scenario::run::SweepRow`: `Scenario::run`, the table bins,
+//! `scenario-run`, the daemon and the `sweep` reproduction report). The scripted agents in
 //! [`textbook`] close the loop from the other side: they replay the
 //! literature's attacks against the same environments so RL-found
 //! sequences can be benchmarked against their hand-written ancestors.

@@ -9,9 +9,9 @@
 
 use autocat::attacks::textbook::{run_scripted_multi, TextbookPrimeProbe};
 use autocat::detect::EventTrain;
-use autocat::gym::{EnvConfig, Environment, MultiGuessConfig, MultiGuessEnv};
+use autocat::gym::{EnvConfig, MultiGuessConfig, MultiGuessEnv};
 use autocat::ppo::{eval, Backbone, PpoConfig, Trainer};
-use autocat_bench::{print_header, Budget};
+use autocat_bench::{play_sampled_episode, print_header, Budget};
 use rand::SeedableRng;
 
 /// Returns the RL agent for one figure lane: loaded from the cache
@@ -134,16 +134,7 @@ fn main() {
             stats.detection_rate()
         );
         // One more full episode to read its event log.
-        let mut obs = env.reset(rng2);
-        loop {
-            let (logits, _) = net.forward(&autocat::nn::Matrix::from_row(&obs));
-            let a = autocat::nn::Categorical::from_logits(logits.row(0)).sample(rng2);
-            let r = env.step(a, rng2);
-            if r.done {
-                break;
-            }
-            obs = r.obs;
-        }
+        play_sampled_episode(env, net, rng2);
         let train = EventTrain::from_events(env.episode_events().iter());
         render_train(label, &train);
         render_autocorrelogram(label, &train);

@@ -4,7 +4,7 @@
 use autocat::attacks::stealthy::StealthyStreamline;
 use autocat::cache::{Cache, CacheConfig, Domain, PolicyKind};
 use autocat::gym::{EnvConfig, MonitorSpec};
-use autocat_bench::{print_header, standard_explorer, Budget};
+use autocat_bench::{print_header, standard_scenario, Budget};
 
 fn main() {
     let budget = Budget::from_env();
@@ -14,16 +14,15 @@ fn main() {
     );
     let cfg =
         EnvConfig::replacement_study(PolicyKind::Lru).with_detection(MonitorSpec::strict_miss());
-    let report = standard_explorer(cfg, 4, budget)
-        .return_threshold(0.85)
+    let row = standard_scenario("fig4", cfg, 4, 0.85, 200, budget)
         .run()
         .expect("valid fig4 config");
     println!(
         "RL sequence: {}   accuracy {:.3}  category {}{}",
-        report.sequence_notation,
-        report.accuracy,
-        report.category,
-        if report.converged {
+        row.sequence,
+        row.accuracy(),
+        row.category,
+        if row.converged {
             ""
         } else {
             "  [not converged]"

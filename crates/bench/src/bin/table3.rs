@@ -5,7 +5,7 @@
 
 use autocat::cache::CacheConfig;
 use autocat::gym::{CacheSpec, EnvConfig, HardwareProfile};
-use autocat_bench::{print_header, standard_explorer, Budget};
+use autocat_bench::{print_header, standard_scenario, Budget};
 
 fn main() {
     let budget = Budget::from_env();
@@ -36,8 +36,7 @@ fn main() {
         cfg.window_size = (3 * profile.ways() + 6).min(40);
         // The paper uses step_reward = -0.005 for hardware runs.
         cfg.rewards.step = -0.005;
-        let report = standard_explorer(cfg, 100 + i as u64, budget)
-            .return_threshold(0.8)
+        let row = standard_scenario(profile.cpu(), cfg, 100 + i as u64, 0.8, 200, budget)
             .run()
             .expect("valid hardware config");
         println!(
@@ -47,9 +46,9 @@ fn main() {
             profile.ways(),
             profile.policy_label(),
             e,
-            report.accuracy,
-            report.category.to_string(),
-            report.sequence_notation,
+            row.accuracy(),
+            row.category,
+            row.sequence,
         );
     }
     println!("\n(paper: accuracies 0.993-1.0, all rows classified LRU/LRU*-category attacks)");

@@ -4,7 +4,7 @@
 //! (`autocat_scenario::table4`); this harness only adds budgets and the
 //! table formatting.
 
-use autocat_bench::{print_header, standard_explorer, Budget};
+use autocat_bench::{print_header, Budget};
 
 fn main() {
     let budget = Budget::from_env();
@@ -24,24 +24,23 @@ fn main() {
         "No | Expected       | Found    | Acc.  | Sequence",
     );
     for no in rows {
-        let Some(scenario) = autocat_scenario::table4(no) else {
+        let Some(mut scenario) = autocat_scenario::table4(no) else {
             eprintln!("unknown config {no}");
             continue;
         };
-        // The registry's TrainSpec is the source of truth for seed and
-        // convergence threshold; the budget only caps steps and lanes.
-        let report = standard_explorer(scenario.env.clone(), scenario.train.seed, budget)
-            .return_threshold(scenario.train.return_threshold)
-            .run()
-            .expect("valid table-4 config");
+        // The registry's TrainSpec is the source of truth for the recipe;
+        // the budget only caps steps and lanes.
+        scenario.train.max_steps = budget.max_steps();
+        scenario.train.ppo.num_lanes = budget.lanes();
+        let row = scenario.run().expect("valid table-4 config");
         println!(
             "{:>2} | {:<14} | {:<8} | {:.3} | {}{}",
             no,
             scenario.summary,
-            report.category.to_string(),
-            report.accuracy,
-            report.sequence_notation,
-            if report.converged {
+            row.category,
+            row.accuracy(),
+            row.sequence,
+            if row.converged {
                 ""
             } else {
                 "  [not converged]"

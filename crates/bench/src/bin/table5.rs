@@ -2,7 +2,7 @@
 
 use autocat::cache::PolicyKind;
 use autocat::gym::EnvConfig;
-use autocat_bench::{print_header, standard_explorer, Budget};
+use autocat_bench::{print_header, standard_scenario, Budget};
 
 fn main() {
     let budget = Budget::from_env();
@@ -17,16 +17,14 @@ fn main() {
         let mut last_seq = String::new();
         for run in 0..budget.runs() {
             let cfg = EnvConfig::replacement_study(policy);
-            let report = standard_explorer(cfg, 10 * run + 1, budget)
-                .return_threshold(0.85)
-                .run()
-                .expect("valid replacement config");
-            if let Some(e) = report.epochs_to_converge {
-                epochs_sum += e;
+            let scenario = standard_scenario(policy.name(), cfg, 10 * run + 1, 0.85, 200, budget);
+            let row = scenario.run().expect("valid replacement config");
+            if row.converged {
+                epochs_sum += row.steps as f64 / scenario.train.ppo.steps_per_epoch as f64;
                 runs_converged += 1;
             }
-            len_sum += report.episode_length as f64;
-            last_seq = report.sequence_notation;
+            len_sum += row.avg_length as f64;
+            last_seq = row.sequence;
         }
         let runs = budget.runs() as f64;
         println!(

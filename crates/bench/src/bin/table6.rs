@@ -2,7 +2,7 @@
 
 use autocat::cache::PolicyKind;
 use autocat::gym::EnvConfig;
-use autocat_bench::{print_header, standard_explorer, Budget};
+use autocat_bench::{print_header, standard_scenario, Budget};
 
 fn main() {
     let budget = Budget::from_env();
@@ -14,16 +14,16 @@ fn main() {
         let mut cfg = EnvConfig::replacement_study(PolicyKind::Random);
         cfg.rewards.step = *step_reward;
         cfg.window_size = 28;
-        let report = standard_explorer(cfg, 20 + i as u64, budget)
-            // The random policy caps achievable return below the
-            // deterministic case; accept convergence earlier.
-            .return_threshold(0.6)
-            .eval_episodes(100)
+        // The random policy caps achievable return below the
+        // deterministic case; accept convergence earlier.
+        let row = standard_scenario("random", cfg, 20 + i as u64, 0.6, 100, budget)
             .run()
             .expect("valid random-policy config");
         println!(
             "{:>11} | {:>12.2} | {:>14.2}",
-            step_reward, report.accuracy, report.episode_length
+            step_reward,
+            row.accuracy(),
+            row.avg_length
         );
     }
     println!("\n(expected shape: smaller |step reward| -> longer episodes, accuracy trade-off)");

@@ -1,13 +1,13 @@
 //! Table VII: PLRU with and without the PL cache.
 
 use autocat::gym::EnvConfig;
-use autocat_bench::{print_header, standard_explorer, Budget};
+use autocat_bench::{print_header, standard_scenario, Budget};
 
 fn main() {
     let budget = Budget::from_env();
     print_header(
         "Table VII: PL cache vs baseline (paper: PL 37.67 epochs/8.1 len, baseline 7.67/7.0)",
-        "Cache     | Epochs to converge | Final episode length | Sequence",
+        "Cache     | Epochs to converge | Episode length | Sequence",
     );
     for (label, locked) in [("PL Cache", true), ("Baseline", false)] {
         let mut epochs_sum = 0.0;
@@ -16,19 +16,17 @@ fn main() {
         let mut seq = String::new();
         for run in 0..budget.runs() {
             let cfg = EnvConfig::pl_cache_study(locked);
-            let report = standard_explorer(cfg, 30 + run, budget)
-                .return_threshold(0.85)
-                .run()
-                .expect("valid PL config");
-            if let Some(e) = report.epochs_to_converge {
-                epochs_sum += e;
+            let scenario = standard_scenario(label, cfg, 30 + run, 0.85, 200, budget);
+            let row = scenario.run().expect("valid PL config");
+            if row.converged {
+                epochs_sum += row.steps as f64 / scenario.train.ppo.steps_per_epoch as f64;
                 converged += 1;
             }
-            len_sum += report.episode_length as f64;
-            seq = report.sequence_notation;
+            len_sum += row.avg_length as f64;
+            seq = row.sequence;
         }
         println!(
-            "{:<9} | {:>18} | {:>20.1} | {}",
+            "{:<9} | {:>18} | {:>14.1} | {}",
             label,
             if converged > 0 {
                 format!("{:.2}", epochs_sum / converged as f64)

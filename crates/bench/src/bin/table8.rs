@@ -2,9 +2,9 @@
 //! RL-baseline and RL-autocor agents (CC-Hunter bypass).
 
 use autocat::attacks::textbook::{run_scripted_multi, TextbookPrimeProbe};
-use autocat::gym::{EnvConfig, Environment, MultiGuessConfig, MultiGuessEnv};
+use autocat::gym::{EnvConfig, MultiGuessConfig, MultiGuessEnv};
 use autocat::ppo::{Backbone, PpoConfig, Trainer};
-use autocat_bench::{print_header, Budget};
+use autocat_bench::{play_sampled_episode, print_header, Budget};
 use rand::SeedableRng;
 
 fn eval_rl(trainer: &mut Trainer<MultiGuessEnv>, episodes: usize) -> (f64, f64, f64) {
@@ -13,16 +13,7 @@ fn eval_rl(trainer: &mut Trainer<MultiGuessEnv>, episodes: usize) -> (f64, f64, 
     let mut acc = 0.0;
     let mut max_ac = 0.0;
     for _ in 0..episodes {
-        let mut obs = env.reset(rng);
-        loop {
-            let (logits, _) = net.forward(&autocat::nn::Matrix::from_row(&obs));
-            let a = autocat::nn::Categorical::from_logits(logits.row(0)).sample(rng);
-            let r = env.step(a, rng);
-            if r.done {
-                break;
-            }
-            obs = r.obs;
-        }
+        play_sampled_episode(env, net, rng);
         let stats = env.stats();
         bit_rate += stats.bit_rate();
         acc += stats.accuracy();

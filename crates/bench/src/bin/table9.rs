@@ -5,9 +5,9 @@ use autocat::cache::CacheConfig;
 use autocat::detect::benign::{benign_pattern_suite, generate_trace, BenignWorkload};
 use autocat::detect::svm::{cross_validate, SvmTrainConfig};
 use autocat::detect::{CycloneFeatures, LinearSvm};
-use autocat::gym::{EnvConfig, Environment, MultiGuessConfig, MultiGuessEnv};
+use autocat::gym::{EnvConfig, MultiGuessConfig, MultiGuessEnv};
 use autocat::ppo::{Backbone, PpoConfig, Trainer};
-use autocat_bench::{print_header, Budget};
+use autocat_bench::{play_sampled_episode, print_header, Budget};
 use rand::SeedableRng;
 
 fn main() {
@@ -93,16 +93,7 @@ fn main() {
         let mut det = 0.0;
         let eps = 20;
         for _ in 0..eps {
-            let mut obs = env.reset(r2);
-            loop {
-                let (logits, _) = net.forward(&autocat::nn::Matrix::from_row(&obs));
-                let a = autocat::nn::Categorical::from_logits(logits.row(0)).sample(r2);
-                let res = env.step(a, r2);
-                if res.done {
-                    break;
-                }
-                obs = res.obs;
-            }
+            play_sampled_episode(env, net, r2);
             let stats = env.stats();
             br += stats.bit_rate();
             acc += stats.accuracy();

@@ -16,8 +16,11 @@ pub mod cli {
     pub use autocat_scenario::run::TrainOverrides;
 }
 
-use autocat::gym::EnvConfig;
-use autocat::ppo::{Backbone, PpoConfig};
+use autocat::gym::{EnvConfig, Environment};
+use autocat::nn::models::PolicyValueNet;
+use autocat::nn::{Categorical, Matrix};
+use autocat_scenario::Scenario;
+use rand::rngs::StdRng;
 
 /// Run budget selected via the `AUTOCAT_BUDGET` environment variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,16 +67,46 @@ impl Budget {
     }
 }
 
-/// The standard explorer setup used by the training-based tables.
-pub fn standard_explorer(config: EnvConfig, seed: u64, budget: Budget) -> autocat::Explorer {
-    autocat::Explorer::new(config)
-        .seed(seed)
-        .max_steps(budget.max_steps())
-        .backbone(Backbone::Mlp {
-            hidden: vec![64, 64],
-        })
-        .ppo(PpoConfig::small_env())
-        .lanes(budget.lanes())
+/// The scenario a training-based table bin runs: the default recipe
+/// (`TrainSpec::default`: a 64×64 MLP on `PpoConfig::small_env`) with the
+/// bin's own environment, seed, convergence threshold and evaluation
+/// episodes, and the budget's step cap and rollout lanes.
+pub fn standard_scenario(
+    name: impl Into<String>,
+    env: EnvConfig,
+    seed: u64,
+    return_threshold: f32,
+    eval_episodes: usize,
+    budget: Budget,
+) -> Scenario {
+    let mut scenario = Scenario::new(name, "", env);
+    scenario.train.seed = seed;
+    scenario.train.return_threshold = return_threshold;
+    scenario.train.eval_episodes = eval_episodes;
+    scenario.train.max_steps = budget.max_steps();
+    scenario.train.ppo.num_lanes = budget.lanes();
+    scenario
+}
+
+/// Plays one episode with actions sampled from `net`, one-row forward per
+/// step, drawing from `rng` only: reset, then forward, sample and step
+/// until done. The multi-guess bins read the finished episode's statistics
+/// and event log from `env` afterwards.
+pub fn play_sampled_episode(
+    env: &mut impl Environment,
+    net: &mut dyn PolicyValueNet,
+    rng: &mut StdRng,
+) {
+    let mut obs = env.reset(rng);
+    loop {
+        let (logits, _) = net.forward(&Matrix::from_row(&obs));
+        let a = Categorical::from_logits(logits.row(0)).sample(rng);
+        let r = env.step(a, rng);
+        if r.done {
+            break;
+        }
+        obs = r.obs;
+    }
 }
 
 /// Prints a table header with a separator line.
@@ -93,6 +126,36 @@ mod tests {
         assert_eq!(Budget::from_env(), Budget::Quick);
         assert_eq!(Budget::Quick.runs(), 1);
         assert!(Budget::Full.max_steps() > Budget::Quick.max_steps());
+    }
+
+    #[test]
+    fn standard_scenario_takes_the_bin_settings_and_the_budget() {
+        let scenario = standard_scenario(
+            "t",
+            EnvConfig::flush_reload_fa4(),
+            7,
+            0.6,
+            100,
+            Budget::Full,
+        );
+        let train = &scenario.train;
+        assert_eq!(
+            (train.seed, train.return_threshold, train.eval_episodes),
+            (7, 0.6, 100)
+        );
+        assert_eq!(train.max_steps, Budget::Full.max_steps());
+        assert_eq!(train.ppo.num_lanes, Budget::Full.lanes());
+        assert_eq!(
+            train.backbone,
+            autocat::ppo::Backbone::Mlp {
+                hidden: vec![64, 64]
+            }
+        );
+        let small_env = autocat::ppo::PpoConfig {
+            num_lanes: Budget::Full.lanes(),
+            ..autocat::ppo::PpoConfig::small_env()
+        };
+        assert_eq!(train.ppo, small_env);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   action sampling via [`VecEnv::step_each`]'s closure, environment
 //!   steps) comes from the caller's RNG in exactly the order the scalar
 //!   pre-VecEnv rollout loop made them, so a 1-lane rollout is bit-for-bit
-//!   identical to the historical single-environment path and deterministic
-//!   replay extracts the same attack sequences.
+//!   identical to the historical single-environment path.
 //! * **Multiple lanes**: each lane owns an RNG stream derived from the
 //!   VecEnv seed, so trajectories are reproducible for a fixed
 //!   `(seed, num_lanes)` regardless of worker-thread count or scheduling.

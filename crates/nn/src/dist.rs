@@ -56,7 +56,7 @@ impl Categorical {
         self.probs.len() - 1
     }
 
-    /// The most probable action index (used for deterministic replay).
+    /// The most probable action index (deterministic evaluation).
     pub fn argmax(&self) -> usize {
         self.probs
             .iter()

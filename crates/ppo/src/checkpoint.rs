@@ -430,12 +430,12 @@ mod tests {
             let b = resumed.train_update();
             assert_eq!(a, b, "update {round} diverged after resume");
         }
-        // Greedy extraction must agree too (same weights, same RNG state).
+        // Greedy evaluation must agree too (same weights, same RNG state).
         let (env_a, net_a, rng_a) = original.parts_mut();
-        let seq_a = eval::extract_sequence(env_a, net_a, rng_a);
+        let report_a = eval::evaluate_batched(&*env_a, net_a, 4, 1, true, rng_a);
         let (env_b, net_b, rng_b) = resumed.parts_mut();
-        let seq_b = eval::extract_sequence(env_b, net_b, rng_b);
-        assert_eq!(seq_a, seq_b);
+        let report_b = eval::evaluate_batched(&*env_b, net_b, 4, 1, true, rng_b);
+        assert_eq!(report_a, report_b);
     }
 
     #[test]
@@ -479,15 +479,17 @@ mod tests {
 
         use autocat_gym::env::Secret;
         for secret in [Secret::Addr(0), Secret::Addr(1)] {
+            // The evaluation lane clones the prototype environment, forced
+            // secret included.
             let (env_a, net_a, rng_a) = original.parts_mut();
             env_a.force_secret(Some(secret));
-            let seq_a = eval::extract_sequence(env_a, net_a, rng_a);
+            let report_a = eval::evaluate_batched(&*env_a, net_a, 4, 1, true, rng_a);
             env_a.force_secret(None);
             let (env_b, net_b, rng_b) = loaded.parts_mut();
             env_b.force_secret(Some(secret));
-            let seq_b = eval::extract_sequence(env_b, net_b, rng_b);
+            let report_b = eval::evaluate_batched(&*env_b, net_b, 4, 1, true, rng_b);
             env_b.force_secret(None);
-            assert_eq!(seq_a.actions, seq_b.actions, "secret {secret:?}");
+            assert_eq!(report_a, report_b, "secret {secret:?}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Policy evaluation and deterministic attack-sequence extraction.
+//! Policy evaluation.
 //!
 //! Two evaluation drivers share one statistics contract:
 //!
@@ -157,8 +157,8 @@ pub fn evaluate(
 }
 
 /// The canonical lane width for reported evaluation statistics: the width
-/// `Explorer` and the sweep report both evaluate on, so the two front ends
-/// report the same numbers for the same trained policy. A fixed constant
+/// `autocat_scenario::run::row_and_stats` evaluates on, so every front
+/// end reports the same numbers for the same trained policy. A fixed constant
 /// (not a runtime knob) because the lane split is part of the sampling
 /// plan — [`evaluate_batched`] clamps it to the episode budget.
 pub const EVAL_LANES: usize = 8;
@@ -332,48 +332,6 @@ pub fn evaluate_batched<E: Environment + Clone>(
     }
 }
 
-/// An attack sequence extracted by deterministic replay.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExtractedSequence {
-    /// Action indices in order.
-    pub actions: Vec<usize>,
-    /// Whether the final guess was correct.
-    pub correct: bool,
-    /// Total episode return.
-    pub episode_return: f32,
-}
-
-/// Extracts one attack sequence by greedy (argmax) replay.
-///
-/// The paper: "Once the sum of the reward within an episode is converged to
-/// a positive value, we use deterministic replay to extract the attack
-/// sequences."
-pub fn extract_sequence(
-    env: &mut impl Environment,
-    net: &mut dyn PolicyValueNet,
-    rng: &mut StdRng,
-) -> ExtractedSequence {
-    let mut obs = env.reset(rng);
-    let mut actions = Vec::new();
-    let mut episode_return = 0.0f32;
-    let correct = loop {
-        let (logits, _) = net.forward(&Matrix::from_row(&obs));
-        let action = Categorical::from_logits(logits.row(0)).argmax();
-        actions.push(action);
-        let result = env.step(action, rng);
-        episode_return += result.reward;
-        if result.done {
-            break result.info.guessed.unwrap_or(false);
-        }
-        obs = result.obs;
-    };
-    ExtractedSequence {
-        actions,
-        correct,
-        episode_return,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -535,26 +493,5 @@ mod tests {
         let mut counted = stats;
         counted.correct += 1;
         assert_ne!(stats.digest(), counted.digest());
-    }
-
-    #[test]
-    fn extract_sequence_terminates() {
-        let (mut env, mut net, mut rng) = setup();
-        let seq = extract_sequence(&mut env, &mut net, &mut rng);
-        assert!(!seq.actions.is_empty());
-        assert!(
-            seq.actions.len() <= 32,
-            "episode limit must bound the sequence"
-        );
-    }
-
-    #[test]
-    fn deterministic_replay_is_reproducible_given_same_secret() {
-        use autocat_gym::env::Secret;
-        let (mut env, mut net, mut rng) = setup();
-        env.force_secret(Some(Secret::Addr(0)));
-        let a = extract_sequence(&mut env, &mut net, &mut rng);
-        let b = extract_sequence(&mut env, &mut net, &mut rng);
-        assert_eq!(a.actions, b.actions, "greedy replay must be deterministic");
     }
 }

@@ -12,13 +12,11 @@
 //!   model replicas run as rayon tasks and the gradients reduced in fixed
 //!   shard order, so the update is bit-identical for every
 //!   `RAYON_NUM_THREADS` setting,
-//! * [`eval`] — policy evaluation (the serial loop and the lane-batched
-//!   [`eval::evaluate_batched`] engine: one batched forward per step over
-//!   all live lanes, bit-identical to the serial path at one lane) and the
-//!   deterministic replay used to extract attack sequences from a
-//!   converged policy ("Once the sum of the reward within an episode is
-//!   converged to a positive value, we use deterministic replay to extract
-//!   the attack sequences"),
+//! * [`eval`] — policy evaluation: the serial loop and the lane-batched
+//!   [`eval::evaluate_batched`] engine (one batched forward per step over
+//!   all live lanes, bit-identical to the serial path at one lane), whose
+//!   per-episode action records are the attack sequences a report
+//!   classifies,
 //! * [`checkpoint`] — trainer persistence: weights, Adam moments and every
 //!   RNG stream, with a **bit-exact resume guarantee** (a loaded trainer
 //!   continues identically to the one that saved, see the
@@ -26,7 +24,7 @@
 //!   builds its train-once/eval-everywhere pipeline on this.
 //!
 //! Determinism is load-bearing throughout: a `(scenario, seed)` pair fixes
-//! the trajectory stream, the extracted attack and the checkpoint bytes,
+//! the trajectory stream, the evaluated attacks and the checkpoint bytes,
 //! which is what makes the paper's Table IV reproducible from artifacts.
 //!
 //! # Example: train, checkpoint, resume
@@ -53,6 +51,6 @@ pub mod rollout;
 pub mod sharded;
 pub mod trainer;
 
-pub use eval::{EpisodeRecord, EvalReport, EvalStats, ExtractedSequence};
+pub use eval::{EpisodeRecord, EvalReport, EvalStats};
 pub use rollout::{gae, RolloutBatch};
 pub use trainer::{Backbone, PpoConfig, TrainResult, Trainer, UpdateStats};

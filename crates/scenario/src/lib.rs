@@ -25,10 +25,13 @@
 //! // ...or load a hand-written TOML/JSON file.
 //! // let mut scenario = Scenario::load("my_scenario.toml").unwrap();
 //! scenario.train.max_steps = 300_000;
-//! let report = scenario.run().expect("valid scenario");
+//! let row = scenario.run().expect("valid scenario");
 //! println!(
-//!     "{}: found {} ({})",
-//!     scenario.name, report.sequence_notation, report.category
+//!     "{}: found {} ({}), accuracy {:.3}",
+//!     scenario.name,
+//!     row.sequence,
+//!     row.category,
+//!     row.accuracy()
 //! );
 //! ```
 //!
@@ -57,11 +60,16 @@ pub mod registry;
 pub mod run;
 pub use autocat_nn::value;
 
-use autocat::{ExplorationReport, Explorer};
 use autocat_gym::{CacheGuessingGame, EnvConfig};
 use autocat_nn::value::Value;
 use autocat_ppo::{Backbone, PpoConfig};
 use std::path::Path;
+
+/// Compiles the README's Rust snippets as doctests, so the documented API
+/// cannot drift from the code.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct ReadmeDoctests;
 
 pub use generate::{generate, GenSpace, ScenarioGenerator};
 pub use registry::{
@@ -79,9 +87,9 @@ pub struct TrainSpec {
     /// Trailing-average-return threshold treated as convergence.
     pub return_threshold: f32,
     /// Evaluation episodes after training — the N behind every per-policy
-    /// statistic this scenario reports (`Explorer` accuracy/detection
-    /// rate, the sweep report's accuracy/census columns). Overridable on
-    /// the bench CLIs with `--eval-episodes`.
+    /// statistic this scenario reports (the [`SweepRow`](run::SweepRow)
+    /// accuracy, detection rate and census). Overridable on the bench CLIs
+    /// with `--eval-episodes`.
     pub eval_episodes: usize,
     /// Policy/value network backbone.
     pub backbone: Backbone,
@@ -92,8 +100,9 @@ pub struct TrainSpec {
 }
 
 impl Default for TrainSpec {
-    /// The recipe validated on the paper's small cache configurations
-    /// (matches `Explorer`'s defaults).
+    /// The recipe validated on the paper's small cache configurations: a
+    /// 64×64 MLP on `PpoConfig::small_env`, 200 evaluation episodes, a
+    /// 400k-step budget and a 0.8 convergence threshold.
     fn default() -> Self {
         Self {
             seed: 0,
@@ -153,29 +162,16 @@ impl Scenario {
         CacheGuessingGame::new(self.env.clone())
     }
 
-    /// Builds the [`Explorer`] this scenario describes — the single place
-    /// trainer construction happens for scenario-driven runs.
-    pub fn explorer(&self) -> Explorer {
-        // No `.lanes()` override: `train.ppo.num_lanes` governs the
-        // rollout width, so the serialized `[train.ppo] num_lanes` key is
-        // live configuration.
-        Explorer::new(self.env.clone())
-            .seed(self.train.seed)
-            .max_steps(self.train.max_steps)
-            .return_threshold(self.train.return_threshold)
-            .eval_episodes(self.train.eval_episodes)
-            .backbone(self.train.backbone.clone())
-            .ppo(self.train.ppo)
-    }
-
-    /// Trains a PPO agent on the scenario, extracts the discovered attack
-    /// and evaluates it (the full explore → extract → classify pipeline).
+    /// Trains a PPO agent on the scenario and evaluates it into a report
+    /// row: [`run::train_trainer`] followed by [`run::row_and_stats`], the
+    /// same pipeline `scenario-run`, the sweep and the daemon use.
     ///
     /// # Errors
     ///
     /// Returns an error if the environment configuration is invalid.
-    pub fn run(&self) -> Result<ExplorationReport, String> {
-        self.explorer().run()
+    pub fn run(&self) -> Result<run::SweepRow, String> {
+        let mut trainer = run::train_trainer(self, |_, _| {})?;
+        Ok(run::row_and_stats(&mut trainer, self).0)
     }
 
     /// Encodes the scenario as TOML.
@@ -291,16 +287,22 @@ mod tests {
     }
 
     #[test]
-    fn explorer_inherits_the_train_spec() {
-        // Explorer's builder state is private; run a tiny budget to prove
-        // the wiring end to end instead.
+    fn run_reports_a_row_from_the_train_spec() {
         let mut scenario = table4(1).unwrap();
         scenario.train.max_steps = 2048;
+        scenario.train.eval_episodes = 12;
         scenario.train.ppo.horizon = 512;
         scenario.train.ppo.num_lanes = 2;
-        let report = scenario.run().expect("valid scenario");
-        assert!(report.training_steps >= 2048);
-        assert!(!report.sequence.is_empty());
+        let row = scenario.run().expect("valid scenario");
+        // Four updates of 512 transitions each, then 12 evaluated episodes.
+        assert_eq!(row.steps, 2048);
+        assert_eq!(row.eval_episodes, 12);
+        assert_eq!(row.scenario, "table4-1");
+        assert!(!row.sequence.is_empty());
+        assert!(!row.category.is_empty());
+        // `train.ppo.num_lanes` is live: one lane trains a different policy.
+        scenario.train.ppo.num_lanes = 1;
+        assert_ne!(scenario.run().unwrap(), row);
     }
 
     #[test]

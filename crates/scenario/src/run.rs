@@ -1,6 +1,7 @@
 //! The one train → evaluate → classify pipeline every scenario front end
-//! shares: `scenario-run`, the `sweep` harness and the serving daemon all
-//! train through [`train_trainer`] and report through [`row_and_stats`],
+//! shares: `scenario-run`, the `sweep` harness, the serving daemon, the
+//! table bins and [`Scenario::run`] all train through [`train_trainer`]
+//! and report through [`row_and_stats`],
 //! which is what makes a daemon job bit-identical to its one-shot
 //! equivalent and a sweep report reproducible from its artifacts.
 //!
@@ -255,10 +256,10 @@ impl SweepRow {
 ///
 /// Evaluates the policy over `scenario.train.eval_episodes` sampled
 /// episodes (sampling, not argmax: the honest statistic on stochastic
-/// backends) on the canonical [`eval::EVAL_LANES`] batched width shared
-/// with `Explorer`. The width is fixed, not a knob, because the lane split
-/// is part of the sampling plan: the same checkpoint must yield the same
-/// row on every machine. The classified attack categories of every
+/// backends) on the canonical [`eval::EVAL_LANES`] batched width. The
+/// width is fixed, not a knob, because the lane split is part of the
+/// sampling plan: the same checkpoint must yield the same row on every
+/// machine. The classified attack categories of every
 /// episode form the census; the row's sequence is the first (preferring
 /// correct) episode of the majority category.
 pub fn row_and_stats(

@@ -71,6 +71,15 @@ pub const FETCH_CHUNK: usize = 64 * 1024;
 /// hostile stream, refused before allocation.
 const MAX_FRAME: u32 = 4 * 1024 * 1024;
 
+/// Hard cap on one request line the daemon reads, in bytes, newline
+/// excluded. The longest legitimate request is an inline `submit`; the
+/// largest registry scenario encodes to about 1.3 KB of JSON, so 1 MiB
+/// leaves wide headroom for hand-written scenarios (longer SVM weight
+/// vectors, say) while a client that never sends a newline cannot grow
+/// the daemon's buffer without bound. Responses are not capped: a
+/// `status` answer for a large job table is legitimately long.
+pub const MAX_REQUEST_LINE: usize = 1024 * 1024;
+
 // ---------------------------------------------------------------------------
 // Line transport
 // ---------------------------------------------------------------------------
@@ -86,26 +95,61 @@ pub fn write_line(stream: &mut impl Write, payload: &Value) -> std::io::Result<(
     stream.write_all(line.as_bytes())
 }
 
-/// Reads one protocol line; `Ok(None)` is a clean EOF.
+/// Reads one protocol line; `Ok(None)` is a clean EOF. The client's
+/// response reader: lines are not length-capped.
 ///
 /// # Errors
 ///
 /// Returns an error on unreadable input or malformed JSON.
 pub fn read_line(reader: &mut impl BufRead) -> Result<Option<Value>, String> {
-    let mut line = String::new();
+    read_raw_line(reader, u64::MAX)?
+        .map(|line| parse_line(&line))
+        .transpose()
+}
+
+/// Reads one request line of at most [`MAX_REQUEST_LINE`] bytes, unparsed
+/// (see [`parse_line`]), so the daemon can answer a malformed request and
+/// keep serving; `Ok(None)` is a clean EOF. Consumes at most
+/// `MAX_REQUEST_LINE + 1` bytes of an over-long line.
+///
+/// # Errors
+///
+/// Returns an error on unreadable input or an over-long line.
+pub fn read_request_line(reader: &mut impl BufRead) -> Result<Option<Vec<u8>>, String> {
+    read_raw_line(reader, MAX_REQUEST_LINE as u64)
+}
+
+/// Decodes one protocol line read by [`read_request_line`].
+///
+/// # Errors
+///
+/// Returns an error if the line is not UTF-8 JSON.
+pub fn parse_line(line: &[u8]) -> Result<Value, String> {
+    let text = std::str::from_utf8(line).map_err(|e| format!("protocol line: {e}"))?;
+    value::from_json(text.trim())
+}
+
+/// Reads the next non-blank line of at most `cap` bytes (newline
+/// excluded), newline stripped; `Ok(None)` is a clean EOF.
+fn read_raw_line(reader: &mut impl BufRead, cap: u64) -> Result<Option<Vec<u8>>, String> {
+    let mut line = Vec::new();
     // Tolerate blank keep-alive lines between requests. A loop, not
     // recursion: a client streaming blank lines must not grow the stack.
     loop {
         line.clear();
-        let n = reader
-            .read_line(&mut line)
+        let n = Read::take(&mut *reader, cap.saturating_add(1))
+            .read_until(b'\n', &mut line)
             .map_err(|e| format!("reading protocol line: {e}"))?;
         if n == 0 {
             return Ok(None);
         }
-        let trimmed = line.trim();
-        if !trimmed.is_empty() {
-            return value::from_json(trimmed).map(Some);
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        } else if n as u64 > cap {
+            return Err(format!("protocol line exceeds the {cap}-byte cap"));
+        }
+        if !line.trim_ascii().is_empty() {
+            return Ok(Some(line));
         }
     }
 }
@@ -1099,6 +1143,35 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(request, Request::Ping);
+    }
+
+    #[test]
+    fn over_long_request_lines_are_refused_after_cap_plus_one_bytes() {
+        let mut wire = std::io::Cursor::new(vec![b'{'; 3 * MAX_REQUEST_LINE]);
+        assert!(read_request_line(&mut wire).unwrap_err().contains("cap"));
+        assert!(wire.position() <= MAX_REQUEST_LINE as u64 + 1);
+
+        // A line of exactly the cap is read whole, newline stripped.
+        let mut at_cap = vec![b' '; MAX_REQUEST_LINE - 2];
+        at_cap.extend_from_slice(b"{}\n");
+        let line = read_request_line(&mut at_cap.as_slice()).unwrap().unwrap();
+        assert_eq!(line.len(), MAX_REQUEST_LINE);
+        assert_eq!(parse_line(&line).unwrap(), Value::table());
+        assert!(parse_line(b"{not json").is_err());
+    }
+
+    #[test]
+    fn every_registry_scenario_submits_well_under_the_line_cap() {
+        for scenario in autocat_scenario::all() {
+            let request = Request::Submit {
+                source: JobSource::Inline(Box::new(scenario)),
+                overrides: TrainOverrides::default(),
+                priority: 0,
+            };
+            let mut wire = Vec::new();
+            write_line(&mut wire, &request.to_value()).unwrap();
+            assert!(wire.len() * 64 < MAX_REQUEST_LINE, "{} bytes", wire.len());
+        }
     }
 
     #[test]

@@ -405,8 +405,15 @@ fn serve_connection(shared: &Shared, stream: TcpStream, local: &str) -> Result<(
     let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
     let mut reader = BufReader::new(stream);
     let mut greeted = false;
-    while let Some(line) = proto::read_line(&mut reader)? {
-        let request = match Request::from_value(&line) {
+    loop {
+        let line = match proto::read_request_line(&mut reader) {
+            Ok(Some(line)) => line,
+            Ok(None) => break,
+            // An over-long line (its rest cannot be framed) or a read
+            // failure: answer and close.
+            Err(e) => return write_error(&mut writer, ErrorKind::BadRequest, &e),
+        };
+        let request = match proto::parse_line(&line).and_then(|v| Request::from_value(&v)) {
             Ok(request) => request,
             Err(e) => {
                 write_error(&mut writer, ErrorKind::BadRequest, &e)?;

@@ -179,3 +179,32 @@ fn daemon_round_trip_is_bit_identical_to_one_shot() {
     assert!(status.success(), "daemon exited {status}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn malformed_request_line_gets_bad_request_and_the_connection_keeps_serving() {
+    use std::io::Write;
+    let dir = std::env::temp_dir().join(format!("autocat-serve-e2e-bad-{}", std::process::id()));
+    let mut daemon = Daemon::spawn(&dir.join("store"));
+
+    {
+        let stream = std::net::TcpStream::connect(&daemon.addr).expect("connecting");
+        let mut writer = stream.try_clone().expect("cloning stream");
+        let mut reader = std::io::BufReader::new(stream);
+        let mut exchange = |line: &str| -> String {
+            writer.write_all(line.as_bytes()).expect("writing request");
+            let mut response = String::new();
+            reader.read_line(&mut response).expect("reading response");
+            response
+        };
+        assert!(exchange("{\"req\": \"hello\", \"version\": 2}\n").contains("\"hello\""));
+        let bad = exchange("{not json\n");
+        assert!(bad.contains("\"bad-request\""), "{bad}");
+        let pong = exchange("{\"req\": \"ping\"}\n");
+        assert!(pong.contains("\"pong\""), "{pong}");
+    }
+
+    daemon.client(&["shutdown"]);
+    let status = daemon.child.wait().expect("daemon exit status");
+    assert!(status.success(), "daemon exited {status}");
+    std::fs::remove_dir_all(&dir).ok();
+}

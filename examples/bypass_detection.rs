@@ -14,13 +14,13 @@ fn main() {
     println!("Exploring a 4-way LRU cache WITH miss-based detection enabled...");
     let scenario = autocat_scenario::defense_misscount();
     println!("scenario : {} ({})", scenario.name, scenario.summary);
-    let report = scenario.run().expect("valid scenario");
-    println!("sequence : {}", report.sequence_notation);
+    let row = scenario.run().expect("valid scenario");
+    println!("sequence : {}", row.sequence);
     println!(
         "category : {} (LRU-state attacks never make the victim miss)",
-        report.category
+        row.category
     );
-    println!("accuracy : {:.3}", report.accuracy);
+    println!("accuracy : {:.3}", row.accuracy());
 
     println!("\nThe generalized attack built from such sequences is StealthyStreamline:");
     use autocat::attacks::stealthy::StealthyStreamline;

@@ -14,11 +14,11 @@ fn main() {
     println!("Exploring scenario {} as a blackbox...", scenario.name);
     println!("  {}", scenario.summary);
     scenario.train.seed = 4;
-    let report = scenario.run().expect("valid scenario");
-    println!("sequence : {}", report.sequence_notation);
-    println!("category : {}", report.category);
+    let row = scenario.run().expect("valid scenario");
+    println!("sequence : {}", row.sequence);
+    println!("category : {}", row.category);
     println!(
         "accuracy : {:.3} (noise keeps it slightly below 1.0, as in Table III)",
-        report.accuracy
+        row.accuracy()
     );
 }

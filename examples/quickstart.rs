@@ -9,12 +9,13 @@ fn main() {
     let mut scenario = autocat_scenario::table4(6).expect("registry row 6 exists");
     scenario.train.seed = 1;
     scenario.train.max_steps = 300_000;
-    let report = scenario.run().expect("valid scenario");
-    println!("attack sequence : {}", report.sequence_notation);
-    println!("category        : {}", report.category);
-    println!("guess accuracy  : {:.3}", report.accuracy);
-    println!("training steps  : {}", report.training_steps);
-    if let Some(epochs) = report.epochs_to_converge {
+    let row = scenario.run().expect("valid scenario");
+    println!("attack sequence : {}", row.sequence);
+    println!("category        : {} ({})", row.category, row.census);
+    println!("guess accuracy  : {:.3}", row.accuracy());
+    println!("training steps  : {}", row.steps);
+    if row.converged {
+        let epochs = row.steps as f64 / scenario.train.ppo.steps_per_epoch as f64;
         println!("converged after : {epochs:.1} paper-epochs (3000 steps each)");
     } else {
         println!("did not converge within the step budget — try more steps");

@@ -12,15 +12,18 @@ fn main() {
             policy.name().to_lowercase()
         );
         let scenario = autocat_scenario::replacement(policy);
-        let report = scenario.run().expect("valid scenario");
-        println!("sequence : {}", report.sequence_notation);
+        let row = scenario.run().expect("valid scenario");
+        println!("sequence : {}", row.sequence);
         println!(
             "category : {}   accuracy: {:.3}",
-            report.category, report.accuracy
+            row.category,
+            row.accuracy()
         );
-        match report.epochs_to_converge {
-            Some(e) => println!("epochs   : {e:.1} (paper: LRU 26.0, PLRU 15.7, RRIP 70.7)"),
-            None => println!("epochs   : did not converge in budget"),
+        if row.converged {
+            let e = row.steps as f64 / scenario.train.ppo.steps_per_epoch as f64;
+            println!("epochs   : {e:.1} (paper: LRU 26.0, PLRU 15.7, RRIP 70.7)");
+        } else {
+            println!("epochs   : did not converge in budget");
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Cross-crate integration tests: the full explore → extract → classify
+//! Cross-crate integration tests: the full train → evaluate → classify
 //! pipeline, scripted-attack oracles, detectors in the loop, and the
 //! covert-channel stack.
 
@@ -14,7 +14,6 @@ use autocat::gym::{
     MultiGuessEnv,
 };
 use autocat::ppo::{Backbone, PpoConfig, Trainer};
-use autocat::Explorer;
 use rand::SeedableRng;
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -28,39 +27,45 @@ fn rng(seed: u64) -> rand::rngs::StdRng {
 /// release, a few in debug); it exercises every crate at once.
 #[test]
 fn rl_discovers_flush_reload_on_config6() {
-    let report = Explorer::new(EnvConfig::flush_reload_fa4().with_window(12))
-        .seed(1)
-        .max_steps(250_000)
-        .return_threshold(0.85)
-        .run()
-        .expect("valid config");
+    let mut scenario = autocat_scenario::Scenario::new(
+        "config6",
+        "FR",
+        EnvConfig::flush_reload_fa4().with_window(12),
+    );
+    scenario.train.seed = 1;
+    scenario.train.max_steps = 250_000;
+    scenario.train.return_threshold = 0.85;
+    let row = scenario.run().expect("valid config");
     assert!(
-        report.converged,
+        row.converged,
         "PPO must converge on config 6 within 250k steps"
     );
     assert!(
-        report.accuracy > 0.95,
+        row.accuracy() > 0.95,
         "converged policy must guess accurately, got {}",
-        report.accuracy
+        row.accuracy()
     );
+    let expected = [
+        AttackCategory::FlushReload,
+        AttackCategory::EvictReload,
+        AttackCategory::LruBased,
+    ];
     assert!(
-        matches!(
-            report.category,
-            AttackCategory::FlushReload | AttackCategory::EvictReload | AttackCategory::LruBased
-        ),
-        "expected a shared-memory or LRU-state attack, got {} ({})",
-        report.category,
-        report.sequence_notation
+        expected.iter().any(|c| c.to_string() == row.category),
+        "expected a shared-memory or LRU-state attack, got {} ({}; census {})",
+        row.category,
+        row.sequence,
+        row.census
     );
-    // The sequence must trigger the victim and end with a guess.
-    assert!(report
-        .sequence
-        .iter()
-        .any(|a| matches!(a, Action::TriggerVictim)));
-    assert!(matches!(
-        report.sequence.last(),
-        Some(Action::Guess(_)) | Some(Action::GuessNoAccess)
-    ));
+    // The representative sequence must trigger the victim and end with a
+    // guess.
+    let actions: Vec<&str> = row.sequence.split(" -> ").collect();
+    assert!(actions.contains(&"v"), "{}", row.sequence);
+    assert!(
+        actions.last().is_some_and(|a| a.starts_with('g')),
+        "{}",
+        row.sequence
+    );
 }
 
 #[test]
