@@ -19,6 +19,11 @@ echo "==> cargo test (scalar-fallback: the compile-time no-SIMD path stays green
 # results — SIMD is an implementation detail, never a semantic.
 cargo test -q -p autocat-nn -p autocat-ppo -p autocat-bench --features autocat-nn/scalar-fallback
 
+echo "==> cargo test --ignored: exhaustive tanh (every tier == port == libm on all 2^32 inputs)"
+# f32::tanh is the host's libm, so this pins glibc 2.36's tanhf, as the
+# recorded digests already do. About two minutes on two threads.
+cargo test -q --release -p autocat-nn --test tanh -- --ignored
+
 echo "==> cargo test perf/ (the benchmark's smoke tests still build and pass)"
 # perf/ builds against the crates by path, so an API change that breaks
 # the benchmark fails here rather than in the benchmark run. Cargo
@@ -54,7 +59,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> autocat-lint (workspace invariant checker)"
 # Deny-by-default static gates: D1 no hash-ordered collections in
 # digest/report crates, D2 no wall-clock/entropy outside bench bins, D3
-# env reads stay in the committed registry, R1 no panic paths in the
+# env reads stay in the committed registry, D4 no libm tanh in the
+# digest/report crates outside nn/src/math.rs, R1 no panic paths in the
 # daemon request path, U1 every `unsafe` carries a SAFETY comment, A0
 # suppression hygiene. The allow dump first, so CI logs always show every
 # suppression and its reason; then the gate itself (exits nonzero on any

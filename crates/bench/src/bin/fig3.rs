@@ -123,8 +123,9 @@ fn main() {
         let (env, net, rng2) = trainer.parts_mut();
         // Evaluate the trained agent and *report* the stats (this call
         // used to be discarded, silently serving only to advance the RNG
-        // stream); the agent's quality contextualizes its event train.
-        let stats = eval::evaluate(env, net, 20, false, rng2);
+        // stream); the agent's quality contextualizes its event train. One
+        // lane replays the serial evaluator's RNG stream bit for bit.
+        let stats = eval::evaluate_batched(&*env, net, 20, 1, false, rng2).stats;
         println!(
             "{label:<12} eval over {} episodes: avg return {:.2}, avg length {:.1}, \
              detection rate {:.2}",

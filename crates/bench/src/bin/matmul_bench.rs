@@ -9,6 +9,10 @@
 //!                          # agree bit-for-bit on every kernel and shape
 //! ```
 //!
+//! The gate also covers the other tier-dispatched kernel,
+//! `autocat_nn::math::tanh_in_place`, on each check shape's `m * k`
+//! elements.
+//!
 //! Every tier at or below the dispatch tier is measured, not just the one
 //! the dispatcher picked: the tiers are bit-identical by contract, so tier
 //! choice is purely a throughput knob, and which tier wins is a property
@@ -29,6 +33,7 @@
 //! orders, so any SIMD/scalar divergence is a bug, and CI runs this gate
 //! on every push.
 
+use autocat::nn::math::tanh_in_place;
 use autocat::nn::matrix::with_inline_kernels;
 use autocat::nn::state::fnv1a;
 use autocat::nn::Matrix;
@@ -148,9 +153,10 @@ fn bench_one(kernel: &Kernel, m: usize, k: usize, n: usize, tier: simd::Tier) ->
     (iters * m * k * n) as f64 / best / 1e9
 }
 
-/// The SIMD/scalar digest gate: every kernel must produce bit-identical
-/// output under the detected tier and the forced scalar path, on aligned
-/// and ragged shapes. Returns the number of mismatches.
+/// The SIMD/scalar digest gate: every kernel (the matmuls and
+/// `tanh_in_place`) must produce bit-identical output under the detected
+/// tier and the forced scalar path, on aligned and ragged shapes. Returns
+/// the number of mismatches.
 fn run_check(tier: simd::Tier) -> usize {
     let mut mismatches = 0;
     for &(m, k, n) in &CHECK_SHAPES {
@@ -176,6 +182,35 @@ fn run_check(tier: simd::Tier) -> usize {
                 );
                 mismatches += 1;
             }
+        }
+        // tanh on `m * k` elements: half random bit patterns (NaNs,
+        // infinities and subnormals included), half the activation range.
+        let mut rng = StdRng::seed_from_u64(29);
+        let xs: Vec<f32> = (0..m * k)
+            .map(|i| {
+                if i % 2 == 0 {
+                    f32::from_bits(rng.gen())
+                } else {
+                    rng.gen_range(-12.0..12.0)
+                }
+            })
+            .collect();
+        let tanh_digest = |t: simd::Tier| {
+            let mut ys = xs.clone();
+            simd::with_forced_tier(t, || tanh_in_place(&mut ys));
+            fnv1a(ys.iter().flat_map(|v| v.to_le_bytes()))
+        };
+        let (df, ds) = (tanh_digest(tier), tanh_digest(simd::Tier::Scalar));
+        if df != ds {
+            eprintln!(
+                "error: tanh_in_place over {} elements: {} tier digest {:016x} != scalar \
+                 digest {:016x}",
+                m * k,
+                tier.name(),
+                df,
+                ds
+            );
+            mismatches += 1;
         }
     }
     mismatches
@@ -210,9 +245,10 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "digest gate: {} tier and scalar agree bit-for-bit on {} kernel/shape pairs",
+            "digest gate: {} tier and scalar agree bit-for-bit on {} kernel/shape pairs \
+             (matmuls and tanh)",
             tier.name(),
-            CHECK_SHAPES.len() * KERNELS.len()
+            CHECK_SHAPES.len() * (KERNELS.len() + 1)
         );
     }
     if check_only {

@@ -14,10 +14,11 @@
 //! # Test code
 //!
 //! `#[cfg(test)]`/`#[test]` regions and files under `tests/`, `benches/`
-//! or `examples/` are exempt from D1 and R1 (test panics and scratch maps
-//! cannot leak into shipped digests). D2, D3 and U1 apply everywhere:
-//! wall-clock in a test flakes it, env reads must stay enumerable, and
-//! `unsafe` needs its audit comment no matter where it lives.
+//! or `examples/` are exempt from D1, D4 and R1 (test panics, scratch maps
+//! and libm reference values cannot leak into shipped digests). D2, D3
+//! and U1 apply everywhere: wall-clock in a test flakes it, env reads must
+//! stay enumerable, and `unsafe` needs its audit comment no matter where
+//! it lives.
 //!
 //! # Suppressions
 //!
@@ -146,7 +147,7 @@ fn collect(root: &Path, rel: &Path, out: &mut Vec<PathBuf>) -> Result<(), String
     Ok(())
 }
 
-/// Whether the file as a whole is test/example code (D1/R1 exempt).
+/// Whether the file as a whole is test/example code (D1/D4/R1 exempt).
 fn test_file(path: &str) -> bool {
     path.split('/')
         .any(|part| part == "tests" || part == "benches" || part == "examples")
@@ -292,6 +293,7 @@ fn scan_file(
 
     let d1 = rules::d1_applies(path) && !is_test_file;
     let d2 = !rules::d2_exempt(path);
+    let d4 = rules::d4_applies(path) && !is_test_file;
     let r1 = rules::r1_applies(path) && !is_test_file;
 
     let mut raw: Vec<Finding> = Vec::new();
@@ -326,6 +328,19 @@ fn scan_file(
                         format!(
                             "`{token}` outside a bench-timing module: results must be a \
                              function of the seed alone"
+                        ),
+                    );
+                }
+            }
+        }
+        if d4 && !in_test[i] {
+            for token in rules::D4_TOKENS {
+                if rules::has_token(code, token) {
+                    push(
+                        Rule::D4,
+                        format!(
+                            "`{token}` in a digest/report-path crate: libm's tanh is \
+                             host-dependent; use autocat_nn::math::tanh / tanh_in_place"
                         ),
                     );
                 }

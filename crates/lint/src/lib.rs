@@ -11,7 +11,7 @@
 //! It is a hand-rolled, dependency-free source analyzer (the build is
 //! offline — no `syn`): a line-level lexer ([`lexer`]) strips comments
 //! and string contents, a rule registry ([`rules`]) defines the named
-//! lints (D1/D2/D3/R1/U1/A0), and the engine ([`engine`]) walks every
+//! lints (D1/D2/D3/D4/R1/U1/A0), and the engine ([`engine`]) walks every
 //! covered `.rs` file, applies `// lint: allow(<rule>) -- <reason>`
 //! suppressions, and renders `file:line rule message` findings.
 //!

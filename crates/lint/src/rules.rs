@@ -6,6 +6,7 @@
 //! | `D1` | No `HashMap`/`HashSet` in crates whose output feeds digests or reports — hash iteration order is nondeterministic, so a single stray map silently breaks byte-identity. Use `BTreeMap`/`BTreeSet`. |
 //! | `D2` | No wall-clock or entropy sources (`Instant::now`, `SystemTime`, `thread_rng`, `from_entropy`) outside the bench-timing bins — results must be a function of the seed alone. |
 //! | `D3` | Every `std::env::var` read names a variable in the committed registry (`env-registry.txt`), keeping the config surface enumerable. |
+//! | `D4` | No libm `tanh` (`.tanh(`, `f32::tanh`) in the `D1` crates' non-test source outside `crates/nn/src/math.rs` — `f32::tanh` returns whatever the host's libm returns, so the activation goes through the bit-exact `autocat_nn::math::tanh` port. |
 //! | `R1` | No `unwrap`/`expect`/`panic!`/`unreachable!` in the daemon request path (`crates/serve/src/{server,proto,client}.rs`) — daemon errors flow through `ErrorKind`, they never kill a connection thread. |
 //! | `U1` | Every `unsafe` block or `unsafe fn` is preceded by a `// SAFETY:` comment documenting the invariant it relies on. |
 //! | `A0` | Suppression hygiene: every `// lint: allow(...)` carries a reason and actually suppresses something. |
@@ -22,6 +23,11 @@ pub const ENV_REGISTRY: &str = include_str!("../env-registry.txt");
 pub const D1_CRATES: &[&str] = &[
     "nn", "ppo", "gym", "scenario", "bench", "store", "detect", "attacks",
 ];
+
+/// The one file in the `D1` crates rule `D4` exempts: the `tanh` port,
+/// the place that may name libm's `tanh` when it documents or checks
+/// the bits it reproduces.
+pub const D4_ALLOWED_FILE: &str = "crates/nn/src/math.rs";
 
 /// Path prefixes where wall-clock timing is the point (rule `D2` exempt).
 pub const D2_ALLOWED_PREFIXES: &[&str] = &["crates/bench/src/bin/"];
@@ -42,6 +48,8 @@ pub enum Rule {
     D2,
     /// Env reads outside the committed registry.
     D3,
+    /// libm `tanh` in digest-path crates outside `autocat_nn::math`.
+    D4,
     /// Panic paths in the daemon request path.
     R1,
     /// `unsafe` without a `// SAFETY:` audit comment.
@@ -51,7 +59,15 @@ pub enum Rule {
 }
 
 /// Every rule, in report order.
-pub const ALL_RULES: &[Rule] = &[Rule::D1, Rule::D2, Rule::D3, Rule::R1, Rule::U1, Rule::A0];
+pub const ALL_RULES: &[Rule] = &[
+    Rule::D1,
+    Rule::D2,
+    Rule::D3,
+    Rule::D4,
+    Rule::R1,
+    Rule::U1,
+    Rule::A0,
+];
 
 impl Rule {
     /// The rule's short id as it appears in findings and suppressions.
@@ -60,6 +76,7 @@ impl Rule {
             Rule::D1 => "D1",
             Rule::D2 => "D2",
             Rule::D3 => "D3",
+            Rule::D4 => "D4",
             Rule::R1 => "R1",
             Rule::U1 => "U1",
             Rule::A0 => "A0",
@@ -72,6 +89,10 @@ impl Rule {
             Rule::D1 => "no HashMap/HashSet in digest/report-path crates (use BTreeMap/BTreeSet)",
             Rule::D2 => "no Instant::now/SystemTime/thread_rng/from_entropy outside bench bins",
             Rule::D3 => "every std::env::var read must name a variable in env-registry.txt",
+            Rule::D4 => {
+                "no .tanh(/f32::tanh in digest/report-path crates outside nn/src/math.rs \
+                 (use autocat_nn::math::tanh)"
+            }
             Rule::R1 => "no unwrap/expect/panic!/unreachable! in the daemon request path",
             Rule::U1 => "every unsafe block/fn needs a preceding // SAFETY: comment",
             Rule::A0 => "every `lint: allow` suppression needs a reason and a matching finding",
@@ -132,6 +153,11 @@ pub fn d1_applies(path: &str) -> bool {
         .any(|krate| path.starts_with(&format!("crates/{krate}/src/")))
 }
 
+/// Whether rule `D4` covers `path`: the `D1` crates, minus the port.
+pub fn d4_applies(path: &str) -> bool {
+    d1_applies(path) && path != D4_ALLOWED_FILE
+}
+
 /// Whether `path` is exempt from rule `D2` (a bench-timing module).
 pub fn d2_exempt(path: &str) -> bool {
     D2_ALLOWED_PREFIXES.iter().any(|p| path.starts_with(p))
@@ -146,6 +172,8 @@ pub fn r1_applies(path: &str) -> bool {
 pub const D1_TOKENS: &[&str] = &["HashMap", "HashSet"];
 /// Tokens banned by `D2`.
 pub const D2_TOKENS: &[&str] = &["Instant::now", "SystemTime", "thread_rng", "from_entropy"];
+/// Tokens banned by `D4`.
+pub const D4_TOKENS: &[&str] = &[".tanh(", "f32::tanh"];
 /// Tokens banned by `R1`.
 pub const R1_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!", "unreachable!"];
 
@@ -214,6 +242,10 @@ mod tests {
         assert!(!has_token("x.unwrap_or(0)", ".unwrap()"));
         assert!(has_token("std::panic!(\"\")", "panic!"));
         assert!(!has_token("fn explicit_panic() {}", "panic!"));
+        assert!(has_token("let y = x.tanh();", ".tanh("));
+        assert!(!has_token("math::tanh_in_place(&mut y);", ".tanh("));
+        assert!(has_token("xs.map(f32::tanh)", "f32::tanh"));
+        assert!(!has_token("let t = my_f32::tanh_of(x);", "f32::tanh"));
     }
 
     #[test]
@@ -254,6 +286,9 @@ mod tests {
         assert!(d1_applies("crates/detect/src/cyclone.rs"));
         assert!(!d1_applies("crates/serve/src/server.rs"));
         assert!(!d1_applies("crates/detect/tests/golden.rs"));
+        assert!(d4_applies("crates/nn/src/layers/activation.rs"));
+        assert!(!d4_applies("crates/nn/src/math.rs"));
+        assert!(!d4_applies("crates/serve/src/server.rs"));
         assert!(d2_exempt("crates/bench/src/bin/train_bench.rs"));
         assert!(!d2_exempt("crates/bench/src/sweep.rs"));
         assert!(r1_applies("crates/serve/src/proto.rs"));

@@ -1,5 +1,12 @@
 //! Element-wise activation layers.
+//!
+//! `tanh` is [`crate::math::tanh`], never libm's: the bit-exact port of
+//! glibc 2.36's `tanhf`, so activations (and every digest downstream)
+//! do not depend on the host. The `Tanh` forward runs the vectorised
+//! [`math::tanh_in_place`] over its output buffer; GELU calls the scalar
+//! port.
 
+use crate::math;
 use crate::matrix::Matrix;
 
 /// The supported activation functions.
@@ -7,7 +14,7 @@ use crate::matrix::Matrix;
 pub enum ActivationKind {
     /// Rectified linear unit, `max(0, x)`.
     Relu,
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`math::tanh`]).
     Tanh,
     /// Gaussian error linear unit (tanh approximation).
     Gelu,
@@ -17,10 +24,10 @@ impl ActivationKind {
     fn apply(self, x: f32) -> f32 {
         match self {
             ActivationKind::Relu => x.max(0.0),
-            ActivationKind::Tanh => x.tanh(),
+            ActivationKind::Tanh => math::tanh(x),
             ActivationKind::Gelu => {
                 let c = (2.0 / std::f32::consts::PI).sqrt();
-                0.5 * x * (1.0 + (c * (x + 0.044_715 * x * x * x)).tanh())
+                0.5 * x * (1.0 + math::tanh(c * (x + 0.044_715 * x * x * x)))
             }
         }
     }
@@ -53,13 +60,13 @@ impl ActivationKind {
                 }
             }
             ActivationKind::Tanh => {
-                let t = x.tanh();
+                let t = math::tanh(x);
                 1.0 - t * t
             }
             ActivationKind::Gelu => {
                 let c = (2.0 / std::f32::consts::PI).sqrt();
                 let inner = c * (x + 0.044_715 * x * x * x);
-                let t = inner.tanh();
+                let t = math::tanh(inner);
                 let dinner = c * (1.0 + 3.0 * 0.044_715 * x * x);
                 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
             }
@@ -111,7 +118,14 @@ impl Activation {
 
     /// Forward pass without caching (inference only).
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        x.map(|v| self.kind.apply(v))
+        match self.kind {
+            ActivationKind::Tanh => {
+                let mut y = x.clone();
+                math::tanh_in_place(y.as_mut_slice());
+                y
+            }
+            kind => x.map(|v| kind.apply(v)),
+        }
     }
 
     /// Backward pass: `dx = dy * f'(x)`, with `f'` read off the cache.

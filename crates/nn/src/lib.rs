@@ -13,6 +13,8 @@
 //! * [`models`] — [`models::MlpPolicy`] and [`models::TransformerPolicy`],
 //!   both implementing [`models::PolicyValueNet`] (shared trunk, categorical
 //!   policy head, scalar value head).
+//! * [`math`] — `tanh` as a port of glibc 2.36's fdlibm `tanhf`, scalar
+//!   and as a tier-dispatched slice kernel: the same bits on every host.
 //! * [`optim::Adam`] — the Adam optimizer (per-parameter moments).
 //! * [`grad`] — [`grad::GradBuffer`] and weight-sync helpers for the
 //!   data-parallel sharded PPO update: harvest a replica's gradients,
@@ -55,6 +57,7 @@ pub mod dist;
 pub mod grad;
 pub mod init;
 pub mod layers;
+pub mod math;
 pub mod matrix;
 pub mod models;
 pub mod optim;

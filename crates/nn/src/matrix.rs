@@ -661,11 +661,11 @@ fn run_row_chunks(
 macro_rules! tiered_kernel {
     (
         $(#[$meta:meta])*
-        fn $dispatch:ident / $body:ident ( $($arg:ident : $ty:ty),* $(,)? )
+        $vis:vis fn $dispatch:ident / $body:ident ( $($arg:ident : $ty:ty),* $(,)? )
     ) => {
         $(#[$meta])*
         #[allow(clippy::too_many_arguments)] // mirrors the kernel body signature
-        fn $dispatch($($arg: $ty),*) {
+        $vis fn $dispatch($($arg: $ty),*) {
             #[cfg(all(target_arch = "x86_64", not(feature = "scalar-fallback")))]
             {
                 // SAFETY: unsafe only because of `#[target_feature]` — the
@@ -697,6 +697,8 @@ macro_rules! tiered_kernel {
         }
     };
 }
+// `math::tanh_in_place` is dispatched through the same macro.
+pub(crate) use tiered_kernel;
 
 tiered_kernel! {
     /// Tier-dispatched [`matmul_rows_body`] (serial `a * b` over a row range).

@@ -133,10 +133,14 @@ fn cache_config_to_value(config: &CacheConfig) -> Value {
 }
 
 fn cache_config_from_map(table: &BTreeMap<String, Value>) -> Result<CacheConfig, String> {
-    let mut config = CacheConfig::new(
-        req(table, "num_sets")?.as_usize()?,
-        req(table, "num_ways")?.as_usize()?,
-    );
+    let num_sets = req(table, "num_sets")?.as_usize()?;
+    let num_ways = req(table, "num_ways")?.as_usize()?;
+    if num_sets == 0 || num_ways == 0 {
+        return Err(format!(
+            "cache num_sets and num_ways must be positive, got {num_sets} x {num_ways}"
+        ));
+    }
+    let mut config = CacheConfig::new(num_sets, num_ways);
     config.policy = policy_from_str(req(table, "policy")?.as_str()?)?;
     config.prefetcher = prefetcher_from_str(req(table, "prefetcher")?.as_str()?)?;
     config.mapping = mapping_from_value(req(table, "mapping")?)?;

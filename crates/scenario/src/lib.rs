@@ -117,6 +117,60 @@ impl Default for TrainSpec {
     }
 }
 
+impl TrainSpec {
+    /// Checks that the recipe can train: positive horizon, minibatch,
+    /// epochs and lanes (a zero horizon never advances the step count, a
+    /// zero minibatch cannot be chunked), a finite positive learning rate,
+    /// and a backbone the network constructors accept.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        let ppo = &self.ppo;
+        for (name, value) in [
+            ("horizon", ppo.horizon),
+            ("minibatch", ppo.minibatch),
+            ("epochs_per_update", ppo.epochs_per_update),
+            ("num_lanes", ppo.num_lanes),
+        ] {
+            if value == 0 {
+                return Err(format!("train.ppo.{name} must be positive"));
+            }
+        }
+        if !(ppo.lr.is_finite() && ppo.lr > 0.0) {
+            return Err(format!(
+                "train.ppo.lr must be finite and positive, got {}",
+                ppo.lr
+            ));
+        }
+        match &self.backbone {
+            Backbone::Mlp { hidden } => {
+                if hidden.is_empty() || hidden.contains(&0) {
+                    return Err(format!(
+                        "train.backbone.hidden must be non-empty and positive, got {hidden:?}"
+                    ));
+                }
+            }
+            Backbone::Transformer {
+                d_model,
+                num_heads,
+                ff_dim,
+            } => {
+                if *d_model == 0 || *num_heads == 0 || *ff_dim == 0 {
+                    return Err("train.backbone dimensions must be positive".into());
+                }
+                if !d_model.is_multiple_of(*num_heads) {
+                    return Err(format!(
+                        "train.backbone.d_model {d_model} is not divisible by num_heads {num_heads}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// One named, serializable exploration scenario: environment + training
 /// recipe. See the [crate docs](crate) for examples.
 #[derive(Clone, Debug, PartialEq)]
@@ -144,13 +198,15 @@ impl Scenario {
         }
     }
 
-    /// Validates the environment configuration.
+    /// Validates the environment configuration and the training recipe
+    /// ([`TrainSpec::validate`]).
     ///
     /// # Errors
     ///
     /// Returns a description of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
-        self.env.validate()
+        self.env.validate()?;
+        self.train.validate()
     }
 
     /// Builds the guessing-game environment this scenario describes.
@@ -168,7 +224,7 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns an error if the environment configuration is invalid.
+    /// Returns an error if the scenario fails [`Scenario::validate`].
     pub fn run(&self) -> Result<run::SweepRow, String> {
         let mut trainer = run::train_trainer(self, |_, _| {})?;
         Ok(run::row_and_stats(&mut trainer, self).0)
@@ -340,6 +396,94 @@ mod tests {
         scenario.env.window_size = 1;
         assert!(scenario.validate().is_err());
         assert!(scenario.run().is_err());
+    }
+
+    /// `probe` must make the scenario fail validation with a message
+    /// naming `field`, and `run` must refuse it rather than panic or spin.
+    fn rejects(field: &str, probe: impl FnOnce(&mut TrainSpec)) {
+        let mut scenario = table4(1).unwrap();
+        probe(&mut scenario.train);
+        let err = scenario.validate().unwrap_err();
+        assert!(err.contains(field), "{field}: {err}");
+        assert!(scenario.run().is_err(), "{field}");
+    }
+
+    #[test]
+    fn zero_horizon_is_rejected() {
+        rejects("horizon", |t| t.ppo.horizon = 0);
+    }
+
+    #[test]
+    fn zero_minibatch_is_rejected() {
+        rejects("minibatch", |t| t.ppo.minibatch = 0);
+    }
+
+    #[test]
+    fn zero_epochs_per_update_is_rejected() {
+        rejects("epochs_per_update", |t| t.ppo.epochs_per_update = 0);
+    }
+
+    #[test]
+    fn zero_lanes_are_rejected() {
+        rejects("num_lanes", |t| t.ppo.num_lanes = 0);
+    }
+
+    #[test]
+    fn empty_or_zero_width_hidden_layers_are_rejected() {
+        rejects("hidden", |t| t.backbone = Backbone::Mlp { hidden: vec![] });
+        rejects("hidden", |t| {
+            t.backbone = Backbone::Mlp {
+                hidden: vec![64, 0],
+            }
+        });
+    }
+
+    #[test]
+    fn unusable_transformer_dimensions_are_rejected() {
+        rejects("dimensions", |t| {
+            t.backbone = Backbone::Transformer {
+                d_model: 32,
+                num_heads: 0,
+                ff_dim: 64,
+            }
+        });
+        rejects("divisible", |t| {
+            t.backbone = Backbone::Transformer {
+                d_model: 30,
+                num_heads: 4,
+                ff_dim: 64,
+            }
+        });
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_learning_rates_are_rejected() {
+        for lr in [0.0, -1e-3, f32::NAN, f32::INFINITY] {
+            rejects("lr", |t| t.ppo.lr = lr);
+        }
+    }
+
+    #[test]
+    fn zero_cache_geometry_is_a_decode_error() {
+        let json = table4(1).unwrap().to_json();
+        for key in ["\"num_sets\":", "\"num_ways\":"] {
+            let at = json.find(key).expect("cache geometry field") + key.len();
+            let digits = json[at..].trim_start();
+            let start = json.len() - digits.len();
+            let end = start + digits.find(|c: char| !c.is_ascii_digit()).unwrap();
+            let zeroed = format!("{}0{}", &json[..start], &json[end..]);
+            let err = Scenario::from_json(&zeroed).unwrap_err();
+            assert!(err.contains("must be positive"), "{key} {err}");
+        }
+    }
+
+    #[test]
+    fn every_registry_and_generated_scenario_validates() {
+        for scenario in all().into_iter().chain(generate(1, 512)) {
+            scenario
+                .validate()
+                .unwrap_or_else(|e| panic!("{}: {e}", scenario.name));
+        }
     }
 
     #[test]

@@ -170,11 +170,12 @@ pub fn spec_digest(scenario: &Scenario) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns an error if the scenario's environment cannot be built.
+/// Returns an error if the scenario fails [`Scenario::validate`].
 pub fn train_trainer(
     scenario: &Scenario,
     on_update: impl FnMut(u64, f32),
 ) -> Result<Trainer<CacheGuessingGame>, String> {
+    scenario.validate()?;
     let env = scenario.build_env()?;
     let mut trainer = Trainer::new(
         env,

@@ -208,3 +208,52 @@ fn malformed_request_line_gets_bad_request_and_the_connection_keeps_serving() {
     assert!(status.success(), "daemon exited {status}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn untrainable_submit_gets_bad_request_before_journaling_and_the_daemon_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!(
+        "autocat-serve-e2e-untrainable-{}",
+        std::process::id()
+    ));
+    let store = dir.join("store");
+    std::fs::create_dir_all(&store).expect("creating store dir");
+    let mut daemon = Daemon::spawn(&store);
+
+    // `minibatch: 0` used to panic the worker inside the update; now
+    // `submit`'s validation turns it away before it reaches the journal.
+    let mut bad = autocat_scenario::lookup("table4-1").expect("registry scenario");
+    bad.train.ppo.minibatch = 0;
+    let bad_file = dir.join("minibatch0.json");
+    bad.save(&bad_file).expect("writing scenario file");
+    let rejected = daemon.client_raw(&[
+        "submit",
+        "--file",
+        bad_file.to_str().expect("utf-8 path"),
+        "--steps",
+        "1",
+    ]);
+    assert!(!rejected.status.success());
+    let stderr = String::from_utf8_lossy(&rejected.stderr);
+    assert!(
+        stderr.contains("bad-request") && stderr.contains("minibatch"),
+        "{stderr}"
+    );
+    // Nothing past the journal's header line.
+    let journal =
+        std::fs::read_to_string(autocat_serve::server::journal_path(&store)).unwrap_or_default();
+    assert!(
+        journal.lines().count() <= 1,
+        "rejected job journaled:\n{journal}"
+    );
+
+    // An honest job behind it gets the first job id and finishes.
+    let submit = daemon.client(&["submit", "--scenario", "table4-1", "--steps", "1", "--wait"]);
+    assert!(submit.contains("submitted job 1"), "{submit}");
+    let status = daemon.client(&["status", "--job", "1"]);
+    assert!(status.contains("[done]"), "{status}");
+
+    daemon.client(&["shutdown"]);
+    let status = daemon.child.wait().expect("daemon exit status");
+    assert!(status.success(), "daemon exited {status}");
+    std::fs::remove_dir_all(&dir).ok();
+}
