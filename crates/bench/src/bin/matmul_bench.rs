@@ -9,8 +9,11 @@
 //!                          # agree bit-for-bit on every kernel and shape
 //! ```
 //!
-//! The gate also covers the other tier-dispatched kernel,
-//! `autocat_nn::math::tanh_in_place`, on each check shape's `m * k`
+//! The gate also covers the other tier-dispatched kernels: the sparse
+//! input layer's `SparseRows::matmul` and `SparseRows::matmul_tn` (on the
+//! CSR compaction of a mostly-zero operand, compaction included in the
+//! timing, GMAC/s counted as if dense), and
+//! `autocat_nn::math::tanh_in_place` on each check shape's `m * k`
 //! elements.
 //!
 //! Every tier at or below the dispatch tier is measured, not just the one
@@ -36,7 +39,7 @@
 use autocat::nn::math::tanh_in_place;
 use autocat::nn::matrix::with_inline_kernels;
 use autocat::nn::state::fnv1a;
-use autocat::nn::Matrix;
+use autocat::nn::{Matrix, SparseRows};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -59,14 +62,16 @@ const SHAPES: [(&str, usize, usize, usize); 4] = [
 ];
 
 /// Ragged shapes for the digest gate: off-block row counts, non-multiple
-/// -of-8 widths, and sub-block sizes that force every tail path.
-const CHECK_SHAPES: [(usize, usize, usize); 6] = [
+/// -of-8 widths, and sub-block sizes that force every tail path (89 =
+/// 64 + 16 + 8 + 1 takes each column section of the sparse forward).
+const CHECK_SHAPES: [(usize, usize, usize); 7] = [
     (4, 132, 128),
     (7, 33, 19),
     (1, 1, 1),
     (3, 8, 16),
     (13, 71, 5),
     (64, 100, 37),
+    (9, 48, 89),
 ];
 
 fn dense(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
@@ -77,8 +82,10 @@ fn dense(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     )
 }
 
-/// Mostly-zero matrix that lands in the sparse axpy path (density below
-/// `1 / Matrix::MM_SPARSE_DENSITY_RECIP`).
+/// Mostly-zero matrix, about one entry in ten nonzero, like a batch of
+/// one-hot observations: `matmul_sparse` runs the dense kernel on it (which
+/// must still equal the sparse kernels' bits), the `sparse_rows_*` kernels
+/// its CSR compaction.
 fn sparse(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     Matrix::from_vec(
         rows,
@@ -103,7 +110,7 @@ struct Kernel {
     run: fn(&Matrix, &Matrix) -> Matrix,
 }
 
-const KERNELS: [Kernel; 4] = [
+const KERNELS: [Kernel; 6] = [
     Kernel {
         name: "matmul",
         make: |m, k, n, rng| (dense(m, k, rng), dense(k, n, rng)),
@@ -123,6 +130,16 @@ const KERNELS: [Kernel; 4] = [
         name: "matmul_nt",
         make: |m, k, n, rng| (dense(m, k, rng), dense(n, k, rng)),
         run: |a, b| a.matmul_nt(b),
+    },
+    Kernel {
+        name: "sparse_rows_matmul",
+        make: |m, k, n, rng| (sparse(m, k, rng), dense(k, n, rng)),
+        run: |a, b| SparseRows::from_dense(a).matmul(b),
+    },
+    Kernel {
+        name: "sparse_rows_matmul_tn",
+        make: |m, k, n, rng| (sparse(k, m, rng), dense(k, n, rng)),
+        run: |a, b| SparseRows::from_dense(a).matmul_tn(b),
     },
 ];
 
@@ -153,10 +170,10 @@ fn bench_one(kernel: &Kernel, m: usize, k: usize, n: usize, tier: simd::Tier) ->
     (iters * m * k * n) as f64 / best / 1e9
 }
 
-/// The SIMD/scalar digest gate: every kernel (the matmuls and
-/// `tanh_in_place`) must produce bit-identical output under the detected
-/// tier and the forced scalar path, on aligned and ragged shapes. Returns
-/// the number of mismatches.
+/// The SIMD/scalar digest gate: every kernel (the dense and sparse
+/// matmuls and `tanh_in_place`) must produce bit-identical output under
+/// the detected tier and the forced scalar path, on aligned and ragged
+/// shapes. Returns the number of mismatches.
 fn run_check(tier: simd::Tier) -> usize {
     let mut mismatches = 0;
     for &(m, k, n) in &CHECK_SHAPES {
@@ -246,7 +263,7 @@ fn main() {
         }
         println!(
             "digest gate: {} tier and scalar agree bit-for-bit on {} kernel/shape pairs \
-             (matmuls and tanh)",
+             (dense and sparse matmuls, and tanh)",
             tier.name(),
             CHECK_SHAPES.len() * (KERNELS.len() + 1)
         );

@@ -3,6 +3,7 @@
 use crate::init;
 use crate::matrix::Matrix;
 use crate::param::Param;
+use crate::sparse::{self, SparseRows};
 use rand::Rng;
 
 /// A fully-connected layer computing `y = x W + b`.
@@ -14,7 +15,15 @@ pub struct Linear {
     pub w: Param,
     /// Bias row vector stored as a `(1, out_dim)` matrix.
     pub b: Param,
-    cached_input: Option<Matrix>,
+    cached_input: Option<CachedInput>,
+}
+
+/// The input a training forward saw, kept for `dW = xᵀ dy`: a dense copy,
+/// or the CSR compaction of [`Linear::forward_sparse`].
+#[derive(Clone, Debug)]
+enum CachedInput {
+    Dense(Matrix),
+    Sparse(SparseRows),
 }
 
 impl Linear {
@@ -52,15 +61,41 @@ impl Linear {
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         let mut y = x.matmul(&self.w.value);
         y.add_row_broadcast(self.b.value.as_slice());
-        self.cached_input
-            .get_or_insert_with(Matrix::default)
-            .clone_from(x);
+        match &mut self.cached_input {
+            Some(CachedInput::Dense(cached)) => cached.clone_from(x),
+            slot => *slot = Some(CachedInput::Dense(x.clone())),
+        }
         y
     }
 
     /// Forward pass without caching (inference only).
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
         let mut y = x.matmul(&self.w.value);
+        y.add_row_broadcast(self.b.value.as_slice());
+        y
+    }
+
+    /// [`Linear::forward`] for a mostly-zero input, such as a network's
+    /// one-hot observation: compacts `x` into the cached [`SparseRows`]
+    /// (reusing its storage) and multiplies only the nonzeros, here and in
+    /// the backward pass. The same bits as [`Linear::forward`] for finite
+    /// weights (see [`crate::sparse`]).
+    pub fn forward_sparse(&mut self, x: &Matrix) -> Matrix {
+        let mut csr = match self.cached_input.take() {
+            Some(CachedInput::Sparse(csr)) => csr,
+            _ => SparseRows::default(),
+        };
+        csr.compact(x);
+        let mut y = csr.matmul(&self.w.value);
+        y.add_row_broadcast(self.b.value.as_slice());
+        self.cached_input = Some(CachedInput::Sparse(csr));
+        y
+    }
+
+    /// [`Linear::forward_inference`] through the sparse kernel of
+    /// [`Linear::forward_sparse`], compacting into a per-thread buffer.
+    pub fn forward_sparse_inference(&self, x: &Matrix) -> Matrix {
+        let mut y = sparse::with_compacted(x, |csr| csr.matmul(&self.w.value));
         y.add_row_broadcast(self.b.value.as_slice());
         y
     }
@@ -87,12 +122,12 @@ impl Linear {
     ///
     /// Panics if called before `forward`.
     pub fn backward_params(&mut self, dy: &Matrix) {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("Linear::backward called before forward");
         // dW = x^T dy
-        let dw = x.matmul_tn(dy);
+        let dw = match &self.cached_input {
+            Some(CachedInput::Dense(x)) => x.matmul_tn(dy),
+            Some(CachedInput::Sparse(x)) => x.matmul_tn(dy),
+            None => panic!("Linear::backward called before forward"),
+        };
         self.w.grad.add_assign(&dw);
         // db = column sums of dy
         let db = dy.sum_rows();

@@ -7,6 +7,9 @@
 //!
 //! * [`Matrix`] — a dense row-major `f32` matrix with the linear-algebra
 //!   kernels used by the layers.
+//! * [`SparseRows`] — a CSR row batch and the two kernels (`x·W` and
+//!   `xᵀ·dy` from the nonzeros only) an MLP's input layer runs on the
+//!   one-hot observation.
 //! * [`layers`] — `Linear`, activations, `LayerNorm`, multi-head
 //!   self-attention, each with a cached forward pass and a manual backward
 //!   pass that accumulates gradients into [`Param`]s.
@@ -30,11 +33,15 @@
 //!
 //! # Design notes
 //!
-//! Everything is `f32`, dense and row-major; [`Matrix::matmul`] is
-//! register-blocked (see [`Matrix::MM_ROW_BLOCK`]) because PPO rollout
-//! throughput on this workload is dominated by small-batch policy
-//! forwards. Backward passes are hand-derived per layer; there is no tape
-//! or graph. Determinism is a hard requirement across the workspace —
+//! Everything is `f32` and row-major. Activations and weights are dense;
+//! [`Matrix::matmul`] is register-blocked (see [`Matrix::MM_ROW_BLOCK`])
+//! because PPO rollout throughput on this workload is dominated by
+//! small-batch policy forwards. The one sparse operand is the MLP's
+//! input: the observation window is a few one-hot tokens, so the input
+//! layer compacts it into [`SparseRows`] and multiplies only the nonzeros,
+//! forward and backward, with the same bits the dense kernels give (for
+//! finite weights). Backward passes are hand-derived per layer; there is
+//! no tape or graph. Determinism is a hard requirement across the workspace —
 //! same seed, same trajectories, same checkpoints — so nothing in this
 //! crate reads wall-clock time, thread identity or global RNG state.
 //!
@@ -62,6 +69,7 @@ pub mod matrix;
 pub mod models;
 pub mod optim;
 pub mod param;
+pub mod sparse;
 pub mod state;
 pub mod value;
 
@@ -70,3 +78,4 @@ pub use grad::GradBuffer;
 pub use matrix::Matrix;
 pub use optim::Adam;
 pub use param::Param;
+pub use sparse::SparseRows;

@@ -67,16 +67,6 @@ impl Matrix {
     pub const MM_ROW_BLOCK: usize = 4;
     /// Column-block size of the register-blocked [`Matrix::matmul`] kernel.
     pub const MM_COL_BLOCK: usize = 16;
-    /// Reciprocal density threshold of [`Matrix::matmul`]'s per-block
-    /// sparse/dense dispatch: a row block takes the zero-skipping axpy path
-    /// when strictly fewer than `1 / MM_SPARSE_DENSITY_RECIP` of its
-    /// entries are nonzero (one-hot observation rows hitting the first
-    /// layer), and the packed register-blocked dense kernel otherwise. The
-    /// nonzero census early-exits the moment the dense threshold is
-    /// reached, so dense blocks pay a bounded scan instead of walking the
-    /// whole block on every call.
-    pub const MM_SPARSE_DENSITY_RECIP: usize = 4;
-
     /// Creates a `rows` x `cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
@@ -226,17 +216,15 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// Hybrid kernel dispatched per block of [`Self::MM_ROW_BLOCK`] rows:
-    ///
-    /// * **Sparse row blocks** (mostly-zero inputs, e.g. one-hot
-    ///   observation encodings hitting the first layer) use a k-outer axpy
-    ///   that skips zero inputs entirely — one zero test per input value.
-    /// * **Dense row blocks** (hidden activations) are packed k-major and
-    ///   multiplied with a register-blocked kernel: [`Self::MM_COL_BLOCK`]
-    ///   output columns accumulate in registers while each loaded `other`
-    ///   value serves the whole row block, so batched forwards (many rows
-    ///   per call) amortize the weight traffic that dominates one-row
-    ///   inference.
+    /// Row blocks of [`Self::MM_ROW_BLOCK`] rows are packed k-major and
+    /// multiplied with a register-blocked kernel: [`Self::MM_COL_BLOCK`]
+    /// output columns accumulate in registers while each loaded `other`
+    /// value serves the whole row block, so batched forwards (many rows per
+    /// call) amortize the weight traffic that dominates one-row inference.
+    /// Narrow outputs (`n < MM_COL_BLOCK`: the value head, small policy
+    /// heads) have too little work per packed row to pay for the repack
+    /// and take a zero-skipping axpy instead. Sparse inputs (one-hot
+    /// observations) go through [`crate::SparseRows::matmul`].
     ///
     /// # Panics
     ///
@@ -258,8 +246,7 @@ impl Matrix {
         // Split on MM_ROW_BLOCK boundaries so every row block is grouped
         // exactly as in the serial pass: each output element is computed
         // by one thread with an unchanged instruction sequence, making the
-        // result bit-identical for every worker count (including the
-        // sparse/dense per-block dispatch, which inspects whole blocks).
+        // result bit-identical for every worker count.
         let rows_per = m.div_ceil(RB).div_ceil(workers) * RB;
         run_row_chunks(&mut out.data, rows_per, n, |i0, rows, chunk| {
             self.matmul_rows(other, i0, i0 + rows, chunk);
@@ -740,34 +727,12 @@ tiered_kernel! {
     )
 }
 
-/// Whether a [`Matrix::matmul`] row block should take the sparse axpy path:
-/// true when strictly fewer than `1 / MM_SPARSE_DENSITY_RECIP` of its
-/// entries are nonzero. Early-exits the scan once the dense threshold is
-/// reached (dense hidden activations bail out after ~len/4 entries instead
-/// of walking the whole block every call).
-#[inline(always)]
-fn block_is_sparse(block: &[f32]) -> bool {
-    // `nonzero * RECIP < len` <=> `nonzero < ceil(len / RECIP)` for
-    // integers, so counting stops at the first nonzero that decides it.
-    let dense_at = block.len().div_ceil(Matrix::MM_SPARSE_DENSITY_RECIP);
-    let mut nonzero = 0usize;
-    for &v in block {
-        if v != 0.0 {
-            nonzero += 1;
-            if nonzero >= dense_at {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Lane-wise `out[j] += a * b[j]` across a full row: 16-lane main loop,
 /// one optional 8-lane step, then an ascending scalar tail. Per output
 /// element this is exactly one mul and one add in the caller's `k` order —
 /// bit-identical to the scalar loop it replaced, at any vector width.
 #[inline(always)]
-fn axpy_row<I: Isa>(out: &mut [f32], a: f32, b: &[f32]) {
+pub(crate) fn axpy_row<I: Isa>(out: &mut [f32], a: f32, b: &[f32]) {
     let n16 = out.len() & !(I::F16::LANES - 1);
     let av16 = I::F16::splat(a);
     for (oc, bc) in out[..n16]
@@ -836,7 +801,7 @@ fn dot_canonical<I: Isa>(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Serial matmul kernel body over output rows `i0..i_end`; see
-/// [`Matrix::matmul`] for the per-block sparse/dense dispatch it applies.
+/// [`Matrix::matmul`] for the narrow/dense split it applies.
 #[inline(always)]
 fn matmul_rows_body<I: Isa>(
     a: &[f32],
@@ -848,47 +813,29 @@ fn matmul_rows_body<I: Isa>(
     out_rows: &mut [f32],
 ) {
     const RB: usize = Matrix::MM_ROW_BLOCK;
-    // Scratch for the dense kernel's k-major repack; allocated only when a
-    // multi-row block takes the dense path (one-row forwards and narrow
-    // heads never need it).
-    let mut pack: Vec<f32> = Vec::new();
-    let base = i0;
-    let mut i0 = i0;
-    while i0 < i_end {
-        let rb = RB.min(i_end - i0);
-        let block_a = &a[i0 * inner..(i0 + rb) * inner];
-        // Narrow outputs (the scalar value head, small policy heads) have
-        // too little work per packed row to amortize the dense kernel's
-        // repacking; count nonzeros only when it matters.
-        let use_axpy = n < Matrix::MM_COL_BLOCK || block_is_sparse(block_a);
-        if use_axpy {
-            // Sparse path: skip zero inputs, full-width axpy.
-            for r in 0..rb {
-                let a_row = &block_a[r * inner..(r + 1) * inner];
-                let out_row = &mut out_rows[(i0 - base + r) * n..(i0 - base + r + 1) * n];
-                for (k, &av) in a_row.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
+    if inner == 0 || n == 0 {
+        return; // the caller's output is already the empty sum, +0
+    }
+    let a = &a[i0 * inner..i_end * inner];
+    if n < Matrix::MM_COL_BLOCK {
+        for (a_row, out_row) in a.chunks_exact(inner).zip(out_rows.chunks_exact_mut(n)) {
+            for (k, &av) in a_row.iter().enumerate() {
+                if av != 0.0 {
                     axpy_row::<I>(out_row, av, &b[k * n..(k + 1) * n]);
                 }
             }
-        } else {
-            // rb == 1 has a pack-free fast path inside the kernel.
-            if rb > 1 && pack.is_empty() {
-                pack.resize(RB * inner, 0.0);
-            }
-            dense_block_matmul::<I>(
-                block_a,
-                b,
-                &mut out_rows[(i0 - base) * n..(i0 - base + rb) * n],
-                rb,
-                inner,
-                n,
-                &mut pack,
-            );
         }
-        i0 += rb;
+        return;
+    }
+    // Scratch for the k-major repack; a one-row call takes the kernel's
+    // pack-free fast path and never allocates it.
+    let mut pack: Vec<f32> = Vec::new();
+    if i_end - i0 > 1 {
+        pack.resize(RB * inner, 0.0);
+    }
+    for (block_a, out_block) in a.chunks(RB * inner).zip(out_rows.chunks_mut(RB * n)) {
+        let rb = out_block.len() / n;
+        dense_block_matmul::<I>(block_a, b, out_block, rb, inner, n, &mut pack);
     }
 }
 

@@ -98,17 +98,24 @@ impl MlpPolicy {
         }
     }
 
+    /// The trunk's inference pass. The input layer multiplies only the
+    /// observation's nonzeros ([`Linear::forward_sparse_inference`]).
     fn trunk_forward_inference(&self, obs: &Matrix) -> Matrix {
-        let mut h = obs.clone();
-        for (lin, act) in &self.trunk {
+        let ((input_layer, input_act), hidden) = self.trunk.split_first().expect("non-empty trunk");
+        let mut h = input_act.forward_inference(&input_layer.forward_sparse_inference(obs));
+        for (lin, act) in hidden {
             h = act.forward_inference(&lin.forward_inference(&h));
         }
         h
     }
 
+    /// The trunk's training pass; the input layer caches the observation's
+    /// CSR compaction ([`Linear::forward_sparse`]) for its backward.
     fn trunk_forward_train(&mut self, obs: &Matrix) -> Matrix {
-        let mut h = obs.clone();
-        for (lin, act) in &mut self.trunk {
+        let ((input_layer, input_act), hidden) =
+            self.trunk.split_first_mut().expect("non-empty trunk");
+        let mut h = input_act.forward(&input_layer.forward_sparse(obs));
+        for (lin, act) in hidden {
             h = act.forward(&lin.forward(&h));
         }
         h
@@ -266,11 +273,14 @@ mod tests {
         let _ = MlpPolicy::new(&cfg, &mut rng());
     }
 
-    /// `train_batch` as it would run with the full `backward` (input
-    /// gradient included) on every layer: the reference for the
-    /// parameter-only input-layer backward.
+    /// `train_batch` as it would run with the dense forward and the full
+    /// `backward` (input gradient included) on every layer: the reference
+    /// for the sparse input layer and its parameter-only backward.
     fn reference_train_batch(net: &mut MlpPolicy, obs: &Matrix, dl: &Matrix, dv: &Matrix) {
-        let features = net.trunk_forward_train(obs);
+        let mut features = obs.clone();
+        for (lin, act) in &mut net.trunk {
+            features = act.forward(&lin.forward(&features));
+        }
         net.policy_head.forward(&features);
         net.value_head.forward(&features);
         let mut grad = net.policy_head.backward(dl);

@@ -1,0 +1,342 @@
+//! Compressed sparse rows and the two kernels a network's input layer
+//! runs on them.
+//!
+//! AutoCAT's observation is a window of one-hot tokens (latency, action,
+//! step fraction, victim flag): at most four nonzeros per token, and an
+//! unfilled window tail is all zeros.
+//! [`SparseRows`] holds such a batch as CSR (`ptr`/`idx`/`val`), and the
+//! input layer multiplies only the nonzeros:
+//!
+//! * [`SparseRows::matmul`] — `y = x·W`. Each output element starts at
+//!   `+0` and receives `acc = w·v + acc` (multiply, then add: two
+//!   roundings) for every nonzero `v` of its row in ascending column
+//!   order. That is exactly the zero-skipping axpy order of
+//!   [`Matrix::matmul`]'s narrow path. The dense kernel differs only by
+//!   the extra products of zero inputs, which are `±0` as long as the
+//!   weights are finite, and a `±0` addend cannot change a sum that
+//!   started at `+0` (`+0 + −0 = +0`, and the sum never becomes `−0`).
+//!   So under finite weights this equals [`Matrix::matmul`] bit for bit.
+//! * [`SparseRows::matmul_tn`] — `dW = xᵀ·dy`, a scatter-add into only
+//!   the rows of a zeroed `dW` that the batch touches. Each element
+//!   accumulates over batch rows in ascending order, which is
+//!   [`Matrix::matmul_tn`]'s zero-skipping order: the two are equal bit
+//!   for bit with no assumption on the values.
+//!
+//! Compaction keeps every entry with `v != 0.0`: NaN, infinities and
+//! subnormals are kept and `−0` is dropped, exactly the entries the
+//! dense kernels' zero test skips. Both kernels are tier-dispatched
+//! through `tiered_kernel!` like the dense ones, and their tiers agree bit
+//! for bit (`matmul-bench --check` and `crates/nn/tests/sparse.rs`).
+
+use crate::matrix::{axpy_row, tiered_kernel, Matrix};
+use simd::{Isa, SimdF32x16, SimdF32x8};
+use std::cell::Cell;
+
+/// A batch of rows in compressed sparse row form: row `r`'s nonzeros are
+/// `idx[ptr[r]..ptr[r + 1]]` (ascending column indices) with values
+/// `val[..]` at the same positions.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SparseRows {
+    cols: usize,
+    ptr: Vec<u32>,
+    idx: Vec<u32>,
+    val: Vec<f32>,
+}
+
+impl Default for SparseRows {
+    /// An empty batch: zero rows, zero columns.
+    fn default() -> Self {
+        Self {
+            cols: 0,
+            ptr: vec![0],
+            idx: Vec::new(),
+            val: Vec::new(),
+        }
+    }
+}
+
+/// Width of [`SparseRows::compact`]'s zero test: one test per 16 floats,
+/// which is one token of the cache-game observation.
+const ZERO_CHUNK: usize = 16;
+
+thread_local! {
+    /// The compaction buffer [`with_compacted`] reuses across calls on
+    /// this thread. It is taken out while in use, so a nested call would
+    /// find an empty one and allocate instead of aliasing it.
+    static SCRATCH: Cell<SparseRows> = Cell::new(SparseRows::default());
+}
+
+/// Runs `f` on `x` compacted into this thread's reused [`SparseRows`]:
+/// the `&self` inference path's stand-in for a cached buffer.
+pub(crate) fn with_compacted<T>(x: &Matrix, f: impl FnOnce(&SparseRows) -> T) -> T {
+    let mut csr = SCRATCH.take();
+    csr.compact(x);
+    let out = f(&csr);
+    SCRATCH.set(csr);
+    out
+}
+
+impl SparseRows {
+    /// Compacts a dense batch (see [`SparseRows::compact`]).
+    pub fn from_dense(x: &Matrix) -> Self {
+        let mut csr = Self::default();
+        csr.compact(x);
+        csr
+    }
+
+    /// Refills this batch with the nonzeros of `x`, reusing its storage.
+    ///
+    /// Keeps every entry with `v != 0.0`, so `−0` is dropped and NaN,
+    /// infinities and subnormals are kept. A chunk of 16 floats whose bits
+    /// are all `±0` costs one test.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` has more than `u32::MAX` elements.
+    pub fn compact(&mut self, x: &Matrix) {
+        assert!(
+            u32::try_from(x.len()).is_ok(),
+            "SparseRows holds at most u32::MAX elements, got {}",
+            x.len()
+        );
+        self.cols = x.cols();
+        self.ptr.clear();
+        self.idx.clear();
+        self.val.clear();
+        self.ptr.push(0);
+        for r in 0..x.rows() {
+            let row = x.row(r);
+            self.idx.reserve(row.len());
+            self.val.reserve(row.len());
+            for (c, chunk) in row.chunks(ZERO_CHUNK).enumerate() {
+                // Shifting out the sign bit maps ±0 to 0 and every other
+                // value, NaN included, to a nonzero word.
+                if chunk.iter().fold(0, |bits, v| bits | (v.to_bits() << 1)) == 0 {
+                    continue;
+                }
+                // A bit per kept entry, then one step per set bit: no
+                // branch on the (unpredictable) position of each one-hot.
+                let mut kept = chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u32, |mask, (j, &v)| mask | (u32::from(v != 0.0) << j));
+                while kept != 0 {
+                    let j = kept.trailing_zeros() as usize;
+                    kept &= kept - 1;
+                    self.idx.push((c * ZERO_CHUNK + j) as u32);
+                    self.val.push(chunk[j]);
+                }
+            }
+            self.ptr.push(self.idx.len() as u32);
+        }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.ptr.len() - 1
+    }
+
+    /// Number of columns of the dense batch this was compacted from.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Number of stored nonzeros.
+    pub fn nnz(&self) -> usize {
+        self.idx.len()
+    }
+
+    /// Row `r`'s column indices (ascending) and values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= self.rows()`.
+    pub fn row(&self, r: usize) -> (&[u32], &[f32]) {
+        let span = self.ptr[r] as usize..self.ptr[r + 1] as usize;
+        (&self.idx[span.clone()], &self.val[span])
+    }
+
+    /// Expands back to a dense matrix (absent entries are `+0`).
+    pub fn to_dense(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.rows(), self.cols);
+        for r in 0..self.rows() {
+            let (idx, val) = self.row(r);
+            let row = out.row_mut(r);
+            for (&c, &v) in idx.iter().zip(val) {
+                row[c as usize] = v;
+            }
+        }
+        out
+    }
+
+    /// Product `self * w` from the nonzeros only; equal bit for bit to
+    /// `self.to_dense().matmul(w)` when `w` is finite (module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != w.rows()`.
+    pub fn matmul(&self, w: &Matrix) -> Matrix {
+        assert_eq!(
+            self.cols,
+            w.rows(),
+            "sparse matmul shape mismatch: {}x{} * {}x{}",
+            self.rows(),
+            self.cols,
+            w.rows(),
+            w.cols()
+        );
+        let mut out = Matrix::zeros(self.rows(), w.cols());
+        sparse_matmul_dispatch(
+            &self.ptr,
+            &self.idx,
+            &self.val,
+            w.as_slice(),
+            w.cols(),
+            out.as_mut_slice(),
+        );
+        out
+    }
+
+    /// Product `selfᵀ * dy` scattered from the nonzeros only; equal bit for
+    /// bit to `self.to_dense().matmul_tn(dy)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != dy.rows()`.
+    pub fn matmul_tn(&self, dy: &Matrix) -> Matrix {
+        assert_eq!(
+            self.rows(),
+            dy.rows(),
+            "sparse matmul_tn shape mismatch: ({}x{})^T * {}x{}",
+            self.rows(),
+            self.cols,
+            dy.rows(),
+            dy.cols()
+        );
+        let mut out = Matrix::zeros(self.cols, dy.cols());
+        sparse_matmul_tn_dispatch(
+            &self.ptr,
+            &self.idx,
+            &self.val,
+            dy.as_slice(),
+            dy.cols(),
+            out.as_mut_slice(),
+        );
+        out
+    }
+}
+
+tiered_kernel! {
+    /// Tier-dispatched [`sparse_matmul_body`] (CSR rows times dense `w`).
+    fn sparse_matmul_dispatch / sparse_matmul_body(
+        ptr: &[u32],
+        idx: &[u32],
+        val: &[f32],
+        w: &[f32],
+        n: usize,
+        out_rows: &mut [f32],
+    )
+}
+
+tiered_kernel! {
+    /// Tier-dispatched [`sparse_matmul_tn_body`] (CSR rows, transposed,
+    /// times dense `dy`).
+    fn sparse_matmul_tn_dispatch / sparse_matmul_tn_body(
+        ptr: &[u32],
+        idx: &[u32],
+        val: &[f32],
+        dy: &[f32],
+        n: usize,
+        dw: &mut [f32],
+    )
+}
+
+/// Serial `x * w` over the CSR rows `ptr` delimits (`ptr.len() - 1` rows,
+/// offsets into `idx`/`val`), writing one `n`-wide output row each. Every
+/// output element is a register accumulator that starts at `+0` and takes
+/// `w[k][j] * v + acc` for the row's nonzeros in ascending `k`. Columns go
+/// in groups of four 16-wide blocks (four independent add chains per
+/// nonzero), then single 16-wide blocks, one 8-wide block and an
+/// ascending scalar tail.
+#[inline(always)]
+fn sparse_matmul_body<I: Isa>(
+    ptr: &[u32],
+    idx: &[u32],
+    val: &[f32],
+    w: &[f32],
+    n: usize,
+    out_rows: &mut [f32],
+) {
+    const CB: usize = Matrix::MM_COL_BLOCK;
+    const G: usize = 4;
+    debug_assert_eq!(CB, I::F16::LANES);
+    if n == 0 {
+        return;
+    }
+    for (out, span) in out_rows.chunks_exact_mut(n).zip(ptr.windows(2)) {
+        let nz = span[0] as usize..span[1] as usize;
+        let (ks, vs) = (&idx[nz.clone()], &val[nz]);
+        let mut j0 = 0;
+        while j0 + G * CB <= n {
+            let mut acc = [I::F16::zero(); G];
+            for (&k, &v) in ks.iter().zip(vs) {
+                let w_row = &w[k as usize * n + j0..];
+                let v = I::F16::splat(v);
+                for (g, acc_g) in acc.iter_mut().enumerate() {
+                    *acc_g = I::F16::from_slice(&w_row[g * CB..]).mul_add(v, *acc_g);
+                }
+            }
+            for (g, acc_g) in acc.iter().enumerate() {
+                acc_g.write_to_slice(&mut out[j0 + g * CB..]);
+            }
+            j0 += G * CB;
+        }
+        while j0 + CB <= n {
+            let mut acc = I::F16::zero();
+            for (&k, &v) in ks.iter().zip(vs) {
+                acc = I::F16::from_slice(&w[k as usize * n + j0..]).mul_add(I::F16::splat(v), acc);
+            }
+            acc.write_to_slice(&mut out[j0..]);
+            j0 += CB;
+        }
+        if j0 + I::F8::LANES <= n {
+            let mut acc = I::F8::zero();
+            for (&k, &v) in ks.iter().zip(vs) {
+                acc = I::F8::from_slice(&w[k as usize * n + j0..]).mul_add(I::F8::splat(v), acc);
+            }
+            acc.write_to_slice(&mut out[j0..]);
+            j0 += I::F8::LANES;
+        }
+        for (j, o) in out.iter_mut().enumerate().skip(j0) {
+            let mut acc = 0.0f32;
+            for (&k, &v) in ks.iter().zip(vs) {
+                acc += v * w[k as usize * n + j];
+            }
+            *o = acc;
+        }
+    }
+}
+
+/// `dw += xᵀ * dy` for the CSR rows `ptr` delimits: for every batch row
+/// in order and every nonzero `(k, v)` of it, `dw[k] += v * dy[row]` as
+/// one axpy, the order of [`Matrix::matmul_tn`]'s zero-skipping kernel.
+#[inline(always)]
+fn sparse_matmul_tn_body<I: Isa>(
+    ptr: &[u32],
+    idx: &[u32],
+    val: &[f32],
+    dy: &[f32],
+    n: usize,
+    dw: &mut [f32],
+) {
+    if n == 0 {
+        return;
+    }
+    for (dy_row, span) in dy.chunks_exact(n).zip(ptr.windows(2)) {
+        let nz = span[0] as usize..span[1] as usize;
+        for (&k, &v) in idx[nz.clone()].iter().zip(&val[nz]) {
+            let k = k as usize;
+            axpy_row::<I>(&mut dw[k * n..(k + 1) * n], v, dy_row);
+        }
+    }
+}

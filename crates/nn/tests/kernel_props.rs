@@ -5,7 +5,7 @@
 //!
 //! * **Bit-exactness vs a naive reference** for the kernels whose
 //!   canonical accumulation order *is* plain ascending-`k`: `matmul`
-//!   (both its dense-block and sparse-axpy paths) and `matmul_tn`. The
+//!   (both its dense-block and narrow-output axpy paths) and `matmul_tn`. The
 //!   blocked/vectorized kernels reorder reads and pack operands, but every
 //!   output element must still accumulate its products in ascending-`k`
 //!   order with one rounding per multiply and one per add — so a scalar
@@ -18,9 +18,11 @@
 //!
 //! B operands are generated without exact zeros so no product can be a
 //! signed zero, which makes "skip zero `a` entries" and "include them"
-//! bit-equivalent — the sparse-axpy and dense-block paths may then be
-//! dispatched per row block without the reference having to predict the
-//! choice.
+//! bit-equivalent: the narrow axpy path skips zero inputs and the dense
+//! kernel multiplies them, and the naive loop reproduces both. The
+//! `matmul_sparse` property holds the dense kernel to naive on mostly-zero
+//! inputs too: the MLP's CSR input layer (`tests/sparse.rs`) is held to the
+//! dense kernel's bits on exactly such inputs.
 
 use autocat_nn::matrix::with_inline_kernels;
 use autocat_nn::state::fnv1a;
@@ -44,9 +46,7 @@ fn dense(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     Matrix::from_vec(rows, cols, (0..rows * cols).map(|_| nonzero(rng)).collect())
 }
 
-/// ~1-in-10 nonzero entries: comfortably under the dense-dispatch
-/// threshold on average, but individual row blocks may still cross it —
-/// both kernel paths get exercised across cases.
+/// ~1-in-10 nonzero entries, like a batch of one-hot observations.
 fn sparse(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     Matrix::from_vec(
         rows,

@@ -24,13 +24,11 @@ use rand::rngs::StdRng;
 
 /// Lanes per fused rollout group ([`VecEnv::step_pipelined`]).
 ///
-/// This must be a multiple of [`Matrix::MM_ROW_BLOCK`]: the dense matmul
-/// kernel picks its sparse/dense path per `MM_ROW_BLOCK`-row block, so
-/// group boundaries on that grid guarantee every block a group forward
-/// sees is exactly a block the full-batch forward would see — which is
-/// what makes the fused collect bit-identical to one whole-batch
-/// `net.forward` per step. One kernel row block per group is the finest
-/// (most overlap-friendly) legal split.
+/// One [`Matrix::MM_ROW_BLOCK`] of rows: each group forward fills the
+/// dense matmul kernel's packed multi-row block, and this is the finest
+/// (most overlap-friendly) split that does. Every kernel computes an
+/// output row the same way whatever rows share its call, so the fused
+/// collect is bit-identical to one whole-batch `net.forward` per step.
 const FUSED_GROUP_LANES: usize = Matrix::MM_ROW_BLOCK;
 
 /// A batch of transitions collected from the environment, with advantages
