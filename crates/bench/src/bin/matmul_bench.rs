@@ -52,19 +52,29 @@ const MACS_PER_REP: usize = 1 << 27;
 /// Benchmark shapes `(label, m, k, n)` for `A(m,k) * B(k,n)`; transposed
 /// kernels reuse the same operand volumes. The first two mirror the real
 /// workload (a fused rollout group forward and a training minibatch
-/// against the default 128-wide MLP trunk); the rest probe square and
-/// wide-reduction regimes.
-const SHAPES: [(&str, usize, usize, usize); 4] = [
+/// against the default 128-wide MLP trunk); the next two probe square and
+/// wide-reduction regimes. The last two are the policy head of a
+/// 64-wide trunk on one 32-row gradient shard: its forward (11 outputs,
+/// narrower than one column block, as `matmul`) and its input gradient
+/// `dx = dy·Wᵀ` (as `matmul_nt`).
+const SHAPES: [(&str, usize, usize, usize); 6] = [
     ("group_fwd_4x132x128", 4, 132, 128),
     ("train_256x128x128", 256, 128, 128),
     ("square_128", 128, 128, 128),
     ("deep_k_64x512x64", 64, 512, 64),
+    ("head_fwd_32x64x11", 32, 64, 11),
+    ("head_dx_32x11x64", 32, 11, 64),
 ];
 
 /// Ragged shapes for the digest gate: off-block row counts, non-multiple
 /// -of-8 widths, and sub-block sizes that force every tail path (89 =
 /// 64 + 16 + 8 + 1 takes each column section of the sparse forward).
-const CHECK_SHAPES: [(usize, usize, usize); 7] = [
+/// Then the real head shapes of a 64-wide trunk: the value head (1 output)
+/// and the policy head (11) on a 32-row gradient shard, an 8-lane rollout
+/// step, one-row inference and a whole 256-row minibatch, all narrower
+/// than one column block; and the heads' `dx = dy·Wᵀ` on a shard, which
+/// `matmul_nt` runs 16 outputs at a time.
+const CHECK_SHAPES: [(usize, usize, usize); 14] = [
     (4, 132, 128),
     (7, 33, 19),
     (1, 1, 1),
@@ -72,6 +82,13 @@ const CHECK_SHAPES: [(usize, usize, usize); 7] = [
     (13, 71, 5),
     (64, 100, 37),
     (9, 48, 89),
+    (32, 64, 1),
+    (32, 64, 11),
+    (8, 64, 1),
+    (1, 64, 11),
+    (256, 64, 11),
+    (32, 1, 64),
+    (32, 11, 64),
 ];
 
 fn dense(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {

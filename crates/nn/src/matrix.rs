@@ -21,15 +21,25 @@
 //!   *columns*, so each output element still accumulates its products in
 //!   ascending-`k` order — unchanged from the pre-SIMD scalar kernels.
 //! * [`Matrix::matmul_nt`]: each output element is `dot_canonical` —
-//!   8-lane partial sums over `k` (lane `l` holds `k ≡ l (mod 8)`),
-//!   combined with [`simd::f32x8::reduce_add`]'s fixed tree, then the
-//!   ascending scalar tail. This order replaced the old linear-`k` scalar
-//!   order when the kernels were vectorized; training digests were
+//!   8-lane partial sums over `k` (lane `l` holds `k ≡ l (mod 8)`) in four
+//!   stripes, combined with [`simd::f32x8::reduce_add`]'s fixed tree, then
+//!   the ascending scalar tail. This order replaced the old linear-`k`
+//!   scalar order when the kernels were vectorized; training digests were
 //!   re-pinned once at that point.
+//!
+//! Outputs narrower than one 16-lane vector (the policy and value heads)
+//! keep these orders with full vectors: `matmul` runs its register-blocked
+//! kernel over one 16-wide block and drops the dead columns, `matmul_tn`
+//! computes the transposed product so its axpys span the wide side, and
+//! `matmul_nt` evaluates `dot_canonical` for 16 outputs at once. The
+//! operand copies and packs these need live in per-thread scratch that is
+//! reused across calls.
 
 use simd::{Isa, SimdF32x16, SimdF32x8};
+use std::cell::Cell;
 use std::fmt;
 use std::ops::{Index, IndexMut};
+use std::thread::LocalKey;
 
 /// A dense row-major matrix of `f32` values.
 ///
@@ -222,9 +232,15 @@ impl Matrix {
     /// value serves the whole row block, so batched forwards (many rows per
     /// call) amortize the weight traffic that dominates one-row inference.
     /// Narrow outputs (`n < MM_COL_BLOCK`: the value head, small policy
-    /// heads) have too little work per packed row to pay for the repack
-    /// and take a zero-skipping axpy instead. Sparse inputs (one-hot
-    /// observations) go through [`crate::SparseRows::matmul`].
+    /// heads) run the same kernel as one `MM_COL_BLOCK`-wide block over a
+    /// copy of `other` with a zero tail, and keep the `n` live columns.
+    ///
+    /// Every output element starts at `+0` and takes `a·b + acc` for each
+    /// `k` in ascending order, zero inputs included. A zero input's product
+    /// is `±0` while `other` is finite, and a `±0` addend cannot change a
+    /// sum that started at `+0`, so the result also equals the
+    /// zero-skipping order of [`crate::SparseRows::matmul`], which sparse
+    /// inputs (one-hot observations) go through.
     ///
     /// # Panics
     ///
@@ -236,39 +252,65 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         const RB: usize = Matrix::MM_ROW_BLOCK;
+        const CB: usize = Matrix::MM_COL_BLOCK;
         let (m, inner, n) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(m, n);
-        let workers = parallel_workers(m.div_ceil(RB), 2 * m * inner * n);
-        if workers <= 1 {
-            self.matmul_rows(other, 0, m, &mut out.data);
-            return out;
+        if inner == 0 || n == 0 {
+            return out; // every element is the empty sum, +0
         }
-        // Split on MM_ROW_BLOCK boundaries so every row block is grouped
-        // exactly as in the serial pass: each output element is computed
-        // by one thread with an unchanged instruction sequence, making the
-        // result bit-identical for every worker count.
-        let rows_per = m.div_ceil(RB).div_ceil(workers) * RB;
-        run_row_chunks(&mut out.data, rows_per, n, |i0, rows, chunk| {
-            self.matmul_rows(other, i0, i0 + rows, chunk);
-        });
+        // Chunks split on MM_ROW_BLOCK boundaries, so every row block is
+        // grouped exactly as in the serial pass.
+        let flops = 2 * m * inner * n;
+        let mut run = |b: &[f32]| {
+            run_rows(m, RB, n, flops, &mut out.data, |i0, i_end, chunk| {
+                self.matmul_rows(b, n, i0, i_end, chunk);
+            });
+        };
+        if n >= CB {
+            run(&other.data);
+        } else {
+            // The narrow kernel reads each row of `other` as one 16-lane
+            // vector; the lanes past its end, and past the last row into a
+            // zero tail, are dropped.
+            with_scratch(&OPERAND_SCRATCH, other.len() + CB, |copy| {
+                copy[..other.len()].copy_from_slice(&other.data);
+                run(copy);
+            });
+        }
         out
     }
 
     /// Serial matmul kernel over output rows `i0..i_end`, writing into the
-    /// caller's slice of those rows (`(i_end - i0) * n` values).
-    fn matmul_rows(&self, other: &Matrix, i0: usize, i_end: usize, out_rows: &mut [f32]) {
-        matmul_rows_dispatch(
-            &self.data,
-            &other.data,
-            self.cols,
-            other.cols,
-            i0,
-            i_end,
-            out_rows,
-        );
+    /// caller's slice of those rows (`(i_end - i0) * n` values). `b` is
+    /// `other`'s data, followed by a zero tail when `n < MM_COL_BLOCK`. The
+    /// pack and the narrow path's staged block come from this thread's
+    /// scratch.
+    fn matmul_rows(&self, b: &[f32], n: usize, i0: usize, i_end: usize, out_rows: &mut [f32]) {
+        const RB: usize = Matrix::MM_ROW_BLOCK;
+        const CB: usize = Matrix::MM_COL_BLOCK;
+        // A one-row call takes the kernel's pack-free fast path.
+        let pack = if i_end - i0 > 1 { RB * self.cols } else { 0 };
+        let staged = if n < CB { RB * CB } else { 0 };
+        with_scratch(&KERNEL_SCRATCH, pack + staged, |work| {
+            let (pack, staged) = work.split_at_mut(pack);
+            let (a, inner) = (&self.data, self.cols);
+            if n >= CB {
+                matmul_rows_dispatch(a, b, inner, n, i0, i_end, out_rows, pack);
+            } else {
+                matmul_narrow_rows_dispatch(a, b, inner, n, i0, i_end, out_rows, pack, staged);
+            }
+        });
     }
 
     /// Matrix product `self^T * other` without materializing the transpose.
+    ///
+    /// Each output element starts at `+0` and accumulates its products in
+    /// ascending shared-row order, skipping zero `self` entries. A narrow
+    /// `other` (`n < MM_COL_BLOCK`: the heads' `dW = hᵀ·dy`) is computed
+    /// as `(otherᵀ·self)ᵀ` instead, in this thread's scratch, so each axpy
+    /// runs across the wide side. That skips zero `other` entries rather
+    /// than zero `self` entries: the same bits while both operands are
+    /// finite (see [`Matrix::matmul`]).
     ///
     /// # Panics
     ///
@@ -279,20 +321,28 @@ impl Matrix {
             "matmul_tn shape mismatch: ({}x{})^T * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        let n = other.cols;
-        let workers = parallel_workers(self.cols, 2 * self.rows * self.cols * n);
-        if workers <= 1 {
-            self.matmul_tn_cols(other, 0, self.cols, &mut out.data);
+        let (k, m, n) = (self.rows, self.cols, other.cols);
+        let mut out = Matrix::zeros(m, n);
+        if k == 0 || m == 0 || n == 0 {
+            return out; // every element is the empty sum, +0
+        }
+        let flops = 2 * k * m * n;
+        if n >= Matrix::MM_COL_BLOCK {
+            run_rows(m, 1, n, flops, &mut out.data, |i0, i_end, chunk| {
+                self.matmul_tn_cols(other, i0, i_end, chunk);
+            });
             return out;
         }
-        // Each output row is one column of `self`; a worker owns a
-        // contiguous column range and performs, per output element, the
-        // same k-ascending accumulation the serial loop does — bit-exact
-        // for every worker count.
-        let rows_per = self.cols.div_ceil(workers);
-        run_row_chunks(&mut out.data, rows_per, n, |i0, rows, chunk| {
-            self.matmul_tn_cols(other, i0, i0 + rows, chunk);
+        // Narrow: (otherᵀ·self)ᵀ, so each axpy runs across the wide side.
+        with_scratch(&OPERAND_SCRATCH, n * m, |swapped| {
+            run_rows(n, 1, m, flops, swapped, |j0, j_end, chunk| {
+                other.matmul_tn_cols(self, j0, j_end, chunk);
+            });
+            for (j, col) in swapped.chunks_exact(m).enumerate() {
+                for (out_row, &v) in out.data.chunks_exact_mut(n).zip(col) {
+                    out_row[j] = v;
+                }
+            }
         });
         out
     }
@@ -314,11 +364,18 @@ impl Matrix {
 
     /// Matrix product `self * other^T` without materializing the transpose.
     ///
-    /// Each output element is a `dot_canonical` product over the shared
-    /// `k` axis: 8-lane SIMD partial sums combined with the shim's fixed
-    /// reduction tree, then an ascending scalar tail. That order is the
-    /// *definition* of this kernel's result — identical across tiers,
-    /// thread counts, and the scalar-fallback build.
+    /// Each output element is the striped dot product over the shared `k`
+    /// axis that `dot_canonical` documents: 8-lane partial sums in four
+    /// stripes, combined in a fixed tree, then an ascending tail. That
+    /// order is the *definition* of this kernel's result — identical
+    /// across tiers, thread counts, and the scalar-fallback build.
+    ///
+    /// With at least [`Self::MM_COL_BLOCK`] rows and outputs, the kernel
+    /// evaluates that order for 16 outputs at once (`dot_canonical_lanes`)
+    /// against `other^T`, copied into this thread's scratch as 16-wide
+    /// panels. The copy is one scalar pass over `other`, which fewer rows
+    /// do not amortize, and fewer outputs would leave most lanes idle; such
+    /// shapes take one `dot_canonical` per output element instead.
     ///
     /// # Panics
     ///
@@ -329,32 +386,47 @@ impl Matrix {
             "matmul_nt shape mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        let n = other.rows;
-        let workers = parallel_workers(self.rows, 2 * self.rows * self.cols * n);
-        if workers <= 1 {
-            self.matmul_nt_rows(other, 0, self.rows, &mut out.data);
+        const CB: usize = Matrix::MM_COL_BLOCK;
+        let (m, cols, n) = (self.rows, self.cols, other.rows);
+        let mut out = Matrix::zeros(m, n);
+        if cols == 0 || n == 0 {
+            return out; // every element is the empty sum, +0
+        }
+        let flops = 2 * m * cols * n;
+        if m < CB || n < CB {
+            run_rows(m, 1, n, flops, &mut out.data, |i0, i_end, chunk| {
+                matmul_nt_dispatch(&self.data, cols, &other.data, n, i0, i_end, chunk);
+            });
             return out;
         }
-        let rows_per = self.rows.div_ceil(workers);
-        run_row_chunks(&mut out.data, rows_per, n, |i0, rows, chunk| {
-            self.matmul_nt_rows(other, i0, i0 + rows, chunk);
+        with_scratch(&OPERAND_SCRATCH, cols * n.next_multiple_of(CB), |panels| {
+            other.pack_nt_panels(panels);
+            let panels = &*panels;
+            run_rows(m, 1, n, flops, &mut out.data, |i0, i_end, chunk| {
+                matmul_nt_panels_dispatch(&self.data, cols, panels, n, i0, i_end, chunk);
+            });
         });
         out
     }
 
-    /// Serial `self * other^T` kernel over output rows `i0..i_end`,
-    /// writing into the caller's slice of those rows.
-    fn matmul_nt_rows(&self, other: &Matrix, i0: usize, i_end: usize, out_rows: &mut [f32]) {
-        matmul_nt_dispatch(
-            &self.data,
-            self.cols,
-            &other.data,
-            other.rows,
-            i0,
-            i_end,
-            out_rows,
-        );
+    /// Writes `self^T` into the zeroed `out` as column panels of
+    /// [`Self::MM_COL_BLOCK`] rows of `self` each: panel `p` holds rows
+    /// `16p..16p + 16` k-major (`out[p * cols * 16 + k * 16 + j] =
+    /// self[16p + j][k]`), zero-padded past the last row. This is the
+    /// operand layout [`Matrix::matmul_nt`]'s kernel reads.
+    fn pack_nt_panels(&self, out: &mut [f32]) {
+        const CB: usize = Matrix::MM_COL_BLOCK;
+        for (rows, panel) in self
+            .data
+            .chunks(CB * self.cols)
+            .zip(out.chunks_exact_mut(CB * self.cols))
+        {
+            for (j, row) in rows.chunks_exact(self.cols).enumerate() {
+                for (&v, dst) in row.iter().zip(panel.chunks_exact_mut(CB)) {
+                    dst[j] = v;
+                }
+            }
+        }
     }
 
     /// Returns the transpose.
@@ -574,7 +646,35 @@ thread_local! {
     /// would queue behind the whole-shard tasks in the pool's shared FIFO,
     /// so the caller would end up running them itself, one by one, with
     /// the dispatch overhead on top.
-    static FORCE_INLINE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static FORCE_INLINE: Cell<bool> = const { Cell::new(false) };
+}
+
+thread_local! {
+    /// A reshaped copy of one kernel operand, built on the calling thread
+    /// and read by every worker of the call: [`Matrix::matmul`]'s narrow
+    /// `other` with a zero tail, [`Matrix::matmul_nt`]'s `other^T` panels
+    /// and [`Matrix::matmul_tn`]'s swapped narrow product.
+    static OPERAND_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+    /// The workspace of one serial [`Matrix::matmul`] row range: the
+    /// k-major pack and the narrow path's staged output block.
+    static KERNEL_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on this thread's `key` buffer, zeroed to `len` elements. The
+/// buffer keeps its capacity across calls, so the kernels stop allocating
+/// once a thread has seen its largest shape. It is taken out while in
+/// use: a nested call on the same key allocates instead of aliasing it.
+fn with_scratch<T>(
+    key: &'static LocalKey<Cell<Vec<f32>>>,
+    len: usize,
+    f: impl FnOnce(&mut [f32]) -> T,
+) -> T {
+    let mut buf = key.take();
+    buf.clear();
+    buf.resize(len, 0.0);
+    let out = f(&mut buf);
+    key.set(buf);
+    out
 }
 
 /// Runs `f` with this thread's parallel kernel dispatch disabled: every
@@ -630,6 +730,31 @@ fn run_row_chunks(
         if let Some(chunk) = first {
             work(0, chunk.len() / n, chunk);
         }
+    });
+}
+
+/// Runs a row-range kernel `kernel(i0, i_end, chunk)` over all `rows`
+/// output rows of `out` (`n` values each, about `flops` scalar operations
+/// in all): inline, or split across the pool into chunks whose sizes are
+/// multiples of `align` rows. A kernel computes each output row alone, with
+/// the same instruction sequence wherever its chunk starts, so the split
+/// never changes bits.
+fn run_rows(
+    rows: usize,
+    align: usize,
+    n: usize,
+    flops: usize,
+    out: &mut [f32],
+    kernel: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
+    let workers = parallel_workers(rows.div_ceil(align), flops);
+    if workers <= 1 {
+        kernel(0, rows, out);
+        return;
+    }
+    let rows_per = rows.div_ceil(align).div_ceil(workers) * align;
+    run_row_chunks(out, rows_per, n, |i0, chunk_rows, chunk| {
+        kernel(i0, i0 + chunk_rows, chunk);
     });
 }
 
@@ -697,6 +822,23 @@ tiered_kernel! {
         i0: usize,
         i_end: usize,
         out_rows: &mut [f32],
+        pack: &mut [f32],
+    )
+}
+
+tiered_kernel! {
+    /// Tier-dispatched [`matmul_narrow_rows_body`] (serial `a * b` over a
+    /// row range, for `b` narrower than one column block).
+    fn matmul_narrow_rows_dispatch / matmul_narrow_rows_body(
+        a: &[f32],
+        b: &[f32],
+        inner: usize,
+        n: usize,
+        i0: usize,
+        i_end: usize,
+        out_rows: &mut [f32],
+        pack: &mut [f32],
+        staged: &mut [f32],
     )
 }
 
@@ -720,6 +862,20 @@ tiered_kernel! {
         a: &[f32],
         cols: usize,
         b: &[f32],
+        n: usize,
+        i0: usize,
+        i_end: usize,
+        out_rows: &mut [f32],
+    )
+}
+
+tiered_kernel! {
+    /// Tier-dispatched [`matmul_nt_panels_body`] (serial `a * b^T` over a
+    /// row range, against `b^T` in 16-wide panels).
+    fn matmul_nt_panels_dispatch / matmul_nt_panels_body(
+        a: &[f32],
+        cols: usize,
+        panels: &[f32],
         n: usize,
         i0: usize,
         i_end: usize,
@@ -758,13 +914,16 @@ pub(crate) fn axpy_row<I: Isa>(out: &mut [f32], a: f32, b: &[f32]) {
 /// Canonical dot product defining [`Matrix::matmul_nt`]'s result.
 ///
 /// Four `f32x8` stripe accumulators: 8-element chunk `c` of the shared
-/// axis accumulates into stripe `c mod 4` (the stripes exist to break the
-/// loop-carried add-latency chain a single accumulator would serialize
-/// on). The stripes then combine **lane-wise** in the fixed pair order
-/// `((s0+s1) + (s2+s3))`, the 8 lanes collapse via
-/// [`f32x8::reduce_add`]'s fixed tree, and the sub-chunk scalar tail is
-/// added in ascending `k` order. Every step is pinned, so the result is
-/// identical across tiers, thread counts, and the scalar-fallback build.
+/// axis accumulates into stripe `c mod 4` as `a·b + acc` from `+0` (the
+/// stripes exist to break the loop-carried add-latency chain a single
+/// accumulator would serialize on). The stripes then combine **lane-wise**
+/// in the fixed pair order `((s0+s1) + (s2+s3))`, the 8 lanes collapse via
+/// [`simd::SimdF32x8::reduce_add`]'s fixed tree
+/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))`, and the sub-chunk tail is
+/// added as `sum + a·b` in ascending `k` order. Every step is pinned, so
+/// the result is identical across tiers, thread counts, and the
+/// scalar-fallback build; [`dot_canonical_lanes`] computes the same order
+/// for 16 outputs at once.
 #[inline(always)]
 fn dot_canonical<I: Isa>(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -800,9 +959,79 @@ fn dot_canonical<I: Isa>(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// Serial matmul kernel body over output rows `i0..i_end`; see
-/// [`Matrix::matmul`] for the narrow/dense split it applies.
+/// [`dot_canonical`] evaluated for 16 outputs at once: lane `j` of the
+/// result is the canonical dot product of `a` and `b_j`, where
+/// `panel[k * 16 + j]` holds `b_j[k]`.
+///
+/// Per output, element `k` of 8-element chunk `c = k / 8` accumulates
+/// into stripe `c mod 4`, lane `k mod 8`, as `a·b + acc` from `+0`
+/// (the four stripes break the loop-carried add chain). The stripes
+/// combine per lane as `(s0+s1) + (s2+s3)`, the 8 lanes in the fixed tree
+/// `((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7))` (the order of
+/// [`simd::SimdF32x8::reduce_add`]), and the sub-chunk tail is added as
+/// `sum + a·b` in ascending `k`. Under 8 elements every accumulator is
+/// `+0`, so the tree is `+0` and only the tail remains. Every step and
+/// operand order is pinned, so the result is identical across tiers,
+/// thread counts and the scalar-fallback build.
 #[inline(always)]
+fn dot_canonical_lanes<I: Isa>(a: &[f32], panel: &[f32]) -> I::F16 {
+    const L: usize = 8;
+    const CB: usize = Matrix::MM_COL_BLOCK;
+    let k8 = a.len() / L * L;
+    let mut sum = I::F16::zero();
+    if k8 > 0 {
+        // Plain `#[inline(always)]` calls, not closures: a closure is a
+        // separate function that need not inline into the
+        // `#[target_feature]` wrapper, and outside it the vector types
+        // compile to slow emulation.
+        let lo = (stripe_lane::<I>(a, panel, 0) + stripe_lane::<I>(a, panel, 1))
+            + (stripe_lane::<I>(a, panel, 2) + stripe_lane::<I>(a, panel, 3));
+        let hi = (stripe_lane::<I>(a, panel, 4) + stripe_lane::<I>(a, panel, 5))
+            + (stripe_lane::<I>(a, panel, 6) + stripe_lane::<I>(a, panel, 7));
+        sum = lo + hi;
+    }
+    for (&x, b) in a[k8..].iter().zip(panel[k8 * CB..].chunks_exact(CB)) {
+        sum = sum + I::F16::splat(x) * I::F16::from_slice(b);
+    }
+    sum
+}
+
+/// Lane `l` of [`dot_canonical_lanes`]'s 8-lane partial sums, for 16
+/// outputs: its four stripes accumulated over every full chunk, then
+/// combined as `(s0+s1) + (s2+s3)`.
+#[inline(always)]
+fn stripe_lane<I: Isa>(a: &[f32], panel: &[f32], l: usize) -> I::F16 {
+    const S: usize = 4;
+    const L: usize = 8;
+    const CB: usize = Matrix::MM_COL_BLOCK;
+    let mut acc = [I::F16::zero(); S];
+    // Main loop: S chunks per iteration, one per stripe.
+    let a_groups = a.chunks_exact(S * L);
+    let (a_rest, panel_rest) = (
+        a_groups.remainder(),
+        &panel[a.len() / (S * L) * S * L * CB..],
+    );
+    for (ag, pg) in a_groups.zip(panel.chunks_exact(S * L * CB)) {
+        for (s, acc_s) in acc.iter_mut().enumerate() {
+            let k = s * L + l;
+            *acc_s = I::F16::splat(ag[k]).mul_add(I::F16::from_slice(&pg[k * CB..]), *acc_s);
+        }
+    }
+    // Leftover full chunks keep the rule: chunk c -> stripe c mod 4.
+    for (acc_s, (ac, pc)) in acc
+        .iter_mut()
+        .zip(a_rest.chunks_exact(L).zip(panel_rest.chunks_exact(L * CB)))
+    {
+        *acc_s = I::F16::splat(ac[l]).mul_add(I::F16::from_slice(&pc[l * CB..]), *acc_s);
+    }
+    (acc[0] + acc[1]) + (acc[2] + acc[3])
+}
+
+/// Serial matmul kernel body over output rows `i0..i_end`: every row
+/// block goes through [`dense_block_matmul`], with `pack` as its k-major
+/// repack (empty for a one-row call).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // flat-slice kernel ABI: dims are positional
 fn matmul_rows_body<I: Isa>(
     a: &[f32],
     b: &[f32],
@@ -811,31 +1040,46 @@ fn matmul_rows_body<I: Isa>(
     i0: usize,
     i_end: usize,
     out_rows: &mut [f32],
+    pack: &mut [f32],
 ) {
     const RB: usize = Matrix::MM_ROW_BLOCK;
-    if inner == 0 || n == 0 {
-        return; // the caller's output is already the empty sum, +0
-    }
     let a = &a[i0 * inner..i_end * inner];
-    if n < Matrix::MM_COL_BLOCK {
-        for (a_row, out_row) in a.chunks_exact(inner).zip(out_rows.chunks_exact_mut(n)) {
-            for (k, &av) in a_row.iter().enumerate() {
-                if av != 0.0 {
-                    axpy_row::<I>(out_row, av, &b[k * n..(k + 1) * n]);
-                }
-            }
-        }
-        return;
-    }
-    // Scratch for the k-major repack; a one-row call takes the kernel's
-    // pack-free fast path and never allocates it.
-    let mut pack: Vec<f32> = Vec::new();
-    if i_end - i0 > 1 {
-        pack.resize(RB * inner, 0.0);
-    }
     for (block_a, out_block) in a.chunks(RB * inner).zip(out_rows.chunks_mut(RB * n)) {
         let rb = out_block.len() / n;
-        dense_block_matmul::<I>(block_a, b, out_block, rb, inner, n, &mut pack);
+        dense_block_matmul::<I>(block_a, b, out_block, rb, inner, n, n, pack);
+    }
+}
+
+/// [`matmul_rows_body`] for a narrow `n < MM_COL_BLOCK`, run as one
+/// `MM_COL_BLOCK`-wide block: row `k`'s 16 lanes are read from
+/// `b[k * n..]`, so lanes past `n` hold the next rows' values (`b` ends
+/// in a zero tail for the last rows) and are dropped. Each block's output
+/// lands in `staged` and only its `n` live columns are kept. A kernel of
+/// its own: inlined beside the wide loop in one function, it cost that
+/// loop a register and 20–30% on wide shapes.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // flat-slice kernel ABI: dims are positional
+fn matmul_narrow_rows_body<I: Isa>(
+    a: &[f32],
+    b: &[f32],
+    inner: usize,
+    n: usize,
+    i0: usize,
+    i_end: usize,
+    out_rows: &mut [f32],
+    pack: &mut [f32],
+    staged: &mut [f32],
+) {
+    const RB: usize = Matrix::MM_ROW_BLOCK;
+    const CB: usize = Matrix::MM_COL_BLOCK;
+    let a = &a[i0 * inner..i_end * inner];
+    for (block_a, out_block) in a.chunks(RB * inner).zip(out_rows.chunks_mut(RB * n)) {
+        let rb = out_block.len() / n;
+        let staged = &mut staged[..rb * CB];
+        dense_block_matmul::<I>(block_a, b, staged, rb, inner, CB, n, pack);
+        for (dst, src) in out_block.chunks_exact_mut(n).zip(staged.chunks_exact(CB)) {
+            dst.copy_from_slice(&src[..n]);
+        }
     }
 }
 
@@ -888,8 +1132,42 @@ fn matmul_nt_body<I: Isa>(
     }
 }
 
+/// Serial `a * b^T` kernel body over output rows `i0..i_end`. `panels`
+/// holds `b^T` as [`Matrix::MM_COL_BLOCK`]-wide column panels (see
+/// [`Matrix::pack_nt_panels`]): each run of 16 outputs of a row is one
+/// [`dot_canonical_lanes`] against its panel, and a last partial run keeps
+/// only its live lanes. Panels go outermost so one stays in cache across
+/// the rows.
+#[inline(always)]
+fn matmul_nt_panels_body<I: Isa>(
+    a: &[f32],
+    cols: usize,
+    panels: &[f32],
+    n: usize,
+    i0: usize,
+    i_end: usize,
+    out_rows: &mut [f32],
+) {
+    const CB: usize = Matrix::MM_COL_BLOCK;
+    let a = &a[i0 * cols..i_end * cols];
+    for (j0, panel) in (0..n).step_by(CB).zip(panels.chunks_exact(cols * CB)) {
+        let live = (n - j0).min(CB);
+        for (a_row, out_row) in a.chunks_exact(cols).zip(out_rows.chunks_exact_mut(n)) {
+            let dots = dot_canonical_lanes::<I>(a_row, panel);
+            if live == CB {
+                dots.write_to_slice(&mut out_row[j0..]);
+            } else {
+                let mut staged = [0.0f32; CB];
+                dots.write_to_slice(&mut staged);
+                out_row[j0..].copy_from_slice(&staged[..live]);
+            }
+        }
+    }
+}
+
 /// Dense register-blocked micro-kernel behind [`Matrix::matmul`]: computes
-/// `out_block = a_block * b` for a block of `rb <= MM_ROW_BLOCK` rows.
+/// `out_block = a_block * b` for a block of `rb <= MM_ROW_BLOCK` rows and
+/// `n` output columns, reading row `k` of `b` at `b[k * ldb..]`.
 /// `a_block` is repacked k-major into `pack` so the inner loop reads it
 /// contiguously; one 16-lane accumulator per row covers a full
 /// [`Matrix::MM_COL_BLOCK`]-column block (a 512-bit register each on the
@@ -899,6 +1177,7 @@ fn matmul_nt_body<I: Isa>(
 /// every output element accumulates in ascending-`k` order regardless of
 /// which section it lands in (and of the vector width that carries it).
 #[inline(always)]
+#[allow(clippy::too_many_arguments)] // flat-slice kernel ABI: dims are positional
 fn dense_block_matmul<I: Isa>(
     a_block: &[f32],
     b: &[f32],
@@ -906,6 +1185,7 @@ fn dense_block_matmul<I: Isa>(
     rb: usize,
     inner: usize,
     n: usize,
+    ldb: usize,
     pack: &mut [f32],
 ) {
     const RB: usize = Matrix::MM_ROW_BLOCK;
@@ -921,7 +1201,7 @@ fn dense_block_matmul<I: Isa>(
         while j0 + CB <= n {
             let mut acc = I::F16::zero();
             for (k, &a) in a_row.iter().enumerate() {
-                acc = I::F16::from_slice(&b[k * n + j0..]).mul_add(I::F16::splat(a), acc);
+                acc = I::F16::from_slice(&b[k * ldb + j0..]).mul_add(I::F16::splat(a), acc);
             }
             acc.write_to_slice(&mut out_block[j0..]);
             j0 += CB;
@@ -929,7 +1209,7 @@ fn dense_block_matmul<I: Isa>(
         if j0 + L <= n {
             let mut acc = I::F8::zero();
             for (k, &a) in a_row.iter().enumerate() {
-                acc = I::F8::from_slice(&b[k * n + j0..]).mul_add(I::F8::splat(a), acc);
+                acc = I::F8::from_slice(&b[k * ldb + j0..]).mul_add(I::F8::splat(a), acc);
             }
             acc.write_to_slice(&mut out_block[j0..]);
             j0 += L;
@@ -937,7 +1217,7 @@ fn dense_block_matmul<I: Isa>(
         for (j, out) in out_block.iter_mut().enumerate().skip(j0) {
             let mut acc = 0.0f32;
             for (k, &a) in a_row.iter().enumerate() {
-                acc += a * b[k * n + j];
+                acc += a * b[k * ldb + j];
             }
             *out = acc;
         }
@@ -955,7 +1235,7 @@ fn dense_block_matmul<I: Isa>(
     while j0 + CB <= n {
         let mut acc = [I::F16::zero(); RB];
         for (k, av) in pack.chunks_exact(RB).enumerate() {
-            let bv = I::F16::from_slice(&b[k * n + j0..]);
+            let bv = I::F16::from_slice(&b[k * ldb + j0..]);
             for (acc_r, &a) in acc.iter_mut().zip(av.iter()) {
                 *acc_r = bv.mul_add(I::F16::splat(a), *acc_r);
             }
@@ -968,7 +1248,7 @@ fn dense_block_matmul<I: Isa>(
     if j0 + L <= n {
         let mut acc = [I::F8::zero(); RB];
         for (k, av) in pack.chunks_exact(RB).enumerate() {
-            let bv = I::F8::from_slice(&b[k * n + j0..]);
+            let bv = I::F8::from_slice(&b[k * ldb + j0..]);
             for (acc_r, &a) in acc.iter_mut().zip(av.iter()) {
                 *acc_r = bv.mul_add(I::F8::splat(a), *acc_r);
             }
@@ -981,7 +1261,7 @@ fn dense_block_matmul<I: Isa>(
     for j in j0..n {
         let mut acc = [0.0f32; RB];
         for (k, av) in pack.chunks_exact(RB).enumerate() {
-            let bv = b[k * n + j];
+            let bv = b[k * ldb + j];
             for (acc_r, &a) in acc.iter_mut().zip(av.iter()) {
                 *acc_r += a * bv;
             }
@@ -1068,7 +1348,7 @@ mod tests {
             let mut out = Matrix::zeros(a.rows(), b.cols());
             let n = b.cols();
             run_row_chunks(out.as_mut_slice(), rows_per, n, |i0, rows, chunk| {
-                a.matmul_rows(&b, i0, i0 + rows, chunk);
+                a.matmul_rows(b.as_slice(), n, i0, i0 + rows, chunk);
             });
             assert_bits_eq(&out, &serial, "matmul");
         }
@@ -1087,14 +1367,42 @@ mod tests {
             assert_bits_eq(&out, &serial, "matmul_tn");
         }
 
-        let c = scrambled(14, 13, 5);
-        let serial = a.matmul_nt(&c);
-        for rows_per in [1usize, 4, 19] {
-            let mut out = Matrix::zeros(a.rows(), c.rows());
-            run_row_chunks(out.as_mut_slice(), rows_per, c.rows(), |i0, rows, chunk| {
-                a.matmul_nt_rows(&c, i0, i0 + rows, chunk);
-            });
-            assert_bits_eq(&out, &serial, "matmul_nt");
+        // 19 rows against 14 and 37 outputs: the per-output kernel and
+        // the panel kernel (three panels, the last one partial). Both
+        // kernels must give every chunking the serial bytes.
+        for c in [scrambled(14, 13, 5), scrambled(37, 13, 6)] {
+            let serial = a.matmul_nt(&c);
+            let n = c.rows();
+            let mut panels = vec![0.0; c.cols() * n.next_multiple_of(Matrix::MM_COL_BLOCK)];
+            c.pack_nt_panels(&mut panels);
+            for rows_per in [1usize, 4, 19] {
+                let mut out = Matrix::zeros(a.rows(), n);
+                run_row_chunks(out.as_mut_slice(), rows_per, n, |i0, rows, chunk| {
+                    matmul_nt_dispatch(
+                        a.as_slice(),
+                        a.cols(),
+                        c.as_slice(),
+                        n,
+                        i0,
+                        i0 + rows,
+                        chunk,
+                    );
+                });
+                assert_bits_eq(&out, &serial, "matmul_nt");
+                let mut out = Matrix::zeros(a.rows(), n);
+                run_row_chunks(out.as_mut_slice(), rows_per, n, |i0, rows, chunk| {
+                    matmul_nt_panels_dispatch(
+                        a.as_slice(),
+                        a.cols(),
+                        &panels,
+                        n,
+                        i0,
+                        i0 + rows,
+                        chunk,
+                    );
+                });
+                assert_bits_eq(&out, &serial, "matmul_nt panels");
+            }
         }
     }
 

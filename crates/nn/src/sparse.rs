@@ -10,17 +10,20 @@
 //! * [`SparseRows::matmul`] — `y = x·W`. Each output element starts at
 //!   `+0` and receives `acc = w·v + acc` (multiply, then add: two
 //!   roundings) for every nonzero `v` of its row in ascending column
-//!   order. That is exactly the zero-skipping axpy order of
-//!   [`Matrix::matmul`]'s narrow path. The dense kernel differs only by
-//!   the extra products of zero inputs, which are `±0` as long as the
+//!   order: the zero-skipping axpy order. The dense [`Matrix::matmul`]
+//!   differs only by the extra products of zero inputs, which are `±0` as
+//!   long as the
 //!   weights are finite, and a `±0` addend cannot change a sum that
 //!   started at `+0` (`+0 + −0 = +0`, and the sum never becomes `−0`).
 //!   So under finite weights this equals [`Matrix::matmul`] bit for bit.
 //! * [`SparseRows::matmul_tn`] — `dW = xᵀ·dy`, a scatter-add into only
 //!   the rows of a zeroed `dW` that the batch touches. Each element
 //!   accumulates over batch rows in ascending order, which is
-//!   [`Matrix::matmul_tn`]'s zero-skipping order: the two are equal bit
-//!   for bit with no assumption on the values.
+//!   [`Matrix::matmul_tn`]'s zero-skipping order: for a `dy` at least
+//!   [`Matrix::MM_COL_BLOCK`] wide the two are equal bit for bit with no
+//!   assumption on the values. A narrower `dy` takes `matmul_tn`'s swapped
+//!   path, which skips zero `dy` entries instead, so there they are equal
+//!   for finite values.
 //!
 //! Compaction keeps every entry with `v != 0.0`: NaN, infinities and
 //! subnormals are kept and `−0` is dropped, exactly the entries the
@@ -198,7 +201,7 @@ impl SparseRows {
     }
 
     /// Product `selfᵀ * dy` scattered from the nonzeros only; equal bit for
-    /// bit to `self.to_dense().matmul_tn(dy)`.
+    /// bit to `self.to_dense().matmul_tn(dy)` (module docs).
     ///
     /// # Panics
     ///
@@ -319,7 +322,8 @@ fn sparse_matmul_body<I: Isa>(
 
 /// `dw += xᵀ * dy` for the CSR rows `ptr` delimits: for every batch row
 /// in order and every nonzero `(k, v)` of it, `dw[k] += v * dy[row]` as
-/// one axpy, the order of [`Matrix::matmul_tn`]'s zero-skipping kernel.
+/// one axpy, the order of [`Matrix::matmul_tn`]'s zero-skipping kernel
+/// for a wide `dy`.
 #[inline(always)]
 fn sparse_matmul_tn_body<I: Isa>(
     ptr: &[u32],
