@@ -98,6 +98,22 @@ echo "==> smoke: matmul-bench digest gate (SIMD vs scalar kernels, bit for bit)"
 # the kernel property suite.
 cargo run --release -q -p autocat-bench --bin matmul-bench -- --check
 
+echo "==> smoke: train-bench digest gate (8 lanes, 8 shards, 1 and 2 threads)"
+# The grouped rollout, the sharded update and the fused reduce and Adam
+# passes at the lane and shard counts attack-fr trains with: both thread
+# counts must end on the recorded weights. train-bench itself fails if
+# the rows disagree; this pins them to the recorded digest as well.
+TRAIN_BENCH_DIGEST=a9b90874b644e35b
+TRAIN_BENCH_OUT=$(cargo run --release -q -p autocat-bench --bin train-bench -- \
+    --scenario table4-6 --steps 16384 --lanes 8 --shards 8 --threads-list 1,2)
+echo "$TRAIN_BENCH_OUT"
+for threads in 1 2; do
+    if ! grep -qE "^ +$threads +16384 .* $TRAIN_BENCH_DIGEST\$" <<<"$TRAIN_BENCH_OUT"; then
+        echo "error: train-bench at $threads thread(s) did not print $TRAIN_BENCH_DIGEST" >&2
+        exit 1
+    fi
+done
+
 echo "==> smoke: scenario-run trains table4-6 for a short budget"
 cargo run --release -q -p autocat-bench --bin scenario-run -- \
     --scenario table4-6 --steps 4096 --lanes 2 --shards 2

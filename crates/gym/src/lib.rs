@@ -55,7 +55,7 @@ pub use env::{backend_from_spec, CacheEnv, CacheGuessingGame};
 pub use hardware::{HardwareProfile, NoiseModel, SimulatedProcessor};
 pub use multi::{MultiGuessConfig, MultiGuessEnv};
 pub use obs::ObsEncoder;
-pub use vecenv::{lane_seed, FinishedEpisode, LaneStep, VecEnv};
+pub use vecenv::{lane_seed, FinishedEpisode, LaneGroup, LaneStep, VecEnv};
 
 use rand::rngs::StdRng;
 

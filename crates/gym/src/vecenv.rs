@@ -4,8 +4,18 @@
 //! stepping a single environment means a full network pass per transition.
 //! [`VecEnv`] drives N independent [`Environment`] instances ("lanes") so
 //! the trainer can run **one batched forward of N observation rows per
-//! step** and amortize the per-call cost N-fold, with lane stepping spread
-//! across threads via `rayon::scope` when more than one core is available.
+//! step** and amortize the per-call cost N-fold.
+//!
+//! Two ways to step lanes:
+//!
+//! * [`VecEnv::step_each`] steps every lane once per call, spreading the
+//!   lanes across the rayon pool. It is the reference schedule.
+//! * [`VecEnv::run_groups`] hands contiguous lane groups to a caller's
+//!   closure as the tasks of **one** `rayon::scope`, and each task steps
+//!   its group for as many steps as it likes. Rollout collection runs its
+//!   whole horizon this way: per group and step, a batched forward, a
+//!   sample per lane, a step per lane. The pool synchronizes once per
+//!   rollout instead of once per step.
 //!
 //! Determinism contract:
 //!
@@ -16,7 +26,8 @@
 //!   identical to the historical single-environment path.
 //! * **Multiple lanes**: each lane owns an RNG stream derived from the
 //!   VecEnv seed, so trajectories are reproducible for a fixed
-//!   `(seed, num_lanes)` regardless of worker-thread count or scheduling.
+//!   `(seed, num_lanes)` regardless of worker-thread count, lane grouping
+//!   or scheduling.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -346,94 +357,122 @@ impl<E: Environment + Send> VecEnv<E> {
             .collect()
     }
 
-    /// Steps every lane once with a fused per-group *prepare* stage,
-    /// overlapping batched policy inference with environment stepping.
+    /// Runs `work` once per contiguous group of `group_len` lanes (the
+    /// last group may be shorter), handing group `g` the `g`-th entry of
+    /// `tasks`. Within a group, `work` may step its lanes any number of
+    /// times through [`LaneGroup::step`].
     ///
-    /// Lanes are partitioned into contiguous groups of `group_len` (the
-    /// last group may be shorter). For each group, `prepare(base_lane,
-    /// group_obs, group_rows)` runs first with the group's pre-step
-    /// observations flattened row-major (rollout collection runs the
-    /// batched policy forward here), then `choose(&ctx, local_row,
-    /// lane_rng)` picks each lane's action from the prepared context and
-    /// the lane steps. Groups are distributed across rayon workers, so one
-    /// group's `prepare` overlaps other groups' environment stepping —
-    /// unlike [`VecEnv::step_each`], where the caller must finish one
-    /// whole-batch forward before any lane can move.
-    ///
-    /// Determinism: every random draw comes from the same per-lane streams
-    /// (or, with one lane, the caller's RNG in [`VecEnv::step_each`]'s
-    /// scalar-compatible order), so trajectories are bit-identical to
-    /// `step_each` for **any** `group_len` and any worker count — provided
-    /// `prepare` itself is group-local and draws no randomness. Callers
-    /// whose `prepare` is batch-size-sensitive (blocked matmul kernels)
-    /// should pick `group_len` on the kernel's row-block boundary; see
-    /// `autocat_ppo::rollout`.
+    /// With one lane, `work` runs inline on the calling thread and the lane
+    /// draws from `rng`, as [`VecEnv::step_each`] does: the pool is neither
+    /// started nor used. With more lanes, every lane draws from its own
+    /// stream and the groups are the tasks of one `rayon::scope`, group 0
+    /// on the calling thread. So as long as `work` computes a group's steps
+    /// from that group's lanes and its task alone, the results do not
+    /// depend on `group_len`, the worker count or the schedule.
     ///
     /// # Panics
     ///
-    /// Panics if `group_len` is zero.
-    pub fn step_pipelined<A, G, P, C>(
-        &mut self,
-        group_len: usize,
-        prepare: P,
-        choose: C,
-        rng: &mut StdRng,
-    ) -> Vec<LaneStep<A>>
+    /// Panics if `group_len` is zero or `tasks` does not hold one entry per
+    /// group.
+    pub fn run_groups<T, W>(&mut self, group_len: usize, tasks: Vec<T>, rng: &mut StdRng, work: W)
     where
-        A: Send,
-        P: Fn(usize, &[f32], usize) -> G + Sync,
-        C: Fn(&G, usize, &mut StdRng) -> (usize, A) + Sync,
+        T: Send,
+        W: Fn(LaneGroup<'_, E>, T) + Sync,
     {
         assert!(group_len > 0, "group_len must be positive");
+        assert_eq!(
+            tasks.len(),
+            self.lanes.len().div_ceil(group_len),
+            "run_groups needs one task per lane group"
+        );
+        let mut tasks = tasks.into_iter();
         if self.is_scalar_compat() {
-            let lane = &mut self.lanes[0];
-            let ctx = prepare(0, &lane.obs, 1);
-            let (action, payload) = choose(&ctx, 0, rng);
-            return vec![lane.step(action, payload, rng)];
-        }
-        let obs_dim = self.obs_dim();
-        let mut results: Vec<Option<LaneStep<A>>> = Vec::new();
-        results.resize_with(self.lanes.len(), || None);
-        {
-            let prepare = &prepare;
-            let choose = &choose;
-            let run_group = move |base: usize,
-                                  lanes: &mut [Lane<E>],
-                                  out: &mut [Option<LaneStep<A>>]| {
-                // Snapshot this group's observations before stepping
-                // mutates them; groups own disjoint lane ranges, so the
-                // concatenation over groups equals a pre-step obs_flat().
-                let mut group_obs = Vec::with_capacity(lanes.len() * obs_dim);
-                for lane in lanes.iter() {
-                    group_obs.extend_from_slice(&lane.obs);
-                }
-                let ctx = prepare(base, &group_obs, lanes.len());
-                for (local, (lane, slot)) in lanes.iter_mut().zip(out.iter_mut()).enumerate() {
-                    let mut lane_rng = std::mem::replace(&mut lane.rng, StdRng::seed_from_u64(0));
-                    let (action, payload) = choose(&ctx, local, &mut lane_rng);
-                    *slot = Some(lane.step(action, payload, &mut lane_rng));
-                    lane.rng = lane_rng;
-                }
+            let group = LaneGroup {
+                lanes: &mut self.lanes,
+                master: Some(rng),
             };
-            let mut lane_chunks = self.lanes.chunks_mut(group_len);
-            let mut result_chunks = results.chunks_mut(group_len);
-            // The caller participates: group 0 runs inline on this thread,
-            // then helps the pool workers pipeline the rest.
-            let first = lane_chunks.next().zip(result_chunks.next());
-            rayon::scope(|scope| {
-                for (group_idx, (lanes, out)) in lane_chunks.zip(result_chunks).enumerate() {
-                    let base = (group_idx + 1) * group_len;
-                    scope.spawn(move |_| run_group(base, lanes, out));
-                }
-                if let Some((lanes, out)) = first {
-                    run_group(0, lanes, out);
-                }
-            });
+            work(group, tasks.next().expect("one task for the one lane"));
+            return;
         }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every lane must be stepped"))
-            .collect()
+        let mut groups = self
+            .lanes
+            .chunks_mut(group_len)
+            .zip(tasks)
+            .map(|(lanes, task)| {
+                let group = LaneGroup {
+                    lanes,
+                    master: None,
+                };
+                (group, task)
+            });
+        let work = &work;
+        // The caller participates: group 0 runs inline on this thread and
+        // the scope's wait helps with whatever the workers have not taken.
+        let first = groups.next();
+        rayon::scope(|scope| {
+            for (group, task) in groups {
+                scope.spawn(move |_| work(group, task));
+            }
+            if let Some((group, task)) = first {
+                work(group, task);
+            }
+        });
+    }
+}
+
+/// A contiguous run of lanes that one [`VecEnv::run_groups`] task steps.
+pub struct LaneGroup<'a, E> {
+    lanes: &'a mut [Lane<E>],
+    /// The caller's RNG in scalar-compatible mode (one lane); otherwise
+    /// each lane draws from its own stream.
+    master: Option<&'a mut StdRng>,
+}
+
+impl<E: Environment> LaneGroup<'_, E> {
+    /// Number of lanes in the group (at least one).
+    pub fn len(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// Always `false`: a group holds at least one lane.
+    pub fn is_empty(&self) -> bool {
+        self.lanes.is_empty()
+    }
+
+    /// Writes the group's current observations into `out`, row-major:
+    /// `len()` rows of `obs_dim` columns, the group's slice of
+    /// [`VecEnv::obs_flat`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` does not hold exactly `len() * obs_dim` values.
+    pub fn write_obs(&self, out: &mut [f32]) {
+        let obs_dim = self.lanes[0].obs.len();
+        assert_eq!(out.len(), self.lanes.len() * obs_dim, "obs buffer size");
+        for (row, lane) in out.chunks_exact_mut(obs_dim).zip(self.lanes.iter()) {
+            row.copy_from_slice(&lane.obs);
+        }
+    }
+
+    /// Steps lane `local` of the group once. `choose` maps the lane's RNG
+    /// to the action index plus a payload, as in [`VecEnv::step_each`];
+    /// a lane that finishes its episode auto-resets.
+    pub fn step<A>(
+        &mut self,
+        local: usize,
+        choose: impl FnOnce(&mut StdRng) -> (usize, A),
+    ) -> LaneStep<A> {
+        let lane = &mut self.lanes[local];
+        match self.master.as_deref_mut() {
+            Some(rng) => {
+                let (action, payload) = choose(rng);
+                lane.step(action, payload, rng)
+            }
+            None => lane.with_own_rng(|lane, rng| {
+                let (action, payload) = choose(rng);
+                lane.step(action, payload, rng)
+            }),
+        }
     }
 }
 
@@ -620,75 +659,112 @@ mod tests {
         assert!((f.episode_return - (r1 + r2 + s[0].reward)).abs() < 1e-6);
     }
 
-    #[test]
-    fn pipelined_step_matches_step_each_for_any_group_len() {
+    /// A stand-in for a batched policy forward: one score per row that
+    /// depends on that row alone, as every network kernel guarantees.
+    fn row_scores(rows: &[f32], obs_dim: usize) -> Vec<f32> {
+        rows.chunks_exact(obs_dim)
+            .map(|row| {
+                row.iter()
+                    .enumerate()
+                    .fold(0.0f32, |acc, (i, &x)| acc * 1.0001 + x * (i as f32 + 0.5))
+            })
+            .collect()
+    }
+
+    /// An action from a row's score and a draw from the lane's RNG, so a
+    /// wrong score, row or RNG stream changes the trajectory.
+    fn pick(score: f32, num_actions: usize, lane_rng: &mut StdRng) -> (usize, f32) {
         use rand::Rng;
-        // Fused stepping must be bit-identical to step_each regardless of
-        // how lanes are grouped (full, partial-last, degenerate groups).
-        for group_len in [1usize, 2, 3, 4, 8] {
-            let mut plain = VecEnv::new(5, game(), 33).unwrap();
-            let mut fused = VecEnv::new(5, game(), 33).unwrap();
-            let num_actions = plain.num_actions();
-            let obs_dim = plain.obs_dim();
-            let (mut ma, mut mb) = (rng(4), rng(4));
-            plain.reset_all(&mut ma);
-            fused.reset_all(&mut mb);
-            for _ in 0..64 {
-                let pre_step_obs = fused.obs_flat();
-                let ra = plain.step_each(
-                    |_, lane_rng| (lane_rng.gen_range(0..num_actions), ()),
-                    &mut ma,
-                );
-                let rb = fused.step_pipelined(
-                    group_len,
-                    |base, group_obs, group_rows| {
-                        // prepare sees this group's *pre-step* observations.
-                        assert_eq!(group_obs.len(), group_rows * obs_dim);
-                        let lo = base * obs_dim;
-                        assert_eq!(group_obs, &pre_step_obs[lo..lo + group_obs.len()]);
-                    },
-                    |_, _, lane_rng| (lane_rng.gen_range(0..num_actions), ()),
-                    &mut mb,
-                );
-                assert_eq!(ra, rb, "group_len={group_len}");
+        let draw = lane_rng.gen_range(0..num_actions);
+        ((draw + score.to_bits() as usize) % num_actions, score)
+    }
+
+    /// One group's pre-step observations and step results, per step.
+    type GroupRecord = Vec<(Vec<f32>, Vec<LaneStep<f32>>)>;
+
+    #[test]
+    fn whole_horizon_groups_match_step_each_with_one_batch_forward_per_step() {
+        use rand::Rng;
+        // The runner against the reference schedule: per step, one
+        // whole-batch forward over obs_flat, then step_each. Lane counts
+        // leave ragged last groups (3, 5, 9 over groups of 2 and 4), groups
+        // of one lane, and one group wider than every lane count.
+        for lanes in [1usize, 2, 3, 4, 5, 8, 9] {
+            for steps in [1usize, 7] {
+                for group_len in [1usize, 2, 4, 16] {
+                    let mut plain = VecEnv::new(lanes, game(), 33).unwrap();
+                    let mut grouped = VecEnv::new(lanes, game(), 33).unwrap();
+                    let num_actions = plain.num_actions();
+                    let obs_dim = plain.obs_dim();
+                    let (mut ma, mut mb) = (rng(4), rng(4));
+                    plain.reset_all(&mut ma);
+                    grouped.reset_all(&mut mb);
+
+                    let mut want = Vec::new();
+                    for _ in 0..steps {
+                        let obs = plain.obs_flat();
+                        let scores = row_scores(&obs, obs_dim);
+                        let results = plain.step_each(
+                            |lane, lane_rng| pick(scores[lane], num_actions, lane_rng),
+                            &mut ma,
+                        );
+                        want.push((obs, results));
+                    }
+
+                    // Each group records its steps into its own task; the
+                    // caller reassembles them time-major.
+                    let groups = lanes.div_ceil(group_len);
+                    let mut got: Vec<GroupRecord> = (0..groups).map(|_| Vec::new()).collect();
+                    let tasks: Vec<_> = got.iter_mut().collect();
+                    grouped.run_groups(group_len, tasks, &mut mb, |mut group, record| {
+                        for _ in 0..steps {
+                            let mut obs = vec![0.0; group.len() * obs_dim];
+                            group.write_obs(&mut obs);
+                            let scores = row_scores(&obs, obs_dim);
+                            let results = (0..group.len())
+                                .map(|local| {
+                                    group.step(local, |lane_rng| {
+                                        pick(scores[local], num_actions, lane_rng)
+                                    })
+                                })
+                                .collect();
+                            record.push((obs, results));
+                        }
+                    });
+                    for (t, (obs, results)) in want.iter().enumerate() {
+                        let got_obs: Vec<f32> =
+                            got.iter().flat_map(|g| g[t].0.iter().copied()).collect();
+                        let got_steps: Vec<LaneStep<f32>> =
+                            got.iter().flat_map(|g| g[t].1.iter().copied()).collect();
+                        let what =
+                            format!("lanes={lanes} steps={steps} group_len={group_len} t={t}");
+                        assert_eq!(&got_obs, obs, "{what}: pre-step observations");
+                        assert_eq!(&got_steps, results, "{what}");
+                    }
+                    // With one lane both schedules drew from the caller's
+                    // RNG; with more, neither touched it after reset_all.
+                    assert_eq!(ma.gen::<u64>(), mb.gen::<u64>(), "lanes={lanes}");
+                    assert_eq!(plain.rng_states(), grouped.rng_states());
+                }
             }
         }
     }
 
     #[test]
-    fn pipelined_step_is_scalar_compatible_at_one_lane() {
-        use rand::Rng;
-        // With a single lane the pipelined step must consume the caller's
-        // RNG exactly like step_each (the scalar-compat contract), so a
-        // trailing draw from each master RNG still agrees.
-        let mut plain = VecEnv::new(1, game(), 12).unwrap();
-        let mut fused = VecEnv::new(1, game(), 12).unwrap();
-        let num_actions = plain.num_actions();
-        let (mut ma, mut mb) = (rng(8), rng(8));
-        plain.reset_all(&mut ma);
-        fused.reset_all(&mut mb);
-        for _ in 0..64 {
-            let ra = plain.step_each(
-                |_, lane_rng| (lane_rng.gen_range(0..num_actions), ()),
-                &mut ma,
-            );
-            let rb = fused.step_pipelined(
-                1,
-                |_, _, _| (),
-                |_, _, lane_rng| (lane_rng.gen_range(0..num_actions), ()),
-                &mut mb,
-            );
-            assert_eq!(ra, rb);
-        }
-        assert_eq!(ma.gen::<u64>(), mb.gen::<u64>());
-    }
-
-    #[test]
     #[should_panic(expected = "group_len must be positive")]
-    fn pipelined_step_rejects_zero_group_len() {
+    fn run_groups_rejects_zero_group_len() {
         let mut venv = VecEnv::new(2, game(), 1).unwrap();
         let mut master = rng(0);
         venv.reset_all(&mut master);
-        let _ = venv.step_pipelined(0, |_, _, _| (), |_, _, _| (0, ()), &mut master);
+        venv.run_groups(0, Vec::<()>::new(), &mut master, |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "one task per lane group")]
+    fn run_groups_rejects_a_task_count_mismatch() {
+        let mut venv = VecEnv::new(5, game(), 1).unwrap();
+        let mut master = rng(0);
+        venv.reset_all(&mut master);
+        venv.run_groups(4, vec![(); 1], &mut master, |_, _| {});
     }
 }

@@ -4,34 +4,43 @@
 //! against its own model replica on a worker thread, then reduces the
 //! shards' gradients into the primary model **in fixed shard order** so
 //! the result is bit-identical no matter how many threads did the work.
-//! This module provides the three pieces that makes possible:
+//! This module provides the pieces that make that possible:
 //!
-//! * [`GradBuffer`] — a detached copy of a model's accumulated gradients,
-//!   harvested from a replica after its backward pass
-//!   ([`GradBuffer::harvest_into`] refills an existing buffer in place);
-//! * [`GradBuffer::accumulate_into`] — the fixed-order reduction step,
-//!   adding a shard's buffer into a model's live gradients;
+//! * [`reduce_grads`] — the fixed-order reduction: adds each shard's
+//!   gradient tensors (swapped out of its replica, not copied) into a
+//!   model's live gradients in one SIMD pass, and returns the squared
+//!   global norm of the result from the same pass, which the optimizer's
+//!   clip reads (with no shards it is the norm alone);
 //! * [`snapshot_param_values`] / [`load_param_values`] — weight
 //!   synchronization, so every replica computes against the exact bytes
 //!   the primary model holds ([`snapshot_param_values_into`] reuses a
-//!   snapshot buffer).
+//!   snapshot buffer);
+//! * [`GradBuffer`] — a detached copy of a model's gradients with a
+//!   one-shard-at-a-time [`GradBuffer::accumulate_into`]. The trainer no
+//!   longer uses it; it stays as the reference the benchmark's update
+//!   probe and the reduction tests run.
 //!
 //! Everything here works through the same visitor idiom as
 //! [`crate::optim::clip_global_grad_norm`]: the caller passes a closure
 //! that applies a `FnMut(&mut Param)` to every parameter (models expose
 //! `visit_params`), which keeps this module independent of any concrete
 //! backbone. The visitation order is the model's fixed parameter walk, so
-//! a buffer harvested from a replica always lines up with the primary it
-//! was cloned from.
+//! tensors taken from a replica always line up with the primary it was
+//! cloned from.
 
-use crate::matrix::Matrix;
+use crate::matrix::{tiered_kernel, Matrix};
 use crate::param::Param;
+use simd::{Isa, SimdF32x16, SimdF32x8};
 
 /// The visitor signature models expose as `visit_params`.
 type ParamVisitor<'a> = dyn FnMut(&mut Param) + 'a;
 
 /// A detached copy of every gradient tensor of one model, in parameter
 /// visitation order.
+///
+/// The trainer reduces shards with [`reduce_grads`] instead; this type
+/// remains as the reference the benchmark's update probe calls and the
+/// reduction tests compare against.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GradBuffer {
     grads: Vec<Matrix>,
@@ -48,7 +57,7 @@ impl GradBuffer {
 
     /// [`GradBuffer::harvest`] into this buffer, reusing its tensors'
     /// storage: no allocation once it has held the same model's gradients.
-    pub fn harvest_into(&mut self, visit: impl FnMut(&mut ParamVisitor)) {
+    fn harvest_into(&mut self, visit: impl FnMut(&mut ParamVisitor)) {
         copy_params_into(&mut self.grads, |p| &p.grad, visit);
     }
 
@@ -84,6 +93,105 @@ impl GradBuffer {
     pub fn num_tensors(&self) -> usize {
         self.grads.len()
     }
+}
+
+/// Adds every shard's gradient tensors into a model's live gradients, in
+/// shard order, and returns the squared global L2 norm of the result.
+///
+/// `shards` holds one tensor list per shard, each in the model's
+/// parameter visitation order. Per element the result is
+/// `((g + s₁) + s₂) + …`, exactly what one [`GradBuffer::accumulate_into`]
+/// per shard computes, so the reduction order is fixed by the shard
+/// order alone. The norm is summed per tensor as one scalar chain
+/// `((+0 + r₀²) + r₁²) + …` in ascending element order, and the tensor
+/// sums are added in visitation order: the sequence
+/// [`crate::optim::clip_global_grad_norm`] uses, which calls this with no
+/// shards.
+///
+/// # Panics
+///
+/// Panics if a shard does not match the model's parameter walk (tensor
+/// count or shape) — a programming error, as for
+/// [`GradBuffer::accumulate_into`].
+pub fn reduce_grads(shards: &[&[Matrix]], mut visit: impl FnMut(&mut ParamVisitor)) -> f32 {
+    let mut sources: Vec<&[f32]> = Vec::with_capacity(shards.len());
+    let mut sq_sum = 0.0f32;
+    let mut index = 0usize;
+    visit(&mut |p: &mut Param| {
+        sources.clear();
+        for shard in shards {
+            let tensor = shard
+                .get(index)
+                .expect("shard has fewer tensors than the model");
+            assert_eq!(
+                (tensor.rows(), tensor.cols()),
+                (p.grad.rows(), p.grad.cols()),
+                "shard tensor {index} shape mismatch"
+            );
+            sources.push(tensor.as_slice());
+        }
+        sq_sum += reduce_sq_sum(p.grad.as_mut_slice(), &sources);
+        index += 1;
+    });
+    for shard in shards {
+        assert_eq!(shard.len(), index, "shard has more tensors than the model");
+    }
+    sq_sum
+}
+
+tiered_kernel! {
+    /// Tier-dispatched [`reduce_sq_sum_body`].
+    fn reduce_sq_sum / reduce_sq_sum_body(dst: &mut [f32], sources: &[&[f32]]) -> f32
+}
+
+/// Adds `sources` into `dst` one after another and returns the sum of the
+/// squares of the result. Vectorised across elements (16 lanes, one
+/// optional 8-lane step, then a scalar tail), so each element still sees
+/// its adds in source order; the squares go into one scalar chain in
+/// ascending element order, which no vector width can reorder.
+#[inline(always)]
+fn reduce_sq_sum_body<I: Isa>(dst: &mut [f32], sources: &[&[f32]]) -> f32 {
+    let len = dst.len();
+    for src in sources {
+        assert_eq!(src.len(), len, "reduce source length mismatch");
+    }
+    let mut sq_sum = 0.0f32;
+    let mut squares = [0.0f32; 16];
+    let n16 = len & !(I::F16::LANES - 1);
+    let mut j = 0;
+    while j < n16 {
+        let mut acc = I::F16::from_slice(&dst[j..]);
+        for src in sources {
+            acc = acc + I::F16::from_slice(&src[j..]);
+        }
+        acc.write_to_slice(&mut dst[j..]);
+        (acc * acc).write_to_slice(&mut squares);
+        for &sq in &squares {
+            sq_sum += sq;
+        }
+        j += I::F16::LANES;
+    }
+    if j + I::F8::LANES <= len {
+        let mut acc = I::F8::from_slice(&dst[j..]);
+        for src in sources {
+            acc = acc + I::F8::from_slice(&src[j..]);
+        }
+        acc.write_to_slice(&mut dst[j..]);
+        (acc * acc).write_to_slice(&mut squares);
+        for &sq in &squares[..I::F8::LANES] {
+            sq_sum += sq;
+        }
+        j += I::F8::LANES;
+    }
+    for (i, out) in dst.iter_mut().enumerate().skip(j) {
+        let mut x = *out;
+        for src in sources {
+            x += src[i];
+        }
+        *out = x;
+        sq_sum += x * x;
+    }
+    sq_sum
 }
 
 /// Copies every parameter *value* out of a model, in visitation order
@@ -244,6 +352,107 @@ mod tests {
             f(&mut b);
         });
         assert_eq!(values, fresh);
+    }
+
+    /// Every tier this build and CPU can run, the scalar tier included.
+    fn tiers() -> Vec<simd::Tier> {
+        [simd::Tier::Scalar, simd::Tier::Avx2, simd::Tier::Avx512]
+            .into_iter()
+            .filter(|&t| t <= simd::tier())
+            .collect()
+    }
+
+    /// Gradient-like values with `±0`, subnormals and rounding-sensitive
+    /// magnitudes mixed in.
+    fn awkward(len: usize, seed: u64) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let unit = (state >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+                match state % 11 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => unit * 1e-39,
+                    3 => unit * 1e7,
+                    _ => unit,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reduce_grads_matches_accumulate_then_norm_on_every_tier() {
+        // Lengths hit the empty tensor, the scalar tail alone, the 8-lane
+        // step, full 16-lane blocks and every combination of the three.
+        let shapes: Vec<(usize, usize)> = (0..=40)
+            .map(|n| (1, n))
+            .chain([(7, 9), (64, 11), (33, 17)])
+            .collect();
+        let params = |seed: u64| -> Vec<Param> {
+            shapes
+                .iter()
+                .enumerate()
+                .map(|(i, &(r, c))| {
+                    let mut p = Param::zeros(r, c);
+                    p.grad = Matrix::from_vec(r, c, awkward(r * c, seed * 1000 + i as u64));
+                    p
+                })
+                .collect()
+        };
+        for sources in 0..=8u64 {
+            let mut shards: Vec<Vec<Param>> = (1..=sources).map(params).collect();
+            let buffers: Vec<GradBuffer> = shards
+                .iter_mut()
+                .map(|shard| GradBuffer::harvest(|f| shard.iter_mut().for_each(&mut *f)))
+                .collect();
+            let tensors: Vec<Vec<Matrix>> = shards
+                .iter()
+                .map(|shard| shard.iter().map(|p| p.grad.clone()).collect())
+                .collect();
+            let views: Vec<&[Matrix]> = tensors.iter().map(Vec::as_slice).collect();
+
+            let mut reference = params(0);
+            for buf in &buffers {
+                buf.accumulate_into(|f| reference.iter_mut().for_each(&mut *f));
+            }
+            let mut want_sq = 0.0f32;
+            for p in &reference {
+                want_sq += p.grad.as_slice().iter().map(|g| g * g).sum::<f32>();
+            }
+
+            for tier in tiers() {
+                let mut primary = params(0);
+                let sq = simd::with_forced_tier(tier, || {
+                    reduce_grads(&views, |f| primary.iter_mut().for_each(&mut *f))
+                });
+                let what = format!("{sources} sources, {} tier", tier.name());
+                assert_eq!(sq.to_bits(), want_sq.to_bits(), "norm², {what}");
+                for (got, want) in primary.iter().zip(&reference) {
+                    let bits =
+                        |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got.grad), bits(&want.grad), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more tensors")]
+    fn reduce_grads_rejects_a_longer_shard() {
+        let mut a = param(1, 2, 0.0);
+        let extra = vec![Matrix::zeros(1, 2), Matrix::zeros(1, 2)];
+        reduce_grads(&[&extra], |f| f(&mut a));
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn reduce_grads_rejects_a_misshapen_shard() {
+        let mut a = param(1, 2, 0.0);
+        let wrong = vec![Matrix::zeros(2, 1)];
+        reduce_grads(&[&wrong], |f| f(&mut a));
     }
 
     #[test]

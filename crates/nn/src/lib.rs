@@ -19,9 +19,11 @@
 //! * [`math`] — `tanh` as a port of glibc 2.36's fdlibm `tanhf`, scalar
 //!   and as a tier-dispatched slice kernel: the same bits on every host.
 //! * [`optim::Adam`] — the Adam optimizer (per-parameter moments).
-//! * [`grad`] — [`grad::GradBuffer`] and weight-sync helpers for the
-//!   data-parallel sharded PPO update: harvest a replica's gradients,
-//!   reduce shard buffers in fixed order, copy weights to replicas.
+//! * [`grad`] — the data-parallel sharded PPO update's plumbing: reduce
+//!   shard gradients in fixed order with the global norm in the same pass
+//!   ([`grad::reduce_grads`]), copy weights to replicas, and
+//!   [`grad::GradBuffer`], the copy-out reference the benchmark probe
+//!   calls.
 //! * [`dist::Categorical`] — sampling, log-probabilities and entropy for the
 //!   discrete action distribution, plus the analytic gradients PPO needs.
 //! * [`value`] — the workspace's hand-rolled TOML/JSON document model and

@@ -774,10 +774,11 @@ macro_rules! tiered_kernel {
     (
         $(#[$meta:meta])*
         $vis:vis fn $dispatch:ident / $body:ident ( $($arg:ident : $ty:ty),* $(,)? )
+            $(-> $ret:ty)?
     ) => {
         $(#[$meta])*
         #[allow(clippy::too_many_arguments)] // mirrors the kernel body signature
-        $vis fn $dispatch($($arg: $ty),*) {
+        $vis fn $dispatch($($arg: $ty),*) $(-> $ret)? {
             #[cfg(all(target_arch = "x86_64", not(feature = "scalar-fallback")))]
             {
                 // SAFETY: unsafe only because of `#[target_feature]` — the
@@ -785,14 +786,14 @@ macro_rules! tiered_kernel {
                 // available (the dispatch below does, via CPUID).
                 #[target_feature(enable = "avx,avx2")]
                 #[allow(clippy::too_many_arguments)]
-                unsafe fn avx2($($arg: $ty),*) {
+                unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
                     $body::<simd::Avx2Isa>($($arg),*)
                 }
                 // SAFETY: as for `avx2`, with AVX-512F/VL additionally
                 // required of the caller.
                 #[target_feature(enable = "avx,avx2,avx512f,avx512vl")]
                 #[allow(clippy::too_many_arguments)]
-                unsafe fn avx512($($arg: $ty),*) {
+                unsafe fn avx512($($arg: $ty),*) $(-> $ret)? {
                     $body::<simd::Avx512Isa>($($arg),*)
                 }
                 match simd::tier() {
@@ -809,7 +810,8 @@ macro_rules! tiered_kernel {
         }
     };
 }
-// `math::tanh_in_place` is dispatched through the same macro.
+// `math::tanh_in_place`, `grad::reduce_sq_sum` and `optim::adam_update`
+// are dispatched through the same macro.
 pub(crate) use tiered_kernel;
 
 tiered_kernel! {

@@ -21,9 +21,9 @@ pub type RowGrad = (Vec<f32>, f32);
 /// Implementations must be `Send + Sync`: the data-parallel trainer clones
 /// the model into per-shard replicas ([`PolicyValueNet::clone_box`]) and
 /// runs each replica's forward/backward on a worker thread, and the fused
-/// rollout step shares one `&dyn PolicyValueNet` across lane groups so
-/// each group's [`PolicyValueNet::forward_inference`] overlaps with the
-/// other groups' environment stepping.
+/// rollout shares one `&dyn PolicyValueNet` across lane groups so each
+/// group's [`PolicyValueNet::forward_inference`] overlaps with the other
+/// groups' environment stepping.
 pub trait PolicyValueNet: Send + Sync {
     /// Batched inference pass through `&self`: returns `(logits, values)`
     /// where `logits` is `(batch, num_actions)` and `values` has one entry

@@ -1,28 +1,34 @@
 //! Trajectory collection and generalized advantage estimation.
 //!
 //! Collection is vectorized *and fused*: a [`VecEnv`] steps N environment
-//! lanes against batched policy forwards, and the forward/step pipeline is
-//! overlapped — lanes are split into groups of `FUSED_GROUP_LANES`
-//! (one matmul row block), each group runs its own batched
-//! `forward_inference` and then steps its lanes, so one group's inference
-//! executes while other groups are stepping their environments
-//! ([`VecEnv::step_pipelined`]). Because groups sit on kernel row-block
-//! boundaries and every random draw comes from the per-lane RNG streams,
-//! the result is bit-identical to the strictly serialized
+//! lanes against batched policy forwards, and the lanes are split into
+//! groups of `FUSED_GROUP_LANES` (one matmul row block). Each group runs
+//! the **whole horizon** as one task of a single parallel region
+//! ([`VecEnv::run_groups`]): per step, its own batched
+//! `forward_inference`, a sample per lane and a step per lane. Groups
+//! never wait for each other, so the pool synchronizes once per rollout.
+//! Every random draw comes from the per-lane RNG streams and a forward
+//! computes each row the same way whatever rows share the call, so the
+//! result is bit-identical to the strictly serialized
 //! one-whole-batch-forward-per-step schedule at every lane, group and
-//! thread count. Transitions are stored time-major
-//! (`index = t * num_lanes + lane`), and GAE runs per lane so advantages
-//! never leak across lane boundaries. With one lane the collected
-//! trajectory is bit-for-bit identical to the historical scalar loop (see
-//! [`VecEnv`]'s determinism contract).
+//! thread count.
+//!
+//! Transitions are stored time-major (`index = t * num_lanes + lane`).
+//! Each group writes its pre-step observations and step results straight
+//! into its `(t, group)` slices of the batch's buffers, and the episode
+//! tally is summed afterwards in time-major order, the order the
+//! step-by-step schedule used. GAE runs per lane so advantages never leak
+//! across lane boundaries. With one lane the collected trajectory is
+//! bit-for-bit identical to the historical scalar loop (see [`VecEnv`]'s
+//! determinism contract).
 
-use autocat_gym::{Environment, VecEnv};
+use autocat_gym::{Environment, FinishedEpisode, StepInfo, VecEnv};
 use autocat_nn::matrix::with_inline_kernels;
 use autocat_nn::models::PolicyValueNet;
 use autocat_nn::{Categorical, Matrix};
 use rand::rngs::StdRng;
 
-/// Lanes per fused rollout group ([`VecEnv::step_pipelined`]).
+/// Lanes per fused rollout group ([`VecEnv::run_groups`]).
 ///
 /// One [`Matrix::MM_ROW_BLOCK`] of rows: each group forward fills the
 /// dense matmul kernel's packed multi-row block, and this is the finest
@@ -156,17 +162,42 @@ pub fn gae(
     (advantages, returns)
 }
 
+/// One lane group's slice of one time step in the batch's time-major
+/// buffers: one entry (one row of `obs`) per lane of the group.
+struct StepRows<'a> {
+    obs: &'a mut [f32],
+    actions: &'a mut [usize],
+    logps: &'a mut [f32],
+    rewards: &'a mut [f32],
+    dones: &'a mut [bool],
+    values: &'a mut [f32],
+    /// The episode a transition finished, with the step's info.
+    ends: &'a mut [Option<(FinishedEpisode, StepInfo)>],
+}
+
+/// Splits a time-major buffer holding `width` values per transition into
+/// its `(t, group)` slices, in time-major then group order.
+fn step_slices<T>(
+    buf: &mut [T],
+    width: usize,
+    lanes: usize,
+    group_len: usize,
+) -> impl Iterator<Item = &mut [T]> {
+    buf.chunks_mut(lanes * width)
+        .flat_map(move |step| step.chunks_mut(group_len * width))
+}
+
 /// Collects at least `horizon` transitions across all lanes of `venv`
 /// under the current policy.
 ///
-/// Every step runs batched forwards over the lanes' observations in
-/// `FUSED_GROUP_LANES`-lane groups, fused with environment stepping so
-/// inference and stepping overlap across worker threads
-/// ([`VecEnv::step_pipelined`]) — bit-identical to one whole-batch
-/// forward followed by a serial sweep over the lanes. Episodes
-/// auto-reset; each lane's final partial episode is bootstrapped with the
-/// value estimate of its last observation. The number of transitions
-/// returned is `horizon` rounded up to a multiple of the lane count.
+/// Each `FUSED_GROUP_LANES`-lane group runs every step as one task
+/// ([`VecEnv::run_groups`]): a batched forward over the group's
+/// observations, a sample and a step per lane, straight into the batch —
+/// bit-identical to one whole-batch forward followed by a serial sweep
+/// over the lanes at every step. Episodes auto-reset; each lane's final
+/// partial episode is bootstrapped with the value estimate of its last
+/// observation. The number of transitions returned is `horizon` rounded
+/// up to a multiple of the lane count.
 pub fn collect<E: Environment + Send>(
     venv: &mut VecEnv<E>,
     net: &mut dyn PolicyValueNet,
@@ -180,54 +211,76 @@ pub fn collect<E: Environment + Send>(
     let t_steps = horizon.div_ceil(lanes);
     let total = t_steps * lanes;
 
-    let mut obs_rows: Vec<f32> = Vec::with_capacity(total * obs_dim);
-    let mut actions = Vec::with_capacity(total);
-    let mut logps = Vec::with_capacity(total);
-    let mut rewards = Vec::with_capacity(total);
-    let mut dones = Vec::with_capacity(total);
-    let mut values = Vec::with_capacity(total);
-    let mut tally = EpisodeTally::default();
+    let mut obs_rows = vec![0.0f32; total * obs_dim];
+    let mut actions = vec![0usize; total];
+    let mut logps = vec![0.0f32; total];
+    let mut rewards = vec![0.0f32; total];
+    let mut dones = vec![false; total];
+    let mut values = vec![0.0f32; total];
+    let mut ends = vec![None; total];
+
+    // Hand group g its (t, g) slices of every buffer, t ascending.
+    let groups = lanes.div_ceil(FUSED_GROUP_LANES);
+    let mut tasks: Vec<Vec<StepRows>> = (0..groups).map(|_| Vec::with_capacity(t_steps)).collect();
+    let g = FUSED_GROUP_LANES;
+    let slices = step_slices(&mut obs_rows, obs_dim, lanes, g)
+        .zip(step_slices(&mut actions, 1, lanes, g))
+        .zip(step_slices(&mut logps, 1, lanes, g))
+        .zip(step_slices(&mut rewards, 1, lanes, g))
+        .zip(step_slices(&mut dones, 1, lanes, g))
+        .zip(step_slices(&mut values, 1, lanes, g))
+        .zip(step_slices(&mut ends, 1, lanes, g));
+    for (i, ((((((obs, actions), logps), rewards), dones), values), ends)) in slices.enumerate() {
+        tasks[i % groups].push(StepRows {
+            obs,
+            actions,
+            logps,
+            rewards,
+            dones,
+            values,
+            ends,
+        });
+    }
 
     venv.reset_all(rng);
     let net_ref: &dyn PolicyValueNet = net;
-    for _ in 0..t_steps {
-        // Snapshot all lanes' observations for storage; the fused step
-        // re-reads the same (still unstepped) rows group by group.
-        obs_rows.extend_from_slice(&venv.obs_flat());
-        let results = venv.step_pipelined(
-            FUSED_GROUP_LANES,
-            |_base, group_obs, group_rows| {
-                let group_mat = Matrix::from_vec(group_rows, obs_dim, group_obs.to_vec());
-                // Pool workers run group forwards; suppress the kernels'
-                // own rayon dispatch so they never deadlock the pool and
-                // stay bit-identical (serial and parallel kernels agree).
-                with_inline_kernels(|| net_ref.forward_inference(&group_mat))
-            },
-            |(logits, vals): &(Matrix, Vec<f32>), row, lane_rng| {
-                let dist = Categorical::from_logits(logits.row(row));
-                let action = dist.sample(lane_rng);
-                (action, (dist.log_prob(action), vals[row]))
-            },
-            rng,
-        );
-        for step in results {
-            let (logp, value) = step.payload;
-            actions.push(step.action);
-            logps.push(logp);
-            rewards.push(step.reward);
-            dones.push(step.done);
-            values.push(value);
-            if let Some(finished) = step.finished {
-                tally.count += 1;
-                tally.return_sum += finished.episode_return;
-                tally.length_sum += finished.length;
-                if let Some(correct) = step.info.guessed {
-                    tally.guessed += 1;
-                    tally.correct += usize::from(correct);
-                }
-                tally.detected += usize::from(step.info.detected);
+    venv.run_groups(FUSED_GROUP_LANES, tasks, rng, |mut group, steps| {
+        let mut group_obs = Matrix::zeros(group.len(), obs_dim);
+        for rows in steps {
+            group.write_obs(group_obs.as_mut_slice());
+            rows.obs.copy_from_slice(group_obs.as_slice());
+            // Pool workers run group forwards; suppress the kernels' own
+            // rayon dispatch so they never deadlock the pool and stay
+            // bit-identical (serial and parallel kernels agree).
+            let (logits, vals) = with_inline_kernels(|| net_ref.forward_inference(&group_obs));
+            for (local, &value) in vals.iter().enumerate() {
+                let step = group.step(local, |lane_rng| {
+                    let dist = Categorical::from_logits(logits.row(local));
+                    let action = dist.sample(lane_rng);
+                    (action, dist.log_prob(action))
+                });
+                rows.actions[local] = step.action;
+                rows.logps[local] = step.payload;
+                rows.rewards[local] = step.reward;
+                rows.dones[local] = step.done;
+                rows.values[local] = value;
+                rows.ends[local] = step.finished.map(|f| (f, step.info));
             }
         }
+    });
+
+    // The tally in time-major order, so `return_sum` adds the episode
+    // returns in the order the step-by-step schedule did.
+    let mut tally = EpisodeTally::default();
+    for (finished, info) in ends.iter().flatten() {
+        tally.count += 1;
+        tally.return_sum += finished.episode_return;
+        tally.length_sum += finished.length;
+        if let Some(correct) = info.guessed {
+            tally.guessed += 1;
+            tally.correct += usize::from(correct);
+        }
+        tally.detected += usize::from(info.detected);
     }
 
     // Bootstrap values for the state after each lane's last transition.
@@ -591,9 +644,10 @@ mod tests {
 
         #[test]
         fn fused_collect_is_bit_identical_to_unfused_reference() {
-            // Lane counts chosen to exercise full groups, a partial last
-            // group, and fewer lanes than one group.
-            for lanes in [2usize, 4, 6, 8] {
+            // Lane counts chosen to exercise full groups, ragged last
+            // groups (3, 5, 6, 9 over groups of 4) and fewer lanes than one
+            // group.
+            for lanes in [2usize, 3, 4, 5, 6, 8, 9] {
                 let mut setup_rng = StdRng::seed_from_u64(40);
                 let mut venv_a = venv(lanes, 123);
                 let mut net_a = net(&venv_a, &mut setup_rng);

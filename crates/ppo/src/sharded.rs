@@ -23,11 +23,13 @@
 //!   primary's exact weight bytes (the primary itself for shard 0, a
 //!   [`load_param_values`]-synced replica for the rest), the shard's own
 //!   rows, and a private gradient accumulation — no shared float state;
-//! * the reduction ([`GradBuffer::accumulate_into`]) happens on the
-//!   calling thread in shard order — shard 0's gradients are accumulated
-//!   in place, shards 1..N added on top — regardless of which thread ran
-//!   a shard or which finished first; the per-shard loss sums are added
-//!   in the same fixed order.
+//! * each replica's gradient tensors are swapped out into its slot (no
+//!   copy), and the reduction ([`reduce_grads`]) runs on the calling
+//!   thread in shard order — shard 0's gradients are accumulated in
+//!   place, shards 1..N added on top — regardless of which thread ran a
+//!   shard or which finished first; the per-shard loss sums are added in
+//!   the same fixed order. The same pass sums the squared global norm the
+//!   clip needs, in the order a separate norm pass would.
 //!
 //! Note that sharded results are *not* bit-identical to the unsharded
 //! (`grad_shards = 1`) update: splitting a matrix product over the batch
@@ -36,7 +38,7 @@
 //! hyper-parameter), and the single-shard layout runs the historical
 //! single-threaded update's exact operations.
 
-use autocat_nn::grad::{load_param_values, snapshot_param_values_into, GradBuffer};
+use autocat_nn::grad::{load_param_values, reduce_grads, snapshot_param_values_into};
 use autocat_nn::matrix::with_inline_kernels;
 use autocat_nn::models::PolicyValueNet;
 use autocat_nn::{Categorical, Matrix};
@@ -143,8 +145,27 @@ fn forward_backward(
 struct ShardSlot {
     replica: Box<dyn PolicyValueNet>,
     obs: Matrix,
-    grads: GradBuffer,
+    /// The replica's gradient tensors from its last shard, in visitation
+    /// order.
+    grads: Vec<Matrix>,
     sums: LossSums,
+}
+
+impl ShardSlot {
+    /// Moves the replica's gradients into `grads` by swapping tensors, no
+    /// copy. The replica keeps the tensors `grads` held before (zeroed
+    /// ones the first time), stale values its next `zero_grad` clears.
+    fn take_grads(&mut self) {
+        let Self { replica, grads, .. } = self;
+        let mut index = 0usize;
+        replica.visit_params(&mut |p| {
+            if index == grads.len() {
+                grads.push(Matrix::zeros(p.grad.rows(), p.grad.cols()));
+            }
+            std::mem::swap(&mut grads[index], &mut p.grad);
+            index += 1;
+        });
+    }
 }
 
 /// Everything the update allocates, built once per trainer and reused by
@@ -167,7 +188,7 @@ impl UpdateWorkspace {
             self.slots.push(ShardSlot {
                 replica: net.clone_box(),
                 obs: Matrix::default(),
-                grads: GradBuffer::default(),
+                grads: Vec::new(),
                 sums: LossSums::default(),
             });
         }
@@ -177,7 +198,7 @@ impl UpdateWorkspace {
 
 /// Runs one minibatch split across up to `replicas + 1` shards, leaving
 /// the **reduced** gradient in `primary`'s parameters and returning the
-/// combined loss sums.
+/// combined loss sums and the reduced gradient's global L2 norm.
 ///
 /// The sibling shards 1..N are queued on the rayon pool, each against a
 /// workspace replica synced to the primary's exact weight bytes. Shard 0
@@ -186,21 +207,24 @@ impl UpdateWorkspace {
 /// freshly-zeroed gradients in place, with parallel matmul dispatch
 /// suppressed ([`with_inline_kernels`]) since the siblings fill the pool.
 /// The calling thread then helps run whichever siblings are still queued
-/// while the workers take the rest. The replicas' buffers are reduced
-/// into the primary **in shard order**, whichever thread ran them and
-/// whatever order they finished in; loss sums reduce identically.
+/// while the workers take the rest. Each replica swaps its gradient
+/// tensors into its slot, and the calling thread reduces them into the
+/// primary **in shard order**, whichever thread ran them and whatever
+/// order they finished in, summing the norm in the same pass; loss sums
+/// reduce in the same order.
 ///
 /// The shard layout — `chunk` split into `ceil(len / shards)`-sized
 /// contiguous ranges — depends only on the arguments, so the result is
 /// bit-identical for every thread count. A single-shard layout (no
 /// replicas, or a one-row chunk) is the plain unsharded update: one
-/// forward/backward on the primary, no weight sync, no reduction.
+/// forward/backward on the primary, no weight sync, and the reduction
+/// with no shards to add, which only sums the norm.
 pub(crate) fn sharded_minibatch(
     primary: &mut dyn PolicyValueNet,
     workspace: &mut UpdateWorkspace,
     ctx: &MinibatchCtx,
     chunk: &[usize],
-) -> LossSums {
+) -> (LossSums, f32) {
     let UpdateWorkspace {
         slots,
         obs0,
@@ -208,7 +232,9 @@ pub(crate) fn sharded_minibatch(
     } = workspace;
     let shards = (slots.len() + 1).min(chunk.len()).max(1);
     if shards == 1 {
-        return forward_backward(primary, ctx, chunk, obs0);
+        let sums = forward_backward(primary, ctx, chunk, obs0);
+        let norm = reduce_grads(&[], |f| primary.visit_params(f)).sqrt();
+        return (sums, norm);
     }
     let sub_len = chunk.len().div_ceil(shards);
     let mut ranges = chunk.chunks(sub_len);
@@ -225,18 +251,19 @@ pub(crate) fn sharded_minibatch(
             scope.spawn(move |_| {
                 load_param_values(weights, |f| slot.replica.visit_params(f));
                 slot.sums = forward_backward(slot.replica.as_mut(), ctx, rows, &mut slot.obs);
-                slot.grads.harvest_into(|f| slot.replica.visit_params(f));
+                slot.take_grads();
             });
         }
         sums = with_inline_kernels(|| forward_backward(primary, ctx, shard0_rows, obs0));
     });
     // Fixed-order reduction: shard 0's gradients are already in place;
     // add shards 1..N on top in layout order.
+    let shard_grads: Vec<&[Matrix]> = siblings.iter().map(|slot| slot.grads.as_slice()).collect();
+    let norm = reduce_grads(&shard_grads, |f| primary.visit_params(f)).sqrt();
     for slot in siblings.iter() {
-        slot.grads.accumulate_into(|f| primary.visit_params(f));
         sums.absorb(&slot.sums);
     }
-    sums
+    (sums, norm)
 }
 
 #[cfg(test)]
@@ -316,7 +343,7 @@ mod tests {
         // Sharded gradient (3 shards), reduced into the primary.
         let mut sharded_net = primary.clone();
         let mut ws = workspace(&primary, 2);
-        let sums = sharded_minibatch(&mut sharded_net, &mut ws, &ctx, &chunk);
+        let (sums, _) = sharded_minibatch(&mut sharded_net, &mut ws, &ctx, &chunk);
         let got = grads_of(&mut sharded_net);
 
         assert_eq!(expected.len(), got.len());
@@ -387,7 +414,7 @@ mod tests {
 
             let mut net = primary.clone();
             let mut ws = workspace(&primary, replica_count);
-            let sums = sharded_minibatch(&mut net, &mut ws, &ctx, &chunk);
+            let (sums, _) = sharded_minibatch(&mut net, &mut ws, &ctx, &chunk);
             let got = grads_of(&mut net);
             assert_eq!(expected.len(), got.len());
             for (e, g) in expected.iter().zip(got.iter()) {
@@ -433,6 +460,54 @@ mod tests {
         assert_eq!(bits(&mut direct), bits(&mut via_sharded));
     }
 
+    /// The swapped-and-fused reduction against the path it replaced: every
+    /// shard run on its own clone, its gradients copied out into a
+    /// [`GradBuffer`] and added into shard 0's in order, then the norm
+    /// summed as a separate scalar pass. Gradients and norm must agree bit
+    /// for bit, including ragged layouts that leave replicas idle (10 rows
+    /// over 8 shards run 5 ranges) and a reused workspace, whose replicas
+    /// hold swapped-in tensors from the previous minibatch.
+    #[test]
+    fn fused_reduction_matches_harvest_accumulate_then_norm() {
+        use autocat_nn::GradBuffer;
+        let (obs_dim, num_actions) = (9usize, 4usize);
+        let mut rng = StdRng::seed_from_u64(8);
+        let cfg = MlpConfig::new(obs_dim, num_actions).with_hidden(vec![20, 7]);
+        let primary = MlpPolicy::new(&cfg, &mut rng);
+        let mut ws = workspace(&primary, 7);
+        for (n, seed) in [(10usize, 1u64), (48, 2), (10, 3), (17, 4)] {
+            let batch = fake_batch(n, obs_dim, num_actions, seed);
+            let advantages = batch.advantages.clone();
+            let chunk: Vec<usize> = (0..n).rev().collect();
+            let ctx = ctx_over(&batch, &advantages);
+
+            let mut reference = primary.clone();
+            let sub_len = n.div_ceil(8);
+            let mut ranges = chunk.chunks(sub_len);
+            run_shard(&mut reference, &ctx, ranges.next().unwrap());
+            for rows in ranges {
+                let mut replica = primary.clone();
+                run_shard(&mut replica, &ctx, rows);
+                GradBuffer::harvest(|f| replica.visit_params(f))
+                    .accumulate_into(|f| reference.visit_params(f));
+            }
+            let mut sq_sum = 0.0f32;
+            reference.visit_params(&mut |p: &mut Param| {
+                sq_sum += p.grad.as_slice().iter().map(|g| g * g).sum::<f32>();
+            });
+
+            let mut net = primary.clone();
+            let (_, norm) = sharded_minibatch(&mut net, &mut ws, &ctx, &chunk);
+            let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
+            assert_eq!(
+                bits(grads_of(&mut net)),
+                bits(grads_of(&mut reference)),
+                "{n} rows"
+            );
+            assert_eq!(norm.to_bits(), sq_sum.sqrt().to_bits(), "{n} rows");
+        }
+    }
+
     /// One workspace reused across minibatches of different sizes (48
     /// rows, then a ragged 37, so every gather buffer must reshape, then
     /// 10, whose 5 ranges leave replicas holding the last minibatch idle)
@@ -452,9 +527,9 @@ mod tests {
         let outcome = |net: &mut MlpPolicy, ws: &mut UpdateWorkspace, chunk: &[usize]| {
             let mut ctx = ctx_over(&batch, &advantages);
             ctx.inv = 1.0 / chunk.len() as f32;
-            let sums = sharded_minibatch(net, ws, &ctx, chunk);
+            let (sums, norm) = sharded_minibatch(net, ws, &ctx, chunk);
             let grads: Vec<u32> = grads_of(net).into_iter().map(f32::to_bits).collect();
-            let sums = [sums.policy_loss, sums.value_loss, sums.entropy].map(f32::to_bits);
+            let sums = [sums.policy_loss, sums.value_loss, sums.entropy, norm].map(f32::to_bits);
             (grads, sums)
         };
         let mut reused = workspace(&primary, 7);

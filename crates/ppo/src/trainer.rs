@@ -4,7 +4,7 @@ use autocat_gym::{Environment, VecEnv};
 use autocat_nn::models::{
     MlpConfig, MlpPolicy, PolicyValueNet, TransformerConfig, TransformerPolicy,
 };
-use autocat_nn::optim::clip_global_grad_norm;
+use autocat_nn::optim::clip_scale;
 use autocat_nn::Adam;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -389,11 +389,16 @@ impl<E: Environment + Send> Trainer<E> {
                 // One shard is the plain single-threaded update; more run
                 // shard 0 in place on the primary net and the rest on
                 // weight-synced replicas, reducing gradients and loss
-                // sums in fixed shard order.
-                let sums = sharded_minibatch(self.net.as_mut(), &mut self.workspace, &ctx, chunk);
-                stats.grad_norm =
-                    clip_global_grad_norm(cfg.max_grad_norm, |f| self.net.visit_params(f));
-                self.adam.step(|f| self.net.visit_params(f));
+                // sums in fixed shard order. The reduction also returns
+                // the global norm, so the clip is a scale factor Adam
+                // applies as it reads each gradient.
+                let (sums, grad_norm) =
+                    sharded_minibatch(self.net.as_mut(), &mut self.workspace, &ctx, chunk);
+                stats.grad_norm = grad_norm;
+                self.adam
+                    .step_scaled(clip_scale(cfg.max_grad_norm, grad_norm), |f| {
+                        self.net.visit_params(f)
+                    });
                 stats.policy_loss += sums.policy_loss;
                 stats.value_loss += sums.value_loss;
                 stats.entropy += sums.entropy;
