@@ -682,70 +682,86 @@ mod tests {
     /// One group's pre-step observations and step results, per step.
     type GroupRecord = Vec<(Vec<f32>, Vec<LaneStep<f32>>)>;
 
-    #[test]
-    fn whole_horizon_groups_match_step_each_with_one_batch_forward_per_step() {
+    /// Holds the whole-horizon group runner to the reference schedule: per
+    /// step, one whole-batch forward over `obs_flat`, then `step_each`.
+    /// Every group steps its lanes `steps` times in one `run_groups` task,
+    /// and the results must agree bit for bit, as must the caller's RNG
+    /// and every lane's RNG state afterwards.
+    fn assert_groups_match_step_each(lanes: usize, steps: usize, group_len: usize) {
         use rand::Rng;
-        // The runner against the reference schedule: per step, one
-        // whole-batch forward over obs_flat, then step_each. Lane counts
-        // leave ragged last groups (3, 5, 9 over groups of 2 and 4), groups
-        // of one lane, and one group wider than every lane count.
-        for lanes in [1usize, 2, 3, 4, 5, 8, 9] {
+        let mut plain = VecEnv::new(lanes, game(), 33).unwrap();
+        let mut grouped = VecEnv::new(lanes, game(), 33).unwrap();
+        let num_actions = plain.num_actions();
+        let obs_dim = plain.obs_dim();
+        let (mut ma, mut mb) = (rng(4), rng(4));
+        plain.reset_all(&mut ma);
+        grouped.reset_all(&mut mb);
+
+        let mut want = Vec::new();
+        for _ in 0..steps {
+            let obs = plain.obs_flat();
+            let scores = row_scores(&obs, obs_dim);
+            let results = plain.step_each(
+                |lane, lane_rng| pick(scores[lane], num_actions, lane_rng),
+                &mut ma,
+            );
+            want.push((obs, results));
+        }
+
+        // Each group records its steps into its own task; the
+        // caller reassembles them time-major.
+        let groups = lanes.div_ceil(group_len);
+        let mut got: Vec<GroupRecord> = (0..groups).map(|_| Vec::new()).collect();
+        let tasks: Vec<_> = got.iter_mut().collect();
+        grouped.run_groups(group_len, tasks, &mut mb, |mut group, record| {
+            for _ in 0..steps {
+                let mut obs = vec![0.0; group.len() * obs_dim];
+                group.write_obs(&mut obs);
+                let scores = row_scores(&obs, obs_dim);
+                let results = (0..group.len())
+                    .map(|local| {
+                        group.step(local, |lane_rng| pick(scores[local], num_actions, lane_rng))
+                    })
+                    .collect();
+                record.push((obs, results));
+            }
+        });
+        for (t, (obs, results)) in want.iter().enumerate() {
+            let got_obs: Vec<f32> = got.iter().flat_map(|g| g[t].0.iter().copied()).collect();
+            let got_steps: Vec<LaneStep<f32>> =
+                got.iter().flat_map(|g| g[t].1.iter().copied()).collect();
+            let what = format!("lanes={lanes} steps={steps} group_len={group_len} t={t}");
+            assert_eq!(&got_obs, obs, "{what}: pre-step observations");
+            assert_eq!(&got_steps, results, "{what}");
+        }
+        // With one lane both schedules drew from the caller's
+        // RNG; with more, neither touched it after reset_all.
+        assert_eq!(ma.gen::<u64>(), mb.gen::<u64>(), "lanes={lanes}");
+        assert_eq!(plain.rng_states(), grouped.rng_states());
+    }
+
+    #[test]
+    fn pipelined_step_matches_step_each_for_any_group_len() {
+        // Lane counts leave ragged last groups (3, 5, 9 over groups of 2
+        // and 4), groups of one lane, and one group wider than every lane
+        // count.
+        for lanes in [2usize, 3, 4, 5, 8, 9] {
             for steps in [1usize, 7] {
                 for group_len in [1usize, 2, 4, 16] {
-                    let mut plain = VecEnv::new(lanes, game(), 33).unwrap();
-                    let mut grouped = VecEnv::new(lanes, game(), 33).unwrap();
-                    let num_actions = plain.num_actions();
-                    let obs_dim = plain.obs_dim();
-                    let (mut ma, mut mb) = (rng(4), rng(4));
-                    plain.reset_all(&mut ma);
-                    grouped.reset_all(&mut mb);
-
-                    let mut want = Vec::new();
-                    for _ in 0..steps {
-                        let obs = plain.obs_flat();
-                        let scores = row_scores(&obs, obs_dim);
-                        let results = plain.step_each(
-                            |lane, lane_rng| pick(scores[lane], num_actions, lane_rng),
-                            &mut ma,
-                        );
-                        want.push((obs, results));
-                    }
-
-                    // Each group records its steps into its own task; the
-                    // caller reassembles them time-major.
-                    let groups = lanes.div_ceil(group_len);
-                    let mut got: Vec<GroupRecord> = (0..groups).map(|_| Vec::new()).collect();
-                    let tasks: Vec<_> = got.iter_mut().collect();
-                    grouped.run_groups(group_len, tasks, &mut mb, |mut group, record| {
-                        for _ in 0..steps {
-                            let mut obs = vec![0.0; group.len() * obs_dim];
-                            group.write_obs(&mut obs);
-                            let scores = row_scores(&obs, obs_dim);
-                            let results = (0..group.len())
-                                .map(|local| {
-                                    group.step(local, |lane_rng| {
-                                        pick(scores[local], num_actions, lane_rng)
-                                    })
-                                })
-                                .collect();
-                            record.push((obs, results));
-                        }
-                    });
-                    for (t, (obs, results)) in want.iter().enumerate() {
-                        let got_obs: Vec<f32> =
-                            got.iter().flat_map(|g| g[t].0.iter().copied()).collect();
-                        let got_steps: Vec<LaneStep<f32>> =
-                            got.iter().flat_map(|g| g[t].1.iter().copied()).collect();
-                        let what =
-                            format!("lanes={lanes} steps={steps} group_len={group_len} t={t}");
-                        assert_eq!(&got_obs, obs, "{what}: pre-step observations");
-                        assert_eq!(&got_steps, results, "{what}");
-                    }
-                    // With one lane both schedules drew from the caller's
-                    // RNG; with more, neither touched it after reset_all.
-                    assert_eq!(ma.gen::<u64>(), mb.gen::<u64>(), "lanes={lanes}");
-                    assert_eq!(plain.rng_states(), grouped.rng_states());
+                    assert_groups_match_step_each(lanes, steps, group_len);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn pipelined_step_is_scalar_compatible_at_one_lane() {
+        // With a single lane the runner must consume the caller's RNG
+        // exactly like step_each, so a trailing draw from each master RNG
+        // still agrees, whatever the group length.
+        for steps in [1usize, 7, 64] {
+            for group_len in [1usize, 2, 4, 16] {
+                assert_groups_match_step_each(1, steps, group_len);
             }
         }
     }
