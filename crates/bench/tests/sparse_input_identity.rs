@@ -24,6 +24,9 @@ struct DenseMlp {
     trunk: Vec<(Linear, Activation)>,
     policy: Linear,
     value: Linear,
+    /// The observation, then each trunk layer's output, from the latest
+    /// `forward`.
+    hs: Vec<Matrix>,
 }
 
 impl DenseMlp {
@@ -48,31 +51,46 @@ impl DenseMlp {
             trunk,
             policy: layer(),
             value: layer(),
+            hs: Vec::new(),
         }
     }
 
     fn forward(&mut self, obs: &Matrix) -> (Matrix, Matrix) {
-        let mut h = obs.clone();
-        for (lin, act) in &mut self.trunk {
-            h = act.forward(&lin.forward(&h));
+        self.hs = vec![obs.clone()];
+        for (lin, act) in &self.trunk {
+            let h = act.forward_inference(&lin.forward_inference(&self.hs[self.hs.len() - 1]));
+            self.hs.push(h);
         }
-        (self.policy.forward(&h), self.value.forward(&h))
+        let features = &self.hs[self.trunk.len()];
+        (
+            self.policy.forward_inference(features),
+            self.value.forward_inference(features),
+        )
     }
 
-    /// The full backward on every layer, input gradient included.
-    fn backward(&mut self, dlogits: &Matrix, dvalues: &Matrix) {
-        let mut grad = self.policy.backward(dlogits);
-        grad.add_assign(&self.value.backward(dvalues));
-        for (lin, act) in self.trunk.iter_mut().rev() {
-            grad = lin.backward(&act.backward(&grad));
+    /// The full backward on every layer, input gradient included, from
+    /// zero: the gradient bits in `visit_params` order.
+    fn backward_grad_bits(&self, dlogits: &Matrix, dvalues: &Matrix) -> Vec<u32> {
+        let zeros = |lin: &Linear| {
+            [
+                Matrix::zeros(lin.in_dim(), lin.out_dim()),
+                Matrix::zeros(1, lin.out_dim()),
+            ]
+        };
+        let mut trunk_grads: Vec<[Matrix; 2]> =
+            self.trunk.iter().map(|(lin, _)| zeros(lin)).collect();
+        let (mut policy_grads, mut value_grads) = (zeros(&self.policy), zeros(&self.value));
+        let features = &self.hs[self.trunk.len()];
+        let mut grad = self.policy.backward(features, dlogits, &mut policy_grads);
+        grad.add_assign(&self.value.backward(features, dvalues, &mut value_grads));
+        for (i, (lin, act)) in self.trunk.iter().enumerate().rev() {
+            let dy = act.backward(&self.hs[i + 1], &grad);
+            grad = lin.backward(&self.hs[i], &dy, &mut trunk_grads[i]);
         }
-    }
-
-    fn grad_bits(&self) -> Vec<u32> {
-        let layers = self.trunk.iter().map(|(lin, _)| lin);
-        layers
-            .chain([&self.policy, &self.value])
-            .flat_map(|lin| [&lin.w.grad, &lin.b.grad])
+        trunk_grads
+            .iter()
+            .chain([&policy_grads, &value_grads])
+            .flatten()
             .flat_map(|g| g.as_slice().iter().map(|v| v.to_bits()))
             .collect()
     }
@@ -168,10 +186,13 @@ fn check(scenario: &str, hidden: Vec<usize>, seed: u64) {
     );
     net.zero_grad();
     net.train_batch(&obs, &mut |i, _, _| (dl.row(i).to_vec(), dv[(i, 0)]));
-    dense.backward(&dl, &dv);
     let mut got = Vec::new();
     net.visit_params(&mut |p| got.extend(bits(p.grad.as_slice())));
-    assert_eq!(got, dense.grad_bits(), "{scenario} gradients");
+    assert_eq!(
+        got,
+        dense.backward_grad_bits(&dl, &dv),
+        "{scenario} gradients"
+    );
 }
 
 #[test]

@@ -1,32 +1,31 @@
 //! Gradient and parameter plumbing for the data-parallel trainer.
 //!
-//! The sharded PPO update (see `autocat-ppo`) runs each minibatch shard
-//! against its own model replica on a worker thread, then reduces the
-//! shards' gradients into the primary model **in fixed shard order** so
-//! the result is bit-identical no matter how many threads did the work.
-//! This module provides the pieces that make that possible:
+//! The sharded PPO update (see `autocat-ppo`) runs every minibatch shard
+//! against the one primary model, each shard accumulating its gradients
+//! into its own tape, then reduces the shards' gradients into the primary
+//! **in fixed shard order** so the result is bit-identical no matter how
+//! many threads did the work. This module provides:
 //!
 //! * [`reduce_grads`] — the fixed-order reduction: adds each shard's
-//!   gradient tensors (swapped out of its replica, not copied) into a
-//!   model's live gradients in one SIMD pass, and returns the squared
-//!   global norm of the result from the same pass, which the optimizer's
-//!   clip reads (with no shards it is the norm alone);
-//! * [`snapshot_param_values`] / [`load_param_values`] — weight
-//!   synchronization, so every replica computes against the exact bytes
-//!   the primary model holds ([`snapshot_param_values_into`] reuses a
-//!   snapshot buffer);
+//!   gradient tensors into a model's live gradients in one SIMD pass, and
+//!   returns the squared global norm of the result from the same pass,
+//!   which the optimizer's clip reads (with no shards it is the norm
+//!   alone);
+//! * [`snapshot_param_values`] / [`load_param_values`] — copy weights out
+//!   of one model and into an identically-shaped one;
 //! * [`GradBuffer`] — a detached copy of a model's gradients with a
-//!   one-shard-at-a-time [`GradBuffer::accumulate_into`]. The trainer no
-//!   longer uses it; it stays as the reference the benchmark's update
-//!   probe and the reduction tests run.
+//!   one-shard-at-a-time [`GradBuffer::accumulate_into`].
+//!
+//! The trainer calls only [`reduce_grads`]; the other pieces stay as what
+//! the benchmark's update probe and the reduction tests call.
 //!
 //! Everything here works through the same visitor idiom as
 //! [`crate::optim::clip_global_grad_norm`]: the caller passes a closure
 //! that applies a `FnMut(&mut Param)` to every parameter (models expose
 //! `visit_params`), which keeps this module independent of any concrete
 //! backbone. The visitation order is the model's fixed parameter walk, so
-//! tensors taken from a replica always line up with the primary it was
-//! cloned from.
+//! tensors taken from one model always line up with another of the same
+//! architecture.
 
 use crate::matrix::{tiered_kernel, Matrix};
 use crate::param::Param;
@@ -49,16 +48,10 @@ pub struct GradBuffer {
 impl GradBuffer {
     /// Copies the accumulated gradients out of a model (one worker's shard
     /// result, ready for the fixed-order reduction).
-    pub fn harvest(visit: impl FnMut(&mut ParamVisitor)) -> Self {
-        let mut buf = Self { grads: Vec::new() };
-        buf.harvest_into(visit);
-        buf
-    }
-
-    /// [`GradBuffer::harvest`] into this buffer, reusing its tensors'
-    /// storage: no allocation once it has held the same model's gradients.
-    fn harvest_into(&mut self, visit: impl FnMut(&mut ParamVisitor)) {
-        copy_params_into(&mut self.grads, |p| &p.grad, visit);
+    pub fn harvest(mut visit: impl FnMut(&mut ParamVisitor)) -> Self {
+        let mut grads = Vec::new();
+        visit(&mut |p: &mut Param| grads.push(p.grad.clone()));
+        Self { grads }
     }
 
     /// Adds this buffer into a model's live gradients.
@@ -87,11 +80,6 @@ impl GradBuffer {
             self.grads.len(),
             "GradBuffer has more tensors than the model"
         );
-    }
-
-    /// Number of gradient tensors in the buffer.
-    pub fn num_tensors(&self) -> usize {
-        self.grads.len()
     }
 }
 
@@ -196,40 +184,14 @@ fn reduce_sq_sum_body<I: Isa>(dst: &mut [f32], sources: &[&[f32]]) -> f32 {
 
 /// Copies every parameter *value* out of a model, in visitation order
 /// (gradients and optimizer moments are not included).
-pub fn snapshot_param_values(visit: impl FnMut(&mut ParamVisitor)) -> Vec<Matrix> {
+pub fn snapshot_param_values(mut visit: impl FnMut(&mut ParamVisitor)) -> Vec<Matrix> {
     let mut values = Vec::new();
-    snapshot_param_values_into(&mut values, visit);
+    visit(&mut |p: &mut Param| values.push(p.value.clone()));
     values
 }
 
-/// [`snapshot_param_values`] into `values`, reusing its tensors' storage:
-/// no allocation once it has held the same model's snapshot.
-pub fn snapshot_param_values_into(values: &mut Vec<Matrix>, visit: impl FnMut(&mut ParamVisitor)) {
-    copy_params_into(values, |p| &p.value, visit);
-}
-
-/// Copies one tensor of every parameter into `out`, in visitation order,
-/// overwriting `out`'s existing tensors in place and growing or
-/// truncating it to the model's tensor count.
-fn copy_params_into(
-    out: &mut Vec<Matrix>,
-    field: fn(&Param) -> &Matrix,
-    mut visit: impl FnMut(&mut ParamVisitor),
-) {
-    let mut index = 0usize;
-    visit(&mut |p: &mut Param| {
-        match out.get_mut(index) {
-            Some(dst) => dst.clone_from(field(p)),
-            None => out.push(field(p).clone()),
-        }
-        index += 1;
-    });
-    out.truncate(index);
-}
-
 /// Overwrites a model's parameter values with a snapshot taken by
-/// [`snapshot_param_values`] from an identically-shaped model (weight
-/// sync from the primary to a replica before a shard's forward pass).
+/// [`snapshot_param_values`] from an identically-shaped model.
 ///
 /// # Panics
 ///
@@ -273,7 +235,6 @@ mod tests {
             f(&mut a);
             f(&mut b);
         });
-        assert_eq!(buf.num_tensors(), 2);
         buf.accumulate_into(|f| {
             f(&mut a);
             f(&mut b);
@@ -319,39 +280,9 @@ mod tests {
         let mut dst = param(2, 2, 5.0);
         load_param_values(&snap, |f| f(&mut dst));
         assert_eq!(dst.value, src.value);
-        // Gradients and moments are untouched by a weight sync.
+        // Gradients and moments are untouched by a load.
         assert!(dst.grad.as_slice().iter().all(|&g| g == 5.0));
         assert!(dst.m.as_slice().iter().all(|&m| m == 0.0));
-    }
-
-    #[test]
-    fn in_place_refills_match_fresh_copies() {
-        let mut a = param(2, 3, 1.5);
-        let mut b = param(1, 2, -0.25);
-        a.value = Matrix::full(2, 3, 4.0);
-        // Stale contents of the wrong shapes and count must be replaced.
-        let mut buf = GradBuffer {
-            grads: vec![Matrix::full(5, 5, 9.0); 3],
-        };
-        buf.harvest_into(|f| {
-            f(&mut a);
-            f(&mut b);
-        });
-        let fresh = GradBuffer::harvest(|f| {
-            f(&mut a);
-            f(&mut b);
-        });
-        assert_eq!(buf, fresh);
-        let mut values = vec![Matrix::zeros(1, 1)];
-        snapshot_param_values_into(&mut values, |f| {
-            f(&mut a);
-            f(&mut b);
-        });
-        let fresh = snapshot_param_values(|f| {
-            f(&mut a);
-            f(&mut b);
-        });
-        assert_eq!(values, fresh);
     }
 
     /// Every tier this build and CPU can run, the scalar tier included.

@@ -19,16 +19,19 @@ pub struct MultiHeadAttention {
     wo: Linear,
     num_heads: usize,
     head_dim: usize,
-    cache: Option<AttnCache>,
 }
 
-#[derive(Clone, Debug)]
-struct AttnCache {
+/// What [`MultiHeadAttention::forward`] keeps for the backward pass (the
+/// caller keeps the input `x`).
+#[derive(Clone, Debug, Default)]
+pub struct AttentionTape {
     q: Matrix,
     k: Matrix,
     v: Matrix,
     /// Per-head attention weight matrices, each `(seq_len, seq_len)`.
     attn: Vec<Matrix>,
+    /// The concatenated head outputs, `wo`'s input.
+    concat: Matrix,
 }
 
 impl MultiHeadAttention {
@@ -51,18 +54,12 @@ impl MultiHeadAttention {
             wo: Linear::new(d_model, d_model, rng),
             num_heads,
             head_dim: d_model / num_heads,
-            cache: None,
         }
     }
 
     /// Model dimension.
     pub fn d_model(&self) -> usize {
         self.num_heads * self.head_dim
-    }
-
-    /// Number of attention heads.
-    pub fn num_heads(&self) -> usize {
-        self.num_heads
     }
 
     fn head_cols(&self, h: usize) -> std::ops::Range<usize> {
@@ -85,68 +82,60 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Shared attention compute for one projected `(q, k, v)` triple:
-    /// per-head scaled-dot-product attention, heads concatenated. Returns
-    /// the concatenated head outputs and the per-head attention weights.
-    fn attend(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> (Matrix, Vec<Matrix>) {
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let seq_len = q.rows();
-        let mut concat = Matrix::zeros(seq_len, self.d_model());
-        let mut attn_per_head = Vec::with_capacity(self.num_heads);
-        for h in 0..self.num_heads {
-            let qh = self.slice_head(q, h);
-            let kh = self.slice_head(k, h);
-            let vh = self.slice_head(v, h);
-            let mut scores = qh.matmul_nt(&kh);
-            scores.scale(scale);
-            let attn = scores.softmax_rows();
-            let out_h = attn.matmul(&vh);
-            self.scatter_head(&mut concat, &out_h, h);
-            attn_per_head.push(attn);
-        }
-        (concat, attn_per_head)
-    }
-
-    /// Forward pass for one sequence `x: (seq_len, d_model)`, caching
-    /// activations for a following [`MultiHeadAttention::backward`].
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let q = self.wq.forward(x);
-        let k = self.wk.forward(x);
-        let v = self.wv.forward(x);
-        let (concat, attn_per_head) = self.attend(&q, &k, &v);
-        self.cache = Some(AttnCache {
-            q,
-            k,
-            v,
-            attn: attn_per_head,
-        });
-        self.wo.forward(&concat)
-    }
-
-    /// Forward pass without caching (inference only). Same math as
-    /// [`MultiHeadAttention::forward`], bit for bit.
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
+    /// Forward pass for one sequence `x: (seq_len, d_model)`: per-head
+    /// scaled-dot-product attention, heads concatenated, then the output
+    /// projection, keeping in `tape` what the backward pass reads.
+    pub fn forward(&self, x: &Matrix, tape: &mut AttentionTape) -> Matrix {
         let q = self.wq.forward_inference(x);
         let k = self.wk.forward_inference(x);
         let v = self.wv.forward_inference(x);
-        let (concat, _) = self.attend(&q, &k, &v);
-        self.wo.forward_inference(&concat)
+        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let seq_len = q.rows();
+        let mut concat = Matrix::zeros(seq_len, self.d_model());
+        let mut attn = Vec::with_capacity(self.num_heads);
+        for h in 0..self.num_heads {
+            let qh = self.slice_head(&q, h);
+            let kh = self.slice_head(&k, h);
+            let vh = self.slice_head(&v, h);
+            let mut scores = qh.matmul_nt(&kh);
+            scores.scale(scale);
+            let weights = scores.softmax_rows();
+            let out_h = weights.matmul(&vh);
+            self.scatter_head(&mut concat, &out_h, h);
+            attn.push(weights);
+        }
+        let y = self.wo.forward_inference(&concat);
+        *tape = AttentionTape {
+            q,
+            k,
+            v,
+            attn,
+            concat,
+        };
+        y
     }
 
-    /// Backward pass for the sequence last passed to `forward`.
+    /// Backward pass for the sequence `x` whose forward wrote `tape`.
     ///
     /// Returns `dx` of shape `(seq_len, d_model)` and accumulates parameter
-    /// gradients.
+    /// gradients into `grads` (the layer's eight tensors in
+    /// [`MultiHeadAttention::visit_params`] order).
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let d_concat = self.wo.backward(dy);
-        let cache = self
-            .cache
-            .take()
-            .expect("MultiHeadAttention::backward called before forward");
+    /// Panics unless `grads` holds exactly eight tensors.
+    pub fn backward(
+        &self,
+        x: &Matrix,
+        tape: &AttentionTape,
+        dy: &Matrix,
+        grads: &mut [Matrix],
+    ) -> Matrix {
+        let len = grads.len();
+        let ([gq, gk, gv, go], []) = grads.as_chunks_mut::<2>() else {
+            panic!("attention has 8 gradient tensors, got {len}");
+        };
+        let d_concat = self.wo.backward(&tape.concat, dy, go);
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let seq_len = d_concat.rows();
         let d_model = self.d_model();
@@ -155,10 +144,10 @@ impl MultiHeadAttention {
         let mut dv = Matrix::zeros(seq_len, d_model);
         for h in 0..self.num_heads {
             let d_out_h = self.slice_head(&d_concat, h);
-            let qh = self.slice_head(&cache.q, h);
-            let kh = self.slice_head(&cache.k, h);
-            let vh = self.slice_head(&cache.v, h);
-            let attn = &cache.attn[h];
+            let qh = self.slice_head(&tape.q, h);
+            let kh = self.slice_head(&tape.k, h);
+            let vh = self.slice_head(&tape.v, h);
+            let attn = &tape.attn[h];
             // dV_h = attn^T d_out_h
             let dvh = attn.matmul_tn(&d_out_h);
             // d_attn = d_out_h V_h^T
@@ -181,9 +170,9 @@ impl MultiHeadAttention {
             self.scatter_head(&mut dk, &dkh, h);
             self.scatter_head(&mut dv, &dvh, h);
         }
-        let mut dx = self.wq.backward(&dq);
-        dx.add_assign(&self.wk.backward(&dk));
-        dx.add_assign(&self.wv.backward(&dv));
+        let mut dx = self.wq.backward(x, &dq, gq);
+        dx.add_assign(&self.wk.backward(x, &dk, gk));
+        dx.add_assign(&self.wv.backward(x, &dv, gv));
         dx
     }
 
@@ -210,22 +199,43 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(99)
     }
 
+    /// Zeroed gradient tensors for `mha`, in `visit_params` order.
+    fn zero_grads(mha: &mut MultiHeadAttention) -> Vec<Matrix> {
+        let mut grads = Vec::new();
+        mha.visit_params(&mut |p| grads.push(Matrix::zeros(p.value.rows(), p.value.cols())));
+        grads
+    }
+
+    /// A training forward then backward of `dy`: `(dx, grads)`.
+    fn forward_backward(
+        mha: &mut MultiHeadAttention,
+        x: &Matrix,
+        dy: &Matrix,
+    ) -> (Matrix, Vec<Matrix>) {
+        let mut tape = AttentionTape::default();
+        mha.forward(x, &mut tape);
+        let mut grads = zero_grads(mha);
+        let dx = mha.backward(x, &tape, dy, &mut grads);
+        (dx, grads)
+    }
+
     #[test]
     fn output_shape_matches_input() {
-        let mut mha = MultiHeadAttention::new(8, 2, &mut rng());
+        let mha = MultiHeadAttention::new(8, 2, &mut rng());
         let x = Matrix::full(5, 8, 0.1);
-        let y = mha.forward(&x);
+        let y = mha.forward(&x, &mut AttentionTape::default());
         assert_eq!(y.rows(), 5);
         assert_eq!(y.cols(), 8);
     }
 
     #[test]
     fn attention_rows_sum_to_one() {
-        let mut mha = MultiHeadAttention::new(4, 2, &mut rng());
+        let mha = MultiHeadAttention::new(4, 2, &mut rng());
         let x = Matrix::from_rows(&[&[1.0, 0.0, -1.0, 0.5], &[0.2, 0.3, 0.1, -0.2]]);
-        mha.forward(&x);
-        let cache = mha.cache.as_ref().unwrap();
-        for attn in &cache.attn {
+        let mut tape = AttentionTape::default();
+        mha.forward(&x, &mut tape);
+        assert_eq!(tape.attn.len(), 2);
+        for attn in &tape.attn {
             for r in 0..attn.rows() {
                 let s: f32 = attn.row(r).iter().sum();
                 assert!((s - 1.0).abs() < 1e-5);
@@ -247,23 +257,22 @@ mod tests {
             &[0.3, 0.7, -0.2, 1.1],
             &[-0.6, 0.4, 0.9, -1.2],
         ]);
-        let loss = |mha: &mut MultiHeadAttention, x: &Matrix| -> f32 {
-            let y = mha.forward(x);
+        let loss = |mha: &MultiHeadAttention, x: &Matrix| -> f32 {
+            let y = mha.forward(x, &mut AttentionTape::default());
             y.as_slice()
                 .iter()
                 .zip(w.as_slice().iter())
                 .map(|(a, b)| a * b)
                 .sum()
         };
-        loss(&mut mha, &x);
-        let dx = mha.backward(&w);
+        let (dx, _) = forward_backward(&mut mha, &x, &w);
         let eps = 1e-3;
         for &(r, c) in &[(0usize, 0usize), (1, 2), (2, 3)] {
             let mut xp = x.clone();
             xp[(r, c)] += eps;
             let mut xm = x.clone();
             xm[(r, c)] -= eps;
-            let numeric = (loss(&mut mha, &xp) - loss(&mut mha, &xm)) / (2.0 * eps);
+            let numeric = (loss(&mha, &xp) - loss(&mha, &xm)) / (2.0 * eps);
             assert!(
                 (numeric - dx[(r, c)]).abs() < 3e-2,
                 "dx[{r},{c}]: numeric {numeric} vs analytic {}",
@@ -277,24 +286,24 @@ mod tests {
         let mut mha = MultiHeadAttention::new(4, 1, &mut rng());
         let x = Matrix::from_rows(&[&[0.5, -0.2, 0.1, 0.3], &[-0.4, 0.6, 0.0, -0.1]]);
         let w = Matrix::from_rows(&[&[1.0, -1.0, 0.5, 2.0], &[0.3, 0.7, -0.2, 1.1]]);
-        let loss = |mha: &mut MultiHeadAttention, x: &Matrix| -> f32 {
-            let y = mha.forward(x);
+        let loss = |mha: &MultiHeadAttention, x: &Matrix| -> f32 {
+            let y = mha.forward(x, &mut AttentionTape::default());
             y.as_slice()
                 .iter()
                 .zip(w.as_slice().iter())
                 .map(|(a, b)| a * b)
                 .sum()
         };
-        loss(&mut mha, &x);
-        mha.backward(&w);
-        let analytic_q = mha.wq.w.grad[(1, 2)];
-        let analytic_o = mha.wo.w.grad[(3, 0)];
+        let (_, grads) = forward_backward(&mut mha, &x, &w);
+        // `wq.w` is tensor 0 and `wo.w` tensor 6 of the walk.
+        let analytic_q = grads[0][(1, 2)];
+        let analytic_o = grads[6][(3, 0)];
         let eps = 1e-3;
         let orig = mha.wq.w.value[(1, 2)];
         mha.wq.w.value[(1, 2)] = orig + eps;
-        let lp = loss(&mut mha, &x);
+        let lp = loss(&mha, &x);
         mha.wq.w.value[(1, 2)] = orig - eps;
-        let lm = loss(&mut mha, &x);
+        let lm = loss(&mha, &x);
         mha.wq.w.value[(1, 2)] = orig;
         let numeric = (lp - lm) / (2.0 * eps);
         assert!(
@@ -303,9 +312,9 @@ mod tests {
         );
         let orig = mha.wo.w.value[(3, 0)];
         mha.wo.w.value[(3, 0)] = orig + eps;
-        let lp = loss(&mut mha, &x);
+        let lp = loss(&mha, &x);
         mha.wo.w.value[(3, 0)] = orig - eps;
-        let lm = loss(&mut mha, &x);
+        let lm = loss(&mha, &x);
         mha.wo.w.value[(3, 0)] = orig;
         let numeric = (lp - lm) / (2.0 * eps);
         assert!(

@@ -12,8 +12,14 @@ pub struct LayerNorm {
     /// Learned shift, shape `(1, dim)`.
     pub beta: Param,
     eps: f32,
-    cached_normalized: Option<Matrix>,
-    cached_inv_std: Vec<f32>,
+}
+
+/// What [`LayerNorm::forward`] keeps for the backward pass: the normalized
+/// rows and each row's `1 / σ`.
+#[derive(Clone, Debug, Default)]
+pub struct LayerNormTape {
+    xhat: Matrix,
+    inv_std: Vec<f32>,
 }
 
 impl LayerNorm {
@@ -24,8 +30,6 @@ impl LayerNorm {
             gamma: Param::new(Matrix::full(1, dim, 1.0)),
             beta: Param::zeros(1, dim),
             eps: 1e-5,
-            cached_normalized: None,
-            cached_inv_std: Vec::new(),
         }
     }
 
@@ -34,20 +38,8 @@ impl LayerNorm {
         self.gamma.value.cols()
     }
 
-    /// Forward pass, caching normalized activations.
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let (y, xhat, inv_std) = self.compute(x);
-        self.cached_normalized = Some(xhat);
-        self.cached_inv_std = inv_std;
-        y
-    }
-
-    /// Forward pass without caching (inference only).
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        self.compute(x).0
-    }
-
-    fn compute(&self, x: &Matrix) -> (Matrix, Matrix, Vec<f32>) {
+    /// Forward pass, keeping in `tape` what the backward pass reads.
+    pub fn forward(&self, x: &Matrix, tape: &mut LayerNormTape) -> Matrix {
         let dim = self.dim();
         assert_eq!(x.cols(), dim, "LayerNorm dim mismatch");
         let mut y = Matrix::zeros(x.rows(), dim);
@@ -67,30 +59,33 @@ impl LayerNorm {
                 y[(r, c)] = gamma[c] * h + beta[c];
             }
         }
-        (y, xhat, inv_stds)
+        (tape.xhat, tape.inv_std) = (xhat, inv_stds);
+        y
     }
 
-    /// Backward pass: accumulates `dgamma`, `dbeta` and returns `dx`.
+    /// Backward pass from the forward's `tape`: accumulates `dgamma` and
+    /// `dbeta` into `grads` (the layer's two tensors in
+    /// [`LayerNorm::visit_params`] order) and returns `dx`.
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        let xhat = self
-            .cached_normalized
-            .as_ref()
-            .expect("LayerNorm::backward called before forward");
+    /// Panics unless `grads` holds exactly two tensors.
+    pub fn backward(&self, tape: &LayerNormTape, dy: &Matrix, grads: &mut [Matrix]) -> Matrix {
+        let [dgamma, dbeta] = grads else {
+            panic!("a LayerNorm has 2 gradient tensors, got {}", grads.len());
+        };
+        let (dgamma, dbeta) = (dgamma.as_mut_slice(), dbeta.as_mut_slice());
         let dim = self.dim();
         let gamma = self.gamma.value.as_slice();
         let mut dx = Matrix::zeros(dy.rows(), dim);
         for r in 0..dy.rows() {
-            let inv_std = self.cached_inv_std[r];
+            let inv_std = tape.inv_std[r];
             let dy_row = dy.row(r);
-            let xhat_row = xhat.row(r);
+            let xhat_row = tape.xhat.row(r);
             // Accumulate parameter gradients.
             for c in 0..dim {
-                self.gamma.grad.as_mut_slice()[c] += dy_row[c] * xhat_row[c];
-                self.beta.grad.as_mut_slice()[c] += dy_row[c];
+                dgamma[c] += dy_row[c] * xhat_row[c];
+                dbeta[c] += dy_row[c];
             }
             // dxhat = dy * gamma
             // dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
@@ -129,8 +124,11 @@ mod tests {
 
     #[test]
     fn normalizes_rows() {
-        let mut ln = LayerNorm::new(4);
-        let y = ln.forward(&Matrix::from_row(&[1.0, 2.0, 3.0, 4.0]));
+        let ln = LayerNorm::new(4);
+        let y = ln.forward(
+            &Matrix::from_row(&[1.0, 2.0, 3.0, 4.0]),
+            &mut LayerNormTape::default(),
+        );
         let mean: f32 = y.row(0).iter().sum::<f32>() / 4.0;
         let var: f32 = y
             .row(0)
@@ -147,7 +145,10 @@ mod tests {
         let mut ln = LayerNorm::new(2);
         ln.gamma.value = Matrix::from_row(&[2.0, 2.0]);
         ln.beta.value = Matrix::from_row(&[1.0, 1.0]);
-        let y = ln.forward(&Matrix::from_row(&[-1.0, 1.0]));
+        let y = ln.forward(
+            &Matrix::from_row(&[-1.0, 1.0]),
+            &mut LayerNormTape::default(),
+        );
         // normalized = [-1, 1] (approx), so y ≈ [-1, 3]
         assert!((y.as_slice()[0] + 1.0).abs() < 1e-2);
         assert!((y.as_slice()[1] - 3.0).abs() < 1e-2);
@@ -159,12 +160,14 @@ mod tests {
         ln.gamma.value = Matrix::from_row(&[1.1, 0.9, 1.3]);
         ln.beta.value = Matrix::from_row(&[0.1, -0.2, 0.0]);
         let x = Matrix::from_rows(&[&[0.5, -1.0, 2.0], &[1.0, 1.5, -0.5]]);
-        ln.forward(&x);
+        let mut tape = LayerNormTape::default();
+        ln.forward(&x, &mut tape);
         // L = weighted sum with distinct weights so gradients differ per cell.
         let dy = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[0.5, -1.0, 1.5]]);
-        let dx = ln.backward(&dy);
+        let mut grads = vec![Matrix::zeros(1, 3), Matrix::zeros(1, 3)];
+        let dx = ln.backward(&tape, &dy, &mut grads);
         let loss = |ln: &LayerNorm, x: &Matrix| -> f32 {
-            let y = ln.forward_inference(x);
+            let y = ln.forward(x, &mut LayerNormTape::default());
             y.as_slice()
                 .iter()
                 .zip(dy.as_slice().iter())
@@ -194,7 +197,7 @@ mod tests {
             let lm = loss(&ln, &x);
             ln.gamma.value.as_mut_slice()[c] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = ln.gamma.grad.as_slice()[c];
+            let analytic = grads[0].as_slice()[c];
             assert!(
                 (numeric - analytic).abs() < 2e-2,
                 "dgamma[{c}]: numeric {numeric} vs analytic {analytic}"

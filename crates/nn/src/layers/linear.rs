@@ -9,21 +9,33 @@ use rand::Rng;
 /// A fully-connected layer computing `y = x W + b`.
 ///
 /// `x` is `(batch, in_dim)`, `W` is `(in_dim, out_dim)`, `b` is `out_dim`.
+/// The layer holds only its parameters: the backward pass is handed the
+/// input the forward saw and the gradient tensors to accumulate into.
 #[derive(Clone, Debug)]
 pub struct Linear {
     /// Weight matrix, shape `(in_dim, out_dim)`.
     pub w: Param,
     /// Bias row vector stored as a `(1, out_dim)` matrix.
     pub b: Param,
-    cached_input: Option<CachedInput>,
 }
 
-/// The input a training forward saw, kept for `dW = xᵀ dy`: a dense copy,
-/// or the CSR compaction of [`Linear::forward_sparse`].
-#[derive(Clone, Debug)]
-enum CachedInput {
-    Dense(Matrix),
-    Sparse(SparseRows),
+/// A forward input as the backward pass reads it for `dW = xᵀ dy`: a dense
+/// matrix, or the CSR compaction [`Linear::forward_sparse`] wrote.
+pub trait LinearInput {
+    /// `xᵀ dy`.
+    fn matmul_tn(&self, dy: &Matrix) -> Matrix;
+}
+
+impl LinearInput for Matrix {
+    fn matmul_tn(&self, dy: &Matrix) -> Matrix {
+        Matrix::matmul_tn(self, dy)
+    }
+}
+
+impl LinearInput for SparseRows {
+    fn matmul_tn(&self, dy: &Matrix) -> Matrix {
+        SparseRows::matmul_tn(self, dy)
+    }
 }
 
 impl Linear {
@@ -32,7 +44,6 @@ impl Linear {
         Self {
             w: Param::new(init::xavier_uniform(in_dim, out_dim, rng)),
             b: Param::zeros(1, out_dim),
-            cached_input: None,
         }
     }
 
@@ -42,7 +53,6 @@ impl Linear {
         Self {
             w: Param::new(init::scaled_xavier(in_dim, out_dim, gain, rng)),
             b: Param::zeros(1, out_dim),
-            cached_input: None,
         }
     }
 
@@ -56,82 +66,59 @@ impl Linear {
         self.w.value.cols()
     }
 
-    /// Forward pass, caching the input for the backward pass (into the
-    /// previous pass's cache storage, so repeated passes do not allocate).
-    pub fn forward(&mut self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w.value);
-        y.add_row_broadcast(self.b.value.as_slice());
-        match &mut self.cached_input {
-            Some(CachedInput::Dense(cached)) => cached.clone_from(x),
-            slot => *slot = Some(CachedInput::Dense(x.clone())),
-        }
-        y
-    }
-
-    /// Forward pass without caching (inference only).
+    /// Forward pass. A training caller keeps `x` for the backward pass.
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
         let mut y = x.matmul(&self.w.value);
         y.add_row_broadcast(self.b.value.as_slice());
         y
     }
 
-    /// [`Linear::forward`] for a mostly-zero input, such as a network's
-    /// one-hot observation: compacts `x` into the cached [`SparseRows`]
-    /// (reusing its storage) and multiplies only the nonzeros, here and in
-    /// the backward pass. The same bits as [`Linear::forward`] for finite
-    /// weights (see [`crate::sparse`]).
-    pub fn forward_sparse(&mut self, x: &Matrix) -> Matrix {
-        let mut csr = match self.cached_input.take() {
-            Some(CachedInput::Sparse(csr)) => csr,
-            _ => SparseRows::default(),
-        };
+    /// The training forward for a mostly-zero input, such as a network's
+    /// one-hot observation: compacts `x` into `csr` (reusing its storage)
+    /// for the backward pass and multiplies only the nonzeros. The same
+    /// bits as [`Linear::forward_inference`] for finite weights (see
+    /// [`crate::sparse`]).
+    pub fn forward_sparse(&self, x: &Matrix, csr: &mut SparseRows) -> Matrix {
         csr.compact(x);
         let mut y = csr.matmul(&self.w.value);
         y.add_row_broadcast(self.b.value.as_slice());
-        self.cached_input = Some(CachedInput::Sparse(csr));
         y
     }
 
-    /// [`Linear::forward_inference`] through the sparse kernel of
-    /// [`Linear::forward_sparse`], compacting into a per-thread buffer.
+    /// [`Linear::forward_sparse`] without keeping the compaction: it goes
+    /// into a per-thread buffer.
     pub fn forward_sparse_inference(&self, x: &Matrix) -> Matrix {
         let mut y = sparse::with_compacted(x, |csr| csr.matmul(&self.w.value));
         y.add_row_broadcast(self.b.value.as_slice());
         y
     }
 
-    /// Backward pass: accumulates `dW`, `db` and returns `dx`
-    /// ([`Linear::backward_params`] plus the `dx = dy Wᵀ` product).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, dy: &Matrix) -> Matrix {
-        self.backward_params(dy);
+    /// Backward pass for the forward input `x`: accumulates `dW`, `db` into
+    /// `grads` ([`Linear::backward_params`]) and returns `dx = dy Wᵀ`.
+    pub fn backward(&self, x: &Matrix, dy: &Matrix, grads: &mut [Matrix]) -> Matrix {
+        self.backward_params(x, dy, grads);
         dy.matmul_nt(&self.w.value)
     }
 
-    /// Parameter-only backward pass: accumulates `dW = xᵀ dy` and
-    /// `db = Σ_rows dy` and computes no input gradient. A network's input
-    /// layer calls this, since nothing reads the gradient of the
-    /// observation, and with a wide observation that `dx` would be the
-    /// backward pass's largest product. The parameter gradients are
-    /// bit-identical to [`Linear::backward`]'s.
+    /// Parameter-only backward pass: accumulates `dW = xᵀ dy` into
+    /// `grads[0]` and `db = Σ_rows dy` into `grads[1]` (the layer's two
+    /// tensors in [`Linear::visit_params`] order) and computes no input
+    /// gradient. A network's input layer calls this, since nothing reads
+    /// the gradient of the observation, and with a wide observation that
+    /// `dx` would be the backward pass's largest product. The parameter
+    /// gradients are bit-identical to [`Linear::backward`]'s.
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward`.
-    pub fn backward_params(&mut self, dy: &Matrix) {
-        // dW = x^T dy
-        let dw = match &self.cached_input {
-            Some(CachedInput::Dense(x)) => x.matmul_tn(dy),
-            Some(CachedInput::Sparse(x)) => x.matmul_tn(dy),
-            None => panic!("Linear::backward called before forward"),
+    /// Panics unless `grads` holds exactly two tensors.
+    pub fn backward_params(&self, x: &impl LinearInput, dy: &Matrix, grads: &mut [Matrix]) {
+        let [dw, db] = grads else {
+            panic!("a Linear layer has 2 gradient tensors, got {}", grads.len());
         };
-        self.w.grad.add_assign(&dw);
+        // dW = x^T dy
+        dw.add_assign(&x.matmul_tn(dy));
         // db = column sums of dy
-        let db = dy.sum_rows();
-        for (g, d) in self.b.grad.as_mut_slice().iter_mut().zip(db.iter()) {
+        for (g, d) in db.as_mut_slice().iter_mut().zip(dy.sum_rows()) {
             *g += d;
         }
     }
@@ -157,12 +144,20 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(42)
     }
 
+    /// Zeroed gradient tensors for `l`, in `visit_params` order.
+    fn zero_grads(l: &Linear) -> Vec<Matrix> {
+        vec![
+            Matrix::zeros(l.in_dim(), l.out_dim()),
+            Matrix::zeros(1, l.out_dim()),
+        ]
+    }
+
     #[test]
     fn forward_known_values() {
         let mut l = Linear::new(2, 2, &mut rng());
         l.w.value = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         l.b.value = Matrix::from_row(&[0.5, -0.5]);
-        let y = l.forward(&Matrix::from_row(&[1.0, 1.0]));
+        let y = l.forward_inference(&Matrix::from_row(&[1.0, 1.0]));
         assert_eq!(y.as_slice(), &[4.5, 5.5]);
     }
 
@@ -171,9 +166,10 @@ mod tests {
         // Finite-difference check of dL/dW, dL/db, dL/dx where L = sum(y).
         let mut l = Linear::new(3, 2, &mut rng());
         let x = Matrix::from_rows(&[&[0.5, -1.0, 2.0], &[1.5, 0.3, -0.7]]);
-        let y = l.forward(&x);
+        let y = l.forward_inference(&x);
         let dy = Matrix::full(y.rows(), y.cols(), 1.0);
-        let dx = l.backward(&dy);
+        let mut grads = zero_grads(&l);
+        let dx = l.backward(&x, &dy, &mut grads);
 
         let eps = 1e-3;
         // Check a few weight entries.
@@ -185,7 +181,7 @@ mod tests {
             let lm: f32 = l.forward_inference(&x).as_slice().iter().sum();
             l.w.value[(i, j)] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = l.w.grad[(i, j)];
+            let analytic = grads[0][(i, j)];
             assert!(
                 (numeric - analytic).abs() < 1e-2,
                 "dW[{i},{j}]: numeric {numeric} vs analytic {analytic}"
@@ -204,30 +200,24 @@ mod tests {
 
     #[test]
     fn gradients_accumulate_across_backward_calls() {
-        let mut l = Linear::new(2, 1, &mut rng());
+        let l = Linear::new(2, 1, &mut rng());
         let x = Matrix::from_row(&[1.0, 2.0]);
         let dy = Matrix::from_row(&[1.0]);
-        l.forward(&x);
-        l.backward(&dy);
-        let g1 = l.w.grad[(0, 0)];
-        l.forward(&x);
-        l.backward(&dy);
-        assert!((l.w.grad[(0, 0)] - 2.0 * g1).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "before forward")]
-    fn backward_before_forward_panics() {
-        let mut l = Linear::new(2, 2, &mut rng());
-        let _ = l.backward(&Matrix::zeros(1, 2));
+        let mut grads = zero_grads(&l);
+        l.backward(&x, &dy, &mut grads);
+        let g1 = grads[0][(0, 0)];
+        l.backward(&x, &dy, &mut grads);
+        assert!((grads[0][(0, 0)] - 2.0 * g1).abs() < 1e-6);
     }
 
     #[test]
     fn backward_params_accumulates_the_same_bits_as_backward() {
-        let mut full = Linear::new(5, 3, &mut rng());
+        let l = Linear::new(5, 3, &mut rng());
         // Non-zero starting gradients: both must accumulate, not assign.
-        full.w.grad = Matrix::full(5, 3, 0.125);
-        full.b.grad = Matrix::from_row(&[-1.0, 0.5, 3.0]);
+        let mut full = vec![
+            Matrix::full(5, 3, 0.125),
+            Matrix::from_row(&[-1.0, 0.5, 3.0]),
+        ];
         let mut params_only = full.clone();
         let x = Matrix::from_rows(&[
             &[0.0, 1.0, 0.0, -2.5, 0.0],
@@ -235,13 +225,12 @@ mod tests {
             &[1e-3, 0.0, -1e3, 0.5, 0.0],
         ]);
         let dy = Matrix::from_rows(&[&[0.5, -1.5, 2.0], &[1e-4, 3.0, -0.25], &[-7.0, 0.0, 1.0]]);
-        full.forward(&x);
-        params_only.forward(&x);
-        let dx = full.backward(&dy);
-        params_only.backward_params(&dy);
+        let dx = l.backward(&x, &dy, &mut full);
+        l.backward_params(&x, &dy, &mut params_only);
         assert_eq!((dx.rows(), dx.cols()), (3, 5));
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&full.w.grad), bits(&params_only.w.grad));
-        assert_eq!(bits(&full.b.grad), bits(&params_only.b.grad));
+        for (a, b) in full.iter().zip(&params_only) {
+            assert_eq!(bits(a), bits(b));
+        }
     }
 }

@@ -1,10 +1,12 @@
-//! Neural-network layers with cached forward passes and manual backward
-//! passes.
+//! Neural-network layers with manual backward passes.
 //!
-//! Each layer caches whatever it needs from the forward pass so its
-//! `backward` method can compute input gradients and accumulate parameter
-//! gradients into its [`crate::Param`]s. Layers are stateful and not
-//! thread-safe by design: one layer instance belongs to one model.
+//! A layer holds only its parameters. A training forward hands what the
+//! backward pass needs to the caller's tape (a layer's `…Tape` type, or
+//! just the input or output the caller keeps), and the backward pass reads
+//! the weights through `&self`, takes that tape, and accumulates parameter
+//! gradients into the gradient tensors it is given, one per parameter in
+//! the layer's `visit_params` order. So any number of threads can train
+//! against one set of weights, each with its own tape.
 
 mod activation;
 mod attention;
@@ -12,6 +14,6 @@ mod layernorm;
 mod linear;
 
 pub use activation::{Activation, ActivationKind};
-pub use attention::MultiHeadAttention;
-pub use layernorm::LayerNorm;
-pub use linear::Linear;
+pub use attention::{AttentionTape, MultiHeadAttention};
+pub use layernorm::{LayerNorm, LayerNormTape};
+pub use linear::{Linear, LinearInput};

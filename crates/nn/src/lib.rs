@@ -11,17 +11,20 @@
 //!   `xᵀ·dy` from the nonzeros only) an MLP's input layer runs on the
 //!   one-hot observation.
 //! * [`layers`] — `Linear`, activations, `LayerNorm`, multi-head
-//!   self-attention, each with a cached forward pass and a manual backward
-//!   pass that accumulates gradients into [`Param`]s.
+//!   self-attention. Each holds only its parameters; its manual backward
+//!   pass reads what the training forward saved and accumulates into the
+//!   gradient tensors it is handed.
 //! * [`models`] — [`models::MlpPolicy`] and [`models::TransformerPolicy`],
 //!   both implementing [`models::PolicyValueNet`] (shared trunk, categorical
-//!   policy head, scalar value head).
+//!   policy head, scalar value head) and [`models::TrainNet`], whose
+//!   `train_shard` trains through `&self` into a per-shard
+//!   [`models::Tape`].
 //! * [`math`] — `tanh` as a port of glibc 2.36's fdlibm `tanhf`, scalar
 //!   and as a tier-dispatched slice kernel: the same bits on every host.
 //! * [`optim::Adam`] — the Adam optimizer (per-parameter moments).
-//! * [`grad`] — the data-parallel sharded PPO update's plumbing: reduce
-//!   shard gradients in fixed order with the global norm in the same pass
-//!   ([`grad::reduce_grads`]), copy weights to replicas, and
+//! * [`grad`] — the data-parallel sharded PPO update's reduction: shard
+//!   gradients added in fixed order with the global norm in the same pass
+//!   ([`grad::reduce_grads`]), plus the weight snapshot/load and
 //!   [`grad::GradBuffer`], the copy-out reference the benchmark probe
 //!   calls.
 //! * [`dist::Categorical`] — sampling, log-probabilities and entropy for the
@@ -42,8 +45,9 @@
 //! input: the observation window is a few one-hot tokens, so the input
 //! layer compacts it into [`SparseRows`] and multiplies only the nonzeros,
 //! forward and backward, with the same bits the dense kernels give (for
-//! finite weights). Backward passes are hand-derived per layer; there is
-//! no tape or graph. Determinism is a hard requirement across the workspace —
+//! finite weights). Backward passes are hand-derived per layer; a model's
+//! tape is a fixed struct of the activations its backward reads, not a
+//! recorded graph. Determinism is a hard requirement across the workspace —
 //! same seed, same trajectories, same checkpoints — so nothing in this
 //! crate reads wall-clock time, thread identity or global RNG state.
 //!

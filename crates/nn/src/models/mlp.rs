@@ -2,8 +2,9 @@
 
 use crate::layers::{Activation, ActivationKind, Linear};
 use crate::matrix::Matrix;
-use crate::models::PolicyValueNet;
+use crate::models::{train_batch_on_tape, PolicyValueNet, RowGrad, Tape, TrainNet};
 use crate::param::Param;
+use crate::sparse::SparseRows;
 use rand::Rng;
 
 /// Configuration for [`MlpPolicy`].
@@ -108,18 +109,14 @@ impl MlpPolicy {
         }
         h
     }
+}
 
-    /// The trunk's training pass; the input layer caches the observation's
-    /// CSR compaction ([`Linear::forward_sparse`]) for its backward.
-    fn trunk_forward_train(&mut self, obs: &Matrix) -> Matrix {
-        let ((input_layer, input_act), hidden) =
-            self.trunk.split_first_mut().expect("non-empty trunk");
-        let mut h = input_act.forward(&input_layer.forward_sparse(obs));
-        for (lin, act) in hidden {
-            h = act.forward(&lin.forward(&h));
-        }
-        h
-    }
+/// What [`MlpPolicy`]'s training pass keeps in a shard's tape: the
+/// observation's CSR compaction, the input layer's input, whose storage
+/// the next pass reuses.
+#[derive(Debug, Default)]
+pub(crate) struct MlpTape {
+    csr: SparseRows,
 }
 
 impl PolicyValueNet for MlpPolicy {
@@ -134,32 +131,9 @@ impl PolicyValueNet for MlpPolicy {
     fn train_batch(
         &mut self,
         obs: &Matrix,
-        grad_fn: &mut dyn FnMut(usize, &[f32], f32) -> (Vec<f32>, f32),
+        grad_fn: &mut dyn FnMut(usize, &[f32], f32) -> RowGrad,
     ) {
-        assert_eq!(obs.cols(), self.obs_dim, "observation dim mismatch");
-        let features = self.trunk_forward_train(obs);
-        let logits = self.policy_head.forward(&features);
-        let values = self.value_head.forward(&features);
-        let batch = obs.rows();
-        let mut dlogits = Matrix::zeros(batch, self.num_actions);
-        let mut dvalues = Matrix::zeros(batch, 1);
-        for i in 0..batch {
-            let (dl, dv) = grad_fn(i, logits.row(i), values[(i, 0)]);
-            assert_eq!(dl.len(), self.num_actions, "dlogits length mismatch");
-            dlogits.row_mut(i).copy_from_slice(&dl);
-            dvalues[(i, 0)] = dv;
-        }
-        let mut dfeat = self.policy_head.backward(&dlogits);
-        dfeat.add_assign(&self.value_head.backward(&dvalues));
-        let mut grad = dfeat;
-        let (input_layer, hidden) = self.trunk.split_first_mut().expect("non-empty trunk");
-        for (lin, act) in hidden.iter_mut().rev() {
-            grad = lin.backward(&act.backward(&grad));
-        }
-        // Nothing reads the observation's gradient: skip the input
-        // layer's `dx` product.
-        let (lin, act) = input_layer;
-        lin.backward_params(&act.backward(&grad));
+        train_batch_on_tape(self, obs, grad_fn);
     }
 
     fn zero_grad(&mut self) {
@@ -189,6 +163,61 @@ impl PolicyValueNet for MlpPolicy {
 
     fn obs_dim(&self) -> usize {
         self.obs_dim
+    }
+}
+
+impl TrainNet for MlpPolicy {
+    fn train_shard(
+        &self,
+        tape: &mut Tape,
+        obs: &Matrix,
+        grad_fn: &mut dyn FnMut(usize, &[f32], f32) -> RowGrad,
+    ) {
+        assert_eq!(obs.cols(), self.obs_dim, "observation dim mismatch");
+        let Tape {
+            grads,
+            mlp: MlpTape { csr },
+            ..
+        } = tape;
+        // The input layer compacts the observation into the tape's CSR
+        // rows ([`Linear::forward_sparse`]) for its backward. `hs` holds
+        // each trunk layer's activation output, its own derivative's input
+        // and the next layer's input; the last is the features both heads
+        // read. They are fresh matrices every pass, so they live only for
+        // the pass.
+        let ((input_layer, input_act), hidden) = self.trunk.split_first().expect("non-empty trunk");
+        let mut hs = Vec::with_capacity(self.trunk.len());
+        hs.push(input_act.forward_inference(&input_layer.forward_sparse(obs, csr)));
+        for (lin, act) in hidden {
+            let h = act.forward_inference(&lin.forward_inference(&hs[hs.len() - 1]));
+            hs.push(h);
+        }
+        let features = &hs[hidden.len()];
+        let logits = self.policy_head.forward_inference(features);
+        let values = self.value_head.forward_inference(features);
+        let batch = obs.rows();
+        let mut dlogits = Matrix::zeros(batch, self.num_actions);
+        let mut dvalues = Matrix::zeros(batch, 1);
+        for i in 0..batch {
+            let (dl, dv) = grad_fn(i, logits.row(i), values[(i, 0)]);
+            assert_eq!(dl.len(), self.num_actions, "dlogits length mismatch");
+            dlogits.row_mut(i).copy_from_slice(&dl);
+            dvalues[(i, 0)] = dv;
+        }
+        // Two gradient tensors per `Linear`: the trunk's, then the heads'.
+        let (trunk_grads, head_grads) = grads.split_at_mut(2 * self.trunk.len());
+        let (policy_grads, value_grads) = head_grads.split_at_mut(2);
+        let mut grad = self.policy_head.backward(features, &dlogits, policy_grads);
+        grad.add_assign(&self.value_head.backward(features, &dvalues, value_grads));
+        let mut layer_grads = trunk_grads.chunks_exact_mut(2).rev();
+        for (i, (lin, act)) in hidden.iter().enumerate().rev() {
+            let dy = act.backward(&hs[i + 1], &grad);
+            grad = lin.backward(&hs[i], &dy, layer_grads.next().expect("a pair per layer"));
+        }
+        // Nothing reads the observation's gradient: skip the input
+        // layer's `dx` product.
+        let dy = input_act.backward(&hs[0], &grad);
+        input_layer.backward_params(csr, &dy, layer_grads.next().expect("a pair per layer"));
     }
 }
 
@@ -273,21 +302,35 @@ mod tests {
         let _ = MlpPolicy::new(&cfg, &mut rng());
     }
 
-    /// `train_batch` as it would run with the dense forward and the full
-    /// `backward` (input gradient included) on every layer: the reference
-    /// for the sparse input layer and its parameter-only backward.
-    fn reference_train_batch(net: &mut MlpPolicy, obs: &Matrix, dl: &Matrix, dv: &Matrix) {
-        let mut features = obs.clone();
-        for (lin, act) in &mut net.trunk {
-            features = act.forward(&lin.forward(&features));
+    /// The gradients `train_batch` must give from zero, computed with the
+    /// dense forward and the full `backward` (input gradient included) on
+    /// every layer: the reference for the sparse input layer and its
+    /// parameter-only backward.
+    fn reference_grad_bits(
+        net: &mut MlpPolicy,
+        obs: &Matrix,
+        dl: &Matrix,
+        dv: &Matrix,
+    ) -> Vec<u32> {
+        let mut grads = Tape::for_net(net).grads;
+        let mut hs = vec![obs.clone()];
+        for (lin, act) in &net.trunk {
+            let h = act.forward_inference(&lin.forward_inference(&hs[hs.len() - 1]));
+            hs.push(h);
         }
-        net.policy_head.forward(&features);
-        net.value_head.forward(&features);
-        let mut grad = net.policy_head.backward(dl);
-        grad.add_assign(&net.value_head.backward(dv));
-        for (lin, act) in net.trunk.iter_mut().rev() {
-            grad = lin.backward(&act.backward(&grad));
+        let features = &hs[net.trunk.len()];
+        let (trunk_grads, head_grads) = grads.split_at_mut(2 * net.trunk.len());
+        let (policy_grads, value_grads) = head_grads.split_at_mut(2);
+        let mut grad = net.policy_head.backward(features, dl, policy_grads);
+        grad.add_assign(&net.value_head.backward(features, dv, value_grads));
+        let layers = net.trunk.iter().zip(trunk_grads.chunks_exact_mut(2));
+        for (i, ((lin, act), g)) in layers.enumerate().rev() {
+            grad = lin.backward(&hs[i], &act.backward(&hs[i + 1], &grad), g);
         }
+        grads
+            .iter()
+            .flat_map(|g| g.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
     }
 
     fn grad_bits(net: &mut MlpPolicy) -> Vec<u32> {
@@ -319,10 +362,9 @@ mod tests {
                     &[0.9, -0.4, 0.05],
                 ]);
                 let dv = Matrix::from_vec(4, 1, vec![0.3, -1.1, 2.0, 0.0]);
-                let mut reference = net.clone();
+                let expected = reference_grad_bits(&mut net, &obs, &dl, &dv);
                 net.train_batch(&obs, &mut |i, _, _| (dl.row(i).to_vec(), dv[(i, 0)]));
-                reference_train_batch(&mut reference, &obs, &dl, &dv);
-                assert_eq!(grad_bits(&mut net), grad_bits(&mut reference));
+                assert_eq!(grad_bits(&mut net), expected);
             }
         }
     }

@@ -6,9 +6,11 @@
 //! structure with configurable (smaller) dimensions so CPU training stays
 //! tractable.
 
-use crate::layers::{Activation, ActivationKind, LayerNorm, Linear, MultiHeadAttention};
+use crate::layers::{
+    Activation, ActivationKind, AttentionTape, LayerNorm, LayerNormTape, Linear, MultiHeadAttention,
+};
 use crate::matrix::Matrix;
-use crate::models::PolicyValueNet;
+use crate::models::{train_batch_on_tape, PolicyValueNet, RowGrad, Tape, TrainNet};
 use crate::param::Param;
 use rand::Rng;
 
@@ -132,39 +134,10 @@ impl TransformerPolicy {
         Matrix::from_vec(self.config.seq_len, self.config.token_dim, row.to_vec())
     }
 
-    /// Forward for one sequence, caching activations for a following
-    /// `backward_single` call. Returns `(pooled_logits, value)`.
-    fn forward_single(&mut self, row: &[f32]) -> (Vec<f32>, f32) {
-        let tokens = self.tokens_from_row(row);
-        let mut x = self.embed.forward(&tokens);
-        // Add positional embeddings.
-        for r in 0..x.rows() {
-            let pos_row = self.pos.value.row(r).to_vec();
-            for (a, b) in x.row_mut(r).iter_mut().zip(pos_row.iter()) {
-                *a += b;
-            }
-        }
-        let attn_out = self.attn.forward(&x);
-        let mut res1 = x.clone();
-        res1.add_assign(&attn_out);
-        let y1 = self.ln1.forward(&res1);
-        let ff = self
-            .ff2
-            .forward(&self.ff_act.forward(&self.ff1.forward(&y1)));
-        let mut res2 = y1.clone();
-        res2.add_assign(&ff);
-        let y2 = self.ln2.forward(&res2);
-        // Mean-pool over steps.
-        let pooled = Matrix::from_row(&y2.mean_rows());
-        let logits = self.policy_head.forward(&pooled);
-        let value = self.value_head.forward(&pooled)[(0, 0)];
-        (logits.row(0).to_vec(), value)
-    }
-
-    /// Forward for one sequence without touching any layer cache — the
-    /// same math as [`TransformerPolicy::forward_single`], bit for bit,
-    /// usable through `&self` from concurrent rollout lane groups.
-    fn forward_single_inference(&self, row: &[f32]) -> (Vec<f32>, f32) {
+    /// Forward for one sequence: `(logits, value)`, keeping in `tape` what
+    /// [`TransformerPolicy::backward_single`] reads (inference passes a
+    /// scratch tape).
+    fn forward_single(&self, row: &[f32], tape: &mut TransformerTape) -> (Vec<f32>, f32) {
         let tokens = self.tokens_from_row(row);
         let mut x = self.embed.forward_inference(&tokens);
         // Add positional embeddings.
@@ -174,30 +147,53 @@ impl TransformerPolicy {
                 *a += b;
             }
         }
-        let attn_out = self.attn.forward_inference(&x);
-        let mut res1 = x;
+        let attn_out = self.attn.forward(&x, &mut tape.attn);
+        let mut res1 = x.clone();
         res1.add_assign(&attn_out);
-        let y1 = self.ln1.forward_inference(&res1);
-        let ff = self.ff2.forward_inference(
-            &self
-                .ff_act
-                .forward_inference(&self.ff1.forward_inference(&y1)),
-        );
-        let mut res2 = y1;
+        let y1 = self.ln1.forward(&res1, &mut tape.ln1);
+        let a = self
+            .ff_act
+            .forward_inference(&self.ff1.forward_inference(&y1));
+        let ff = self.ff2.forward_inference(&a);
+        let mut res2 = y1.clone();
         res2.add_assign(&ff);
-        let y2 = self.ln2.forward_inference(&res2);
+        let y2 = self.ln2.forward(&res2, &mut tape.ln2);
         // Mean-pool over steps.
         let pooled = Matrix::from_row(&y2.mean_rows());
         let logits = self.policy_head.forward_inference(&pooled);
         let value = self.value_head.forward_inference(&pooled)[(0, 0)];
+        (tape.tokens, tape.x, tape.y1, tape.a, tape.pooled) = (tokens, x, y1, a, pooled);
         (logits.row(0).to_vec(), value)
     }
 
-    /// Backward for the sequence last passed to `forward_single`.
-    fn backward_single(&mut self, dlogits: &[f32], dvalue: f32) {
+    /// Backward for the sequence whose forward wrote `tape`, accumulating
+    /// into `grads` (one tensor per parameter, in `visit_params` order).
+    fn backward_single(
+        &self,
+        tape: &TransformerTape,
+        grads: &mut [Matrix],
+        dlogits: &[f32],
+        dvalue: f32,
+    ) {
+        let mut grads = grads;
+        let mut next = |n: usize| {
+            grads
+                .split_off_mut(..n)
+                .expect("one gradient tensor per parameter")
+        };
+        let (g_embed, g_pos, g_attn, g_ln1) = (next(2), next(1), next(8), next(2));
+        let (g_ff1, g_ff2, g_ln2, g_policy, g_value) =
+            (next(2), next(2), next(2), next(2), next(2));
         let t = self.config.seq_len as f32;
-        let mut dpooled = self.policy_head.backward(&Matrix::from_row(dlogits));
-        dpooled.add_assign(&self.value_head.backward(&Matrix::from_row(&[dvalue])));
+        let pooled = &tape.pooled;
+        let mut dpooled = self
+            .policy_head
+            .backward(pooled, &Matrix::from_row(dlogits), g_policy);
+        dpooled.add_assign(&self.value_head.backward(
+            pooled,
+            &Matrix::from_row(&[dvalue]),
+            g_value,
+        ));
         // Un-pool: each step receives dpooled / T.
         let mut dy2 = Matrix::zeros(self.config.seq_len, self.config.d_model);
         for r in 0..dy2.rows() {
@@ -205,27 +201,46 @@ impl TransformerPolicy {
                 *d = g / t;
             }
         }
-        let dres2 = self.ln2.backward(&dy2);
+        let dres2 = self.ln2.backward(&tape.ln2, &dy2, g_ln2);
         // res2 = y1 + ff(y1): gradient flows both through FFN and residual.
-        let dff = self
-            .ff1
-            .backward(&self.ff_act.backward(&self.ff2.backward(&dres2)));
+        let da = self
+            .ff_act
+            .backward(&tape.a, &self.ff2.backward(&tape.a, &dres2, g_ff2));
+        let dff = self.ff1.backward(&tape.y1, &da, g_ff1);
         let mut dy1 = dres2;
         dy1.add_assign(&dff);
-        let dres1 = self.ln1.backward(&dy1);
-        let dattn = self.attn.backward(&dres1);
+        let dres1 = self.ln1.backward(&tape.ln1, &dy1, g_ln1);
+        let dattn = self.attn.backward(&tape.x, &tape.attn, &dres1, g_attn);
         let mut dx = dres1;
         dx.add_assign(&dattn);
         // Positional-embedding gradients.
         for r in 0..dx.rows() {
-            let src = dx.row(r).to_vec();
-            for (g, &d) in self.pos.grad.row_mut(r).iter_mut().zip(src.iter()) {
+            for (g, &d) in g_pos[0].row_mut(r).iter_mut().zip(dx.row(r)) {
                 *g += d;
             }
         }
         // The token embedding is the input layer: no `dx` to compute.
-        self.embed.backward_params(&dx);
+        self.embed.backward_params(&tape.tokens, &dx, g_embed);
     }
+}
+
+/// What [`TransformerPolicy`]'s training forward keeps for the backward
+/// pass of one sequence.
+#[derive(Debug, Default)]
+pub(crate) struct TransformerTape {
+    /// The `(seq_len, token_dim)` tokens, the embedding's input.
+    tokens: Matrix,
+    /// Embedded tokens plus positions, the attention's input.
+    x: Matrix,
+    attn: AttentionTape,
+    ln1: LayerNormTape,
+    /// The first layer norm's output, `ff1`'s input.
+    y1: Matrix,
+    /// The feed-forward activation's output, `ff2`'s input.
+    a: Matrix,
+    ln2: LayerNormTape,
+    /// The mean-pooled sequence, both heads' input.
+    pooled: Matrix,
 }
 
 impl PolicyValueNet for TransformerPolicy {
@@ -237,8 +252,9 @@ impl PolicyValueNet for TransformerPolicy {
         );
         let mut logits = Matrix::zeros(obs.rows(), self.config.num_actions);
         let mut values = Vec::with_capacity(obs.rows());
+        let mut scratch = TransformerTape::default();
         for i in 0..obs.rows() {
-            let (l, v) = self.forward_single_inference(obs.row(i));
+            let (l, v) = self.forward_single(obs.row(i), &mut scratch);
             logits.row_mut(i).copy_from_slice(&l);
             values.push(v);
         }
@@ -248,23 +264,9 @@ impl PolicyValueNet for TransformerPolicy {
     fn train_batch(
         &mut self,
         obs: &Matrix,
-        grad_fn: &mut dyn FnMut(usize, &[f32], f32) -> (Vec<f32>, f32),
+        grad_fn: &mut dyn FnMut(usize, &[f32], f32) -> RowGrad,
     ) {
-        assert_eq!(
-            obs.cols(),
-            self.config.obs_dim(),
-            "observation dim mismatch"
-        );
-        for i in 0..obs.rows() {
-            let (logits, value) = self.forward_single(obs.row(i));
-            let (dlogits, dvalue) = grad_fn(i, &logits, value);
-            assert_eq!(
-                dlogits.len(),
-                self.config.num_actions,
-                "dlogits length mismatch"
-            );
-            self.backward_single(&dlogits, dvalue);
-        }
+        train_batch_on_tape(self, obs, grad_fn);
     }
 
     fn zero_grad(&mut self) {
@@ -305,6 +307,31 @@ impl PolicyValueNet for TransformerPolicy {
 
     fn obs_dim(&self) -> usize {
         self.config.obs_dim()
+    }
+}
+
+impl TrainNet for TransformerPolicy {
+    fn train_shard(
+        &self,
+        tape: &mut Tape,
+        obs: &Matrix,
+        grad_fn: &mut dyn FnMut(usize, &[f32], f32) -> RowGrad,
+    ) {
+        assert_eq!(
+            obs.cols(),
+            self.config.obs_dim(),
+            "observation dim mismatch"
+        );
+        for i in 0..obs.rows() {
+            let (logits, value) = self.forward_single(obs.row(i), &mut tape.transformer);
+            let (dlogits, dvalue) = grad_fn(i, &logits, value);
+            assert_eq!(
+                dlogits.len(),
+                self.config.num_actions,
+                "dlogits length mismatch"
+            );
+            self.backward_single(&tape.transformer, &mut tape.grads, &dlogits, dvalue);
+        }
     }
 }
 

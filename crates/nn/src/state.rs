@@ -66,10 +66,16 @@ pub fn params_to_value(net: &mut dyn PolicyValueNet) -> Value {
 /// have the same architecture (same parameter walk, same shapes).
 /// Gradients are zeroed.
 ///
+/// A checkpoint is outside input, so every value and moment must be
+/// finite: the sparse input layer and the narrow head kernels give the
+/// dense kernels' bits only for finite weights.
+///
 /// # Errors
 ///
-/// Returns an error on a parameter-count or shape mismatch, or malformed
-/// input; `net` may be partially overwritten in that case.
+/// Returns an error on a parameter-count or shape mismatch (a shape
+/// whose element count overflows included), a non-finite value or
+/// moment, or malformed input; `net` may be partially overwritten in
+/// that case.
 pub fn load_params(net: &mut dyn PolicyValueNet, value: &Value) -> Result<(), String> {
     struct Entry {
         rows: usize,
@@ -91,7 +97,12 @@ pub fn load_params(net: &mut dyn PolicyValueNet, value: &Value) -> Result<(), St
                 m: floats_from_value(req(table, "m")?)?,
                 v: floats_from_value(req(table, "v")?)?,
             };
-            let n = entry.rows * entry.cols;
+            let n = entry.rows.checked_mul(entry.cols).ok_or_else(|| {
+                format!(
+                    "param {i}: shape {}x{} overflows the element count",
+                    entry.rows, entry.cols
+                )
+            })?;
             for (name, data) in [("value", &entry.value), ("m", &entry.m), ("v", &entry.v)] {
                 if data.len() != n {
                     return Err(format!(
@@ -99,6 +110,12 @@ pub fn load_params(net: &mut dyn PolicyValueNet, value: &Value) -> Result<(), St
                         data.len(),
                         entry.rows,
                         entry.cols
+                    ));
+                }
+                if let Some(j) = data.iter().position(|x| !x.is_finite()) {
+                    return Err(format!(
+                        "param {i}: `{name}` element {j} is {}, not finite",
+                        data[j]
                     ));
                 }
             }
@@ -267,6 +284,59 @@ mod tests {
         let saved_two = params_to_value(&mut two);
         assert!(load_params(&mut two, &saved_one).is_err());
         assert!(load_params(&mut one, &saved_two).is_err());
+    }
+
+    /// `saved` with `field` of parameter `index` replaced by `value`.
+    fn with_field(saved: &Value, index: usize, field: &str, value: Value) -> Value {
+        let mut params = saved.as_array().unwrap().to_vec();
+        params[index].set(field, value);
+        Value::Array(params)
+    }
+
+    #[test]
+    fn non_finite_weights_and_moments_are_rejected() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let cfg = MlpConfig::new(4, 2).with_hidden(vec![4]);
+        let mut net = MlpPolicy::new(&cfg, &mut rng);
+        let saved = params_to_value(&mut net);
+        for (field, bad) in [
+            ("value", f64::NAN),
+            ("m", f64::INFINITY),
+            ("v", f64::NEG_INFINITY),
+        ] {
+            let mut data = saved.as_array().unwrap()[2].as_table().unwrap()[field]
+                .as_array()
+                .unwrap()
+                .to_vec();
+            data[3] = Value::Float(bad);
+            let corrupt = with_field(&saved, 2, field, Value::Array(data));
+            let err = load_params(&mut net, &corrupt).unwrap_err();
+            assert!(
+                err.contains("param 2") && err.contains(&format!("`{field}` element 3")),
+                "{err}"
+            );
+        }
+        // The finite original still loads.
+        load_params(&mut net, &saved).unwrap();
+        assert_eq!(params_to_value(&mut net), saved);
+    }
+
+    #[test]
+    fn an_overflowing_shape_is_an_error_not_a_panic() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let mut net = MlpPolicy::new(&MlpConfig::new(4, 2).with_hidden(vec![4]), &mut rng);
+        let saved = params_to_value(&mut net);
+        // 2^33 x 2^33 wraps to 0 elements, which the empty arrays match.
+        let mut corrupt = with_field(&saved, 0, "rows", Value::Int(1 << 33));
+        corrupt = with_field(&corrupt, 0, "cols", Value::Int(1 << 33));
+        for field in ["value", "m", "v"] {
+            corrupt = with_field(&corrupt, 0, field, Value::Array(Vec::new()));
+        }
+        let err = load_params(&mut net, &corrupt).unwrap_err();
+        assert!(
+            err.contains("param 0") && err.contains("overflows"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -242,40 +242,39 @@ fn sparse_backward_params_equals_dense_into_nonzero_gradients() {
     let mut rng = StdRng::seed_from_u64(8);
     let x = token_batch(11, 24, &mut rng);
     for n in WIDTHS {
-        let mut dense = Linear::new(x.cols(), n, &mut rng);
+        let layer = Linear::new(x.cols(), n, &mut rng);
         // Nonzero starting gradients, a `−0` among them: both paths add a
         // whole zero-initialised `dW` into them.
-        dense.w.grad = weights(x.cols(), n, &mut rng);
-        dense.w.grad[(x.cols() - 1, 0)] = -0.0;
-        dense.b.grad = weights(1, n, &mut rng);
-        let mut sparse = dense.clone();
+        let mut w_grad = weights(x.cols(), n, &mut rng);
+        w_grad[(x.cols() - 1, 0)] = -0.0;
+        let start = vec![w_grad, weights(1, n, &mut rng)];
         let dy = weights(x.rows(), n, &mut rng);
-        let y_dense = dense.forward(&x);
-        dense.backward_params(&dy);
+        let y_dense = layer.forward_inference(&x);
+        let mut dense = start.clone();
+        layer.backward_params(&x, &dy, &mut dense);
         let y_sparse = on_every_tier("Linear::forward_sparse", || {
-            let mut layer = sparse.clone();
-            let y = layer.forward_sparse(&x);
-            layer.backward_params(&dy);
-            assert_eq!(bits(&layer.w.grad), bits(&dense.w.grad), "dW, n = {n}");
-            assert_eq!(bits(&layer.b.grad), bits(&dense.b.grad), "db, n = {n}");
+            let mut csr = SparseRows::default();
+            let mut grads = start.clone();
+            let y = layer.forward_sparse(&x, &mut csr);
+            layer.backward_params(&csr, &dy, &mut grads);
+            assert_eq!(bits(&grads[0]), bits(&dense[0]), "dW, n = {n}");
+            assert_eq!(bits(&grads[1]), bits(&dense[1]), "db, n = {n}");
             y
         });
         assert_eq!(bits(&y_sparse), bits(&y_dense), "forward, n = {n}");
         assert_eq!(
-            bits(&sparse.forward_sparse_inference(&x)),
+            bits(&layer.forward_sparse_inference(&x)),
             bits(&y_dense),
             "inference forward, n = {n}"
         );
-        // The cache follows the latest forward: a dense forward after a
-        // sparse one backpropagates from the dense copy.
-        sparse.forward_sparse(&x);
-        sparse.forward(&x);
-        sparse.backward_params(&dy);
-        assert_eq!(
-            bits(&sparse.w.grad),
-            bits(&dense.w.grad),
-            "dW after a switch"
-        );
+        // A CSR buffer reused from a different batch backpropagates from
+        // the latest compaction only.
+        let mut csr = SparseRows::default();
+        layer.forward_sparse(&token_batch(5, 24, &mut rng), &mut csr);
+        layer.forward_sparse(&x, &mut csr);
+        let mut grads = start.clone();
+        layer.backward_params(&csr, &dy, &mut grads);
+        assert_eq!(bits(&grads[0]), bits(&dense[0]), "dW from a reused buffer");
     }
 }
 

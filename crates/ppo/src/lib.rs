@@ -8,10 +8,10 @@
 //!   estimation (GAE-λ),
 //! * [`trainer`] — the clipped-surrogate PPO update with entropy bonus,
 //!   value loss, advantage normalization and global gradient clipping;
-//!   with `PpoConfig::grad_shards > 1` each minibatch is sharded across
-//!   model replicas run as rayon tasks and the gradients reduced in fixed
-//!   shard order, so the update is bit-identical for every
-//!   `RAYON_NUM_THREADS` setting,
+//!   with `PpoConfig::grad_shards > 1` each minibatch is split into
+//!   shards that run as rayon tasks against the one network, each into
+//!   its own tape, and the gradients reduced in fixed shard order, so the
+//!   update is bit-identical for every `RAYON_NUM_THREADS` setting,
 //! * [`eval`] — policy evaluation: the serial loop and the lane-batched
 //!   [`eval::evaluate_batched`] engine (one batched forward per step over
 //!   all live lanes, bit-identical to the serial path at one lane), whose

@@ -1,16 +1,18 @@
 //! Data-parallel sharded minibatch optimization.
 //!
 //! The PPO update is the training hot path: `epochs_per_update` full
-//! forward/backward passes over every collected transition, all of which
-//! ran on one thread before this module existed. Sharding splits each
-//! minibatch into `PpoConfig::grad_shards` contiguous index ranges and
-//! runs each range's forward/backward concurrently — shard 0 directly
-//! against the primary model on the calling thread, shards 1..N against
-//! their own **model replicas** as rayon tasks, which the pool workers and
-//! the waiting caller share between them — then reduces the per-shard
-//! gradients into the primary **in fixed shard order**. The replicas and
-//! every buffer the update needs live in an `UpdateWorkspace` allocated
-//! once per trainer, so the steady-state update allocates none of them.
+//! forward/backward passes over every collected transition. Sharding
+//! splits each minibatch into `PpoConfig::grad_shards` contiguous index
+//! ranges and runs each range's forward/backward concurrently against the
+//! **one** primary network, which every shard reads through `&` (its
+//! [`TrainNet::train_shard`] takes `&self`): shard 0 on the calling
+//! thread, shards 1..N as rayon tasks, which the pool workers and the
+//! waiting caller share between them. Each shard writes its activations
+//! and accumulates its gradients into its own [`Tape`]; shard 0's
+//! gradient tensors are then swapped into the primary's parameters and
+//! the rest reduced on top **in fixed shard order**. The tapes and every
+//! buffer the update needs live in an `UpdateWorkspace` sized on first
+//! use, so the steady-state update allocates none of them.
 //!
 //! # Determinism contract
 //!
@@ -19,17 +21,15 @@
 //!
 //! * the shard layout depends only on `(minibatch_len, grad_shards)` —
 //!   never on the thread count;
-//! * each shard's computation is self-contained: a model holding the
-//!   primary's exact weight bytes (the primary itself for shard 0, a
-//!   [`load_param_values`]-synced replica for the rest), the shard's own
-//!   rows, and a private gradient accumulation — no shared float state;
-//! * each replica's gradient tensors are swapped out into its slot (no
-//!   copy), and the reduction ([`reduce_grads`]) runs on the calling
-//!   thread in shard order — shard 0's gradients are accumulated in
-//!   place, shards 1..N added on top — regardless of which thread ran a
-//!   shard or which finished first; the per-shard loss sums are added in
-//!   the same fixed order. The same pass sums the squared global norm the
-//!   clip needs, in the order a separate norm pass would.
+//! * each shard's computation is self-contained: the primary's weights,
+//!   which nothing writes during the pass, the shard's own rows, and its
+//!   own tape, whose gradients start from zero — no shared float state;
+//! * the reduction ([`reduce_grads`]) runs on the calling thread in shard
+//!   order — shard 0's gradients swapped in (no copy), shards 1..N added
+//!   on top — regardless of which thread ran a shard or which finished
+//!   first; the per-shard loss sums are added in the same fixed order.
+//!   The same pass sums the squared global norm the clip needs, in the
+//!   order a separate norm pass would.
 //!
 //! Note that sharded results are *not* bit-identical to the unsharded
 //! (`grad_shards = 1`) update: splitting a matrix product over the batch
@@ -38,9 +38,9 @@
 //! hyper-parameter), and the single-shard layout runs the historical
 //! single-threaded update's exact operations.
 
-use autocat_nn::grad::{load_param_values, reduce_grads, snapshot_param_values_into};
+use autocat_nn::grad::reduce_grads;
 use autocat_nn::matrix::with_inline_kernels;
-use autocat_nn::models::PolicyValueNet;
+use autocat_nn::models::{Tape, TrainNet};
 use autocat_nn::{Categorical, Matrix};
 
 use crate::rollout::RolloutBatch;
@@ -123,143 +123,93 @@ fn row_grad(
     (dlogits, dvalue)
 }
 
-/// Forward/backward over `rows` on one (already weight-synced) model,
-/// gathering the rows' observations into `obs`. The gradients stay
-/// accumulated in the model; returns the rows' loss sums.
-fn forward_backward(
-    net: &mut dyn PolicyValueNet,
-    ctx: &MinibatchCtx,
-    rows: &[usize],
-    obs: &mut Matrix,
-) -> LossSums {
-    ctx.batch.obs.gather_rows_into(rows, obs);
-    let mut sums = LossSums::default();
-    net.zero_grad();
-    net.train_batch(obs, &mut |i, logits, value| {
-        row_grad(ctx, rows[i], logits, value, &mut sums)
-    });
-    sums
-}
-
-/// One replica shard's model and buffers, reused by every minibatch.
+/// One shard's tape and buffers, reused by every minibatch.
 struct ShardSlot {
-    replica: Box<dyn PolicyValueNet>,
+    tape: Tape,
     obs: Matrix,
-    /// The replica's gradient tensors from its last shard, in visitation
-    /// order.
-    grads: Vec<Matrix>,
     sums: LossSums,
 }
 
 impl ShardSlot {
-    /// Moves the replica's gradients into `grads` by swapping tensors, no
-    /// copy. The replica keeps the tensors `grads` held before (zeroed
-    /// ones the first time), stale values its next `zero_grad` clears.
-    fn take_grads(&mut self) {
-        let Self { replica, grads, .. } = self;
-        let mut index = 0usize;
-        replica.visit_params(&mut |p| {
-            if index == grads.len() {
-                grads.push(Matrix::zeros(p.grad.rows(), p.grad.cols()));
-            }
-            std::mem::swap(&mut grads[index], &mut p.grad);
-            index += 1;
+    /// Forward/backward over `rows` against `net`, gathering the rows'
+    /// observations into `obs`: the gradients accumulate from zero into
+    /// the slot's tape, and the rows' loss sums go into `sums`.
+    fn run(&mut self, net: &dyn TrainNet, ctx: &MinibatchCtx, rows: &[usize]) {
+        ctx.batch.obs.gather_rows_into(rows, &mut self.obs);
+        self.tape.grads.iter_mut().for_each(Matrix::fill_zero);
+        let mut sums = LossSums::default();
+        net.train_shard(&mut self.tape, &self.obs, &mut |i, logits, value| {
+            row_grad(ctx, rows[i], logits, value, &mut sums)
         });
+        self.sums = sums;
     }
 }
 
-/// Everything the update allocates, built once per trainer and reused by
-/// every minibatch: the replicas for shards 1..N with their gather and
-/// gradient buffers, shard 0's gather buffer and the weight snapshot the
-/// replicas sync from. Only the architecture matters (weights are
-/// re-synced every minibatch), so it is never checkpointed.
+/// Everything the update allocates: one [`ShardSlot`] per shard, added on
+/// the first minibatch that runs that many shards and reused by every
+/// minibatch after. It holds no weights, so it is never checkpointed.
 #[derive(Default)]
 pub(crate) struct UpdateWorkspace {
     slots: Vec<ShardSlot>,
-    obs0: Matrix,
-    weights: Vec<Matrix>,
 }
 
-impl UpdateWorkspace {
-    /// Keeps exactly `replicas` replicas of `net`'s architecture, one per
-    /// shard beyond shard 0 — sized by the config, never by the pool.
-    pub fn ensure_replicas(&mut self, net: &dyn PolicyValueNet, replicas: usize) {
-        while self.slots.len() < replicas {
-            self.slots.push(ShardSlot {
-                replica: net.clone_box(),
-                obs: Matrix::default(),
-                grads: Vec::new(),
-                sums: LossSums::default(),
-            });
-        }
-        self.slots.truncate(replicas);
-    }
-}
-
-/// Runs one minibatch split across up to `replicas + 1` shards, leaving
-/// the **reduced** gradient in `primary`'s parameters and returning the
+/// Runs one minibatch split across up to `shards` shards, leaving the
+/// **reduced** gradient in `primary`'s parameters and returning the
 /// combined loss sums and the reduced gradient's global L2 norm.
 ///
-/// The sibling shards 1..N are queued on the rayon pool, each against a
-/// workspace replica synced to the primary's exact weight bytes. Shard 0
-/// (the first rows of `chunk`) then runs on the calling thread directly
-/// against `primary` — its backward pass accumulates into the primary's
-/// freshly-zeroed gradients in place, with parallel matmul dispatch
-/// suppressed ([`with_inline_kernels`]) since the siblings fill the pool.
-/// The calling thread then helps run whichever siblings are still queued
-/// while the workers take the rest. Each replica swaps its gradient
-/// tensors into its slot, and the calling thread reduces them into the
-/// primary **in shard order**, whichever thread ran them and whatever
-/// order they finished in, summing the norm in the same pass; loss sums
-/// reduce in the same order.
-///
 /// The shard layout — `chunk` split into `ceil(len / shards)`-sized
-/// contiguous ranges — depends only on the arguments, so the result is
-/// bit-identical for every thread count. A single-shard layout (no
-/// replicas, or a one-row chunk) is the plain unsharded update: one
-/// forward/backward on the primary, no weight sync, and the reduction
-/// with no shards to add, which only sums the norm.
+/// contiguous ranges, which can number fewer than `shards` (10 rows over
+/// 8 shards make 5) — depends only on the arguments, so the result is
+/// bit-identical for every thread count. Shards 1..N are queued on the
+/// rayon pool; shard 0 (the first rows of `chunk`) then runs on the
+/// calling thread, with parallel matmul dispatch suppressed
+/// ([`with_inline_kernels`]) when siblings fill the pool, and the calling
+/// thread helps run whichever siblings are still queued. All of them read
+/// `primary`'s weights and write only their own slot. Shard 0's gradient
+/// tensors are then swapped into `primary` and the others reduced on top
+/// **in shard order**, whichever thread ran them and whatever order they
+/// finished in, with the norm summed in the same pass; loss sums reduce
+/// in the same order. With one range there is nothing to add, and the
+/// reduction only sums the norm: the plain unsharded update.
 pub(crate) fn sharded_minibatch(
-    primary: &mut dyn PolicyValueNet,
+    primary: &mut dyn TrainNet,
     workspace: &mut UpdateWorkspace,
+    shards: usize,
     ctx: &MinibatchCtx,
     chunk: &[usize],
 ) -> (LossSums, f32) {
-    let UpdateWorkspace {
-        slots,
-        obs0,
-        weights,
-    } = workspace;
-    let shards = (slots.len() + 1).min(chunk.len()).max(1);
-    if shards == 1 {
-        let sums = forward_backward(primary, ctx, chunk, obs0);
-        let norm = reduce_grads(&[], |f| primary.visit_params(f)).sqrt();
-        return (sums, norm);
+    let sub_len = chunk.len().div_ceil(shards.max(1));
+    let mut ranges = chunk.chunks(sub_len.max(1));
+    let slots = &mut workspace.slots;
+    while slots.len() < ranges.len() {
+        slots.push(ShardSlot {
+            tape: Tape::for_net(primary),
+            obs: Matrix::default(),
+            sums: LossSums::default(),
+        });
     }
-    let sub_len = chunk.len().div_ceil(shards);
-    let mut ranges = chunk.chunks(sub_len);
+    let (slot0, siblings) = slots[..ranges.len()]
+        .split_first_mut()
+        .expect("minibatch chunks are non-empty");
     let shard0_rows = ranges.next().expect("minibatch chunks are non-empty");
-    // `ceil`-sized ranges can number fewer than `shards` (10 rows over 8
-    // shards make 5), so only as many replicas as there are ranges run —
-    // and only those are reduced; the rest hold a stale minibatch.
-    let siblings = &mut slots[..ranges.len()];
-    snapshot_param_values_into(weights, |f| primary.visit_params(f));
-    let mut sums = LossSums::default();
+    let net: &dyn TrainNet = primary;
+    let pool_busy = !siblings.is_empty();
     rayon::scope(|scope| {
-        let weights = &*weights;
         for (slot, rows) in siblings.iter_mut().zip(ranges) {
-            scope.spawn(move |_| {
-                load_param_values(weights, |f| slot.replica.visit_params(f));
-                slot.sums = forward_backward(slot.replica.as_mut(), ctx, rows, &mut slot.obs);
-                slot.take_grads();
-            });
+            scope.spawn(move |_| slot.run(net, ctx, rows));
         }
-        sums = with_inline_kernels(|| forward_backward(primary, ctx, shard0_rows, obs0));
+        if pool_busy {
+            with_inline_kernels(|| slot0.run(net, ctx, shard0_rows));
+        } else {
+            slot0.run(net, ctx, shard0_rows);
+        }
     });
-    // Fixed-order reduction: shard 0's gradients are already in place;
+    // Fixed-order reduction: shard 0's gradients move into the primary;
     // add shards 1..N on top in layout order.
-    let shard_grads: Vec<&[Matrix]> = siblings.iter().map(|slot| slot.grads.as_slice()).collect();
+    slot0.tape.swap_grads(primary);
+    let shard_grads: Vec<&[Matrix]> = siblings.iter().map(|s| s.tape.grads.as_slice()).collect();
     let norm = reduce_grads(&shard_grads, |f| primary.visit_params(f)).sqrt();
+    let mut sums = slot0.sums;
     for slot in siblings.iter() {
         sums.absorb(&slot.sums);
     }
@@ -269,7 +219,9 @@ pub(crate) fn sharded_minibatch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autocat_nn::models::{MlpConfig, MlpPolicy};
+    use autocat_nn::models::{
+        MlpConfig, MlpPolicy, PolicyValueNet, TransformerConfig, TransformerPolicy,
+    };
     use autocat_nn::Param;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -296,17 +248,16 @@ mod tests {
         out
     }
 
-    /// The unsharded reference: one forward/backward over `rows` with
-    /// fresh scratch, gradients left in `net`.
+    /// The unsharded reference: one `train_batch` over `rows` from zeroed
+    /// gradients, which it leaves in `net`.
     fn run_shard(net: &mut dyn PolicyValueNet, ctx: &MinibatchCtx, rows: &[usize]) -> LossSums {
-        forward_backward(net, ctx, rows, &mut Matrix::default())
-    }
-
-    /// A workspace holding `replicas` replicas of `net`.
-    fn workspace(net: &dyn PolicyValueNet, replicas: usize) -> UpdateWorkspace {
-        let mut ws = UpdateWorkspace::default();
-        ws.ensure_replicas(net, replicas);
-        ws
+        let obs = ctx.batch.obs.gather_rows(rows);
+        let mut sums = LossSums::default();
+        net.zero_grad();
+        net.train_batch(&obs, &mut |i, logits, value| {
+            row_grad(ctx, rows[i], logits, value, &mut sums)
+        });
+        sums
     }
 
     fn ctx_over<'a>(batch: &'a RolloutBatch, advantages: &'a [f32]) -> MinibatchCtx<'a> {
@@ -342,8 +293,8 @@ mod tests {
 
         // Sharded gradient (3 shards), reduced into the primary.
         let mut sharded_net = primary.clone();
-        let mut ws = workspace(&primary, 2);
-        let (sums, _) = sharded_minibatch(&mut sharded_net, &mut ws, &ctx, &chunk);
+        let mut ws = UpdateWorkspace::default();
+        let (sums, _) = sharded_minibatch(&mut sharded_net, &mut ws, 3, &ctx, &chunk);
         let got = grads_of(&mut sharded_net);
 
         assert_eq!(expected.len(), got.len());
@@ -381,8 +332,7 @@ mod tests {
 
         let run = || {
             let mut net = primary.clone();
-            let mut ws = workspace(&primary, 3);
-            sharded_minibatch(&mut net, &mut ws, &ctx, &chunk);
+            sharded_minibatch(&mut net, &mut UpdateWorkspace::default(), 4, &ctx, &chunk);
             grads_of(&mut net)
                 .into_iter()
                 .map(f32::to_bits)
@@ -392,13 +342,13 @@ mod tests {
     }
 
     /// Degenerate layouts must reduce to a valid gradient over every row:
-    /// more shards than rows, zero replicas (single-shard), and chunks
-    /// whose `ceil`-sized ranges number fewer than the shards (10 rows
-    /// over 8 shards make 5 ranges, 4 rows over 3 make 2).
+    /// more shards than rows, a single shard, and chunks whose
+    /// `ceil`-sized ranges number fewer than the shards (10 rows over 8
+    /// shards make 5 ranges, 4 rows over 3 make 2).
     #[test]
     fn shard_layout_handles_degenerate_sizes() {
         let (obs_dim, num_actions) = (4usize, 3usize);
-        for (n, replica_count) in [(3usize, 7usize), (3, 0), (10, 7), (4, 2)] {
+        for (n, shards) in [(3usize, 8usize), (3, 1), (10, 8), (4, 3)] {
             let batch = fake_batch(n, obs_dim, num_actions, 2);
             let advantages = batch.advantages.clone();
             let chunk: Vec<usize> = (0..n).collect();
@@ -413,14 +363,14 @@ mod tests {
             let expected = grads_of(&mut reference);
 
             let mut net = primary.clone();
-            let mut ws = workspace(&primary, replica_count);
-            let (sums, _) = sharded_minibatch(&mut net, &mut ws, &ctx, &chunk);
+            let mut ws = UpdateWorkspace::default();
+            let (sums, _) = sharded_minibatch(&mut net, &mut ws, shards, &ctx, &chunk);
             let got = grads_of(&mut net);
             assert_eq!(expected.len(), got.len());
             for (e, g) in expected.iter().zip(got.iter()) {
                 assert!(
                     (e - g).abs() <= 1e-4 * (1.0 + e.abs()),
-                    "{n} rows, replicas {replica_count}: grad {e} vs {g}"
+                    "{n} rows, {shards} shards: grad {e} vs {g}"
                 );
             }
             assert!((sums.policy_loss - ref_sums.policy_loss).abs() < 1e-4);
@@ -429,8 +379,9 @@ mod tests {
         }
     }
 
-    /// The zero-replica layout is exactly the single-shard computation,
-    /// bit for bit (no weight snapshot, no reduction — one in-place run).
+    /// The one-shard layout is exactly the unsharded computation, bit for
+    /// bit: one pass into a tape whose tensors then move into the
+    /// parameters, and nothing to reduce.
     #[test]
     fn zero_replicas_is_bitwise_the_single_shard_path() {
         let (n, obs_dim, num_actions) = (16usize, 6usize, 4usize);
@@ -448,6 +399,7 @@ mod tests {
         sharded_minibatch(
             &mut via_sharded,
             &mut UpdateWorkspace::default(),
+            1,
             &ctx,
             &chunk,
         );
@@ -460,21 +412,29 @@ mod tests {
         assert_eq!(bits(&mut direct), bits(&mut via_sharded));
     }
 
-    /// The swapped-and-fused reduction against the path it replaced: every
-    /// shard run on its own clone, its gradients copied out into a
+    /// The one-net, per-tape update against per-shard clones: every shard
+    /// run on its own clone, its gradients copied out into a
     /// [`GradBuffer`] and added into shard 0's in order, then the norm
     /// summed as a separate scalar pass. Gradients and norm must agree bit
-    /// for bit, including ragged layouts that leave replicas idle (10 rows
-    /// over 8 shards run 5 ranges) and a reused workspace, whose replicas
-    /// hold swapped-in tensors from the previous minibatch.
+    /// for bit, for the MLP and the Transformer (whose tape is
+    /// overwritten row by row), including ragged layouts that leave tapes
+    /// idle (10 rows over 8 shards run 5 ranges) and a reused workspace,
+    /// whose tapes hold the primary's swapped-out tensors from the
+    /// previous minibatch.
     #[test]
     fn fused_reduction_matches_harvest_accumulate_then_norm() {
+        let cfg = MlpConfig::new(9, 4).with_hidden(vec![20, 7]);
+        check_against_clones(MlpPolicy::new(&cfg, &mut StdRng::seed_from_u64(8)));
+        let cfg = TransformerConfig::new(3, 3, 4).with_dims(8, 2, 16);
+        check_against_clones(TransformerPolicy::new(&cfg, &mut StdRng::seed_from_u64(9)));
+    }
+
+    /// The check of the test above for one network, at 8 shards over
+    /// four minibatches through one reused workspace.
+    fn check_against_clones<N: TrainNet + Clone>(primary: N) {
         use autocat_nn::GradBuffer;
-        let (obs_dim, num_actions) = (9usize, 4usize);
-        let mut rng = StdRng::seed_from_u64(8);
-        let cfg = MlpConfig::new(obs_dim, num_actions).with_hidden(vec![20, 7]);
-        let primary = MlpPolicy::new(&cfg, &mut rng);
-        let mut ws = workspace(&primary, 7);
+        let (obs_dim, num_actions) = (primary.obs_dim(), primary.num_actions());
+        let mut ws = UpdateWorkspace::default();
         for (n, seed) in [(10usize, 1u64), (48, 2), (10, 3), (17, 4)] {
             let batch = fake_batch(n, obs_dim, num_actions, seed);
             let advantages = batch.advantages.clone();
@@ -497,7 +457,7 @@ mod tests {
             });
 
             let mut net = primary.clone();
-            let (_, norm) = sharded_minibatch(&mut net, &mut ws, &ctx, &chunk);
+            let (_, norm) = sharded_minibatch(&mut net, &mut ws, 8, &ctx, &chunk);
             let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
             assert_eq!(
                 bits(grads_of(&mut net)),
@@ -510,7 +470,7 @@ mod tests {
 
     /// One workspace reused across minibatches of different sizes (48
     /// rows, then a ragged 37, so every gather buffer must reshape, then
-    /// 10, whose 5 ranges leave replicas holding the last minibatch idle)
+    /// 10, whose 5 ranges leave tapes holding the last minibatch idle)
     /// gives the same grads and loss sums, bit for bit, as a fresh
     /// workspace per minibatch.
     #[test]
@@ -527,17 +487,17 @@ mod tests {
         let outcome = |net: &mut MlpPolicy, ws: &mut UpdateWorkspace, chunk: &[usize]| {
             let mut ctx = ctx_over(&batch, &advantages);
             ctx.inv = 1.0 / chunk.len() as f32;
-            let (sums, norm) = sharded_minibatch(net, ws, &ctx, chunk);
+            let (sums, norm) = sharded_minibatch(net, ws, 8, &ctx, chunk);
             let grads: Vec<u32> = grads_of(net).into_iter().map(f32::to_bits).collect();
             let sums = [sums.policy_loss, sums.value_loss, sums.entropy, norm].map(f32::to_bits);
             (grads, sums)
         };
-        let mut reused = workspace(&primary, 7);
+        let mut reused = UpdateWorkspace::default();
         let mut net = primary.clone();
         for chunk in chunks {
             let got = outcome(&mut net, &mut reused, chunk);
             let mut fresh_net = primary.clone();
-            let expected = outcome(&mut fresh_net, &mut workspace(&primary, 7), chunk);
+            let expected = outcome(&mut fresh_net, &mut UpdateWorkspace::default(), chunk);
             assert_eq!(got, expected, "chunk of {} rows", chunk.len());
         }
     }

@@ -2,7 +2,7 @@
 
 use autocat_gym::{Environment, VecEnv};
 use autocat_nn::models::{
-    MlpConfig, MlpPolicy, PolicyValueNet, TransformerConfig, TransformerPolicy,
+    MlpConfig, MlpPolicy, PolicyValueNet, TrainNet, TransformerConfig, TransformerPolicy,
 };
 use autocat_nn::optim::clip_scale;
 use autocat_nn::Adam;
@@ -45,8 +45,9 @@ pub struct PpoConfig {
     /// Data-parallel gradient shards per minibatch (see
     /// [`crate::sharded`]). 1 (the default) preserves the historical
     /// single-threaded update verbatim; values > 1 split each minibatch
-    /// across model replicas on the rayon pool and reduce gradients in
-    /// fixed shard order, so results are bit-identical for every
+    /// into shards that run on the rayon pool against the one network,
+    /// each with its own tape, and reduce gradients in fixed shard
+    /// order, so results are bit-identical for every
     /// `RAYON_NUM_THREADS` — but not to the 1-shard path (floating-point
     /// reassociation), which is why this is a checkpointed
     /// hyper-parameter, not a runtime knob.
@@ -150,11 +151,7 @@ impl Backbone {
         }
     }
 
-    pub(crate) fn build(
-        &self,
-        env: &impl Environment,
-        rng: &mut StdRng,
-    ) -> Box<dyn PolicyValueNet> {
+    pub(crate) fn build(&self, env: &impl Environment, rng: &mut StdRng) -> Box<dyn TrainNet> {
         match self {
             Backbone::Mlp { hidden } => {
                 let cfg =
@@ -211,7 +208,7 @@ pub struct TrainResult {
 /// all lanes; `PpoConfig::num_lanes` controls the width.
 pub struct Trainer<E: Environment> {
     pub(crate) venv: VecEnv<E>,
-    pub(crate) net: Box<dyn PolicyValueNet>,
+    pub(crate) net: Box<dyn TrainNet>,
     /// Kept so checkpoints can rebuild the same network architecture.
     pub(crate) backbone: Backbone,
     pub(crate) adam: Adam,
@@ -220,10 +217,10 @@ pub struct Trainer<E: Environment> {
     pub(crate) total_steps: u64,
     pub(crate) recent: VecDeque<(f32, usize, bool)>,
     pub(crate) recent_cap: usize,
-    /// The update's replicas and buffers, built lazily on the first
-    /// `train_update` and reused by every minibatch after (replica
-    /// weights are re-synced from `net` every minibatch, so only the
-    /// architecture matters). Never checkpointed.
+    /// The update's per-shard tapes and buffers, sized on the first
+    /// `train_update` and reused by every minibatch after. They hold no
+    /// weights (every shard reads `net`'s), so they are never
+    /// checkpointed.
     pub(crate) workspace: UpdateWorkspace,
 }
 
@@ -372,8 +369,6 @@ impl<E: Environment + Send> Trainer<E> {
             ..UpdateStats::default()
         };
         let mut loss_samples = 0usize;
-        self.workspace
-            .ensure_replicas(self.net.as_ref(), cfg.grad_shards.max(1) - 1);
         let mut indices: Vec<usize> = (0..n).collect();
         for _ in 0..cfg.epochs_per_update {
             indices.shuffle(&mut self.rng);
@@ -387,13 +382,18 @@ impl<E: Environment + Send> Trainer<E> {
                     inv: 1.0 / chunk.len() as f32,
                 };
                 // One shard is the plain single-threaded update; more run
-                // shard 0 in place on the primary net and the rest on
-                // weight-synced replicas, reducing gradients and loss
-                // sums in fixed shard order. The reduction also returns
-                // the global norm, so the clip is a scale factor Adam
-                // applies as it reads each gradient.
-                let (sums, grad_norm) =
-                    sharded_minibatch(self.net.as_mut(), &mut self.workspace, &ctx, chunk);
+                // concurrently against the one net, each into its own
+                // tape, reducing gradients and loss sums in fixed shard
+                // order. The reduction also returns the global norm, so
+                // the clip is a scale factor Adam applies as it reads
+                // each gradient.
+                let (sums, grad_norm) = sharded_minibatch(
+                    self.net.as_mut(),
+                    &mut self.workspace,
+                    cfg.grad_shards,
+                    &ctx,
+                    chunk,
+                );
                 stats.grad_norm = grad_norm;
                 self.adam
                     .step_scaled(clip_scale(cfg.max_grad_norm, grad_norm), |f| {
@@ -663,6 +663,81 @@ mod tests {
             format!("{:016x}", autocat_nn::state::params_digest(t.net_mut())),
             "c6d603bdf9c5243b"
         );
+    }
+
+    #[test]
+    fn sharded_small_transformer_training_matches_the_pinned_digest() {
+        // The Transformer through the sharded update (3 shards: 11-row
+        // ranges of each 32-row minibatch), pinned like the 1-shard run
+        // above.
+        let env = CacheGuessingGame::new(EnvConfig::flush_reload_fa4().with_window(8)).unwrap();
+        let mut t = Trainer::new(
+            env,
+            Backbone::small_transformer(),
+            PpoConfig {
+                horizon: 64,
+                minibatch: 32,
+                epochs_per_update: 2,
+                grad_shards: 3,
+                ..PpoConfig::default()
+            },
+            4,
+        );
+        t.train_update();
+        t.train_update();
+        assert_eq!(
+            format!("{:016x}", autocat_nn::state::params_digest(t.net_mut())),
+            "86df3be3c89dc2d0"
+        );
+    }
+
+    #[test]
+    fn train_batch_accumulates_into_the_pinned_gradient_bits() {
+        // Two `train_batch` calls with no `zero_grad` between them must
+        // add the second batch's gradients onto the first's: the
+        // accumulate contract of `PolicyValueNet::train_batch`, pinned
+        // as recorded bits for both backbones.
+        let env = CacheGuessingGame::new(EnvConfig::flush_reload_fa4().with_window(8)).unwrap();
+        let obs_dim = env.obs_dim();
+        let obs = |seed: usize| {
+            let data = (0..6 * obs_dim)
+                .map(|j| match (j * 7 + seed * 3) % 5 {
+                    0 => 1.0,
+                    1 => -0.5,
+                    _ => 0.0,
+                })
+                .collect();
+            autocat_nn::Matrix::from_vec(6, obs_dim, data)
+        };
+        let mut grad_fn = |i: usize, logits: &[f32], value: f32| {
+            let dl = logits
+                .iter()
+                .enumerate()
+                .map(|(a, &l)| 0.5 * l - f32::from(u8::from(a == i % logits.len())))
+                .collect();
+            (dl, value - 0.25)
+        };
+        let mut digests = Vec::new();
+        for backbone in [
+            Backbone::Mlp {
+                hidden: vec![16, 8],
+            },
+            Backbone::small_transformer(),
+        ] {
+            let mut t = Trainer::new(env.clone(), backbone, PpoConfig::default(), 7);
+            let net = t.net_mut();
+            net.zero_grad();
+            net.train_batch(&obs(1), &mut grad_fn);
+            net.train_batch(&obs(2), &mut grad_fn);
+            let mut bytes = Vec::new();
+            net.visit_params(&mut |p| {
+                for g in p.grad.as_slice() {
+                    bytes.extend_from_slice(&g.to_bits().to_le_bytes());
+                }
+            });
+            digests.push(format!("{:016x}", autocat_nn::state::fnv1a(bytes)));
+        }
+        assert_eq!(digests, ["cca6dd5d18487ef0", "b9fd97677bf268a7"]);
     }
 
     #[test]
