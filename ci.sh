@@ -260,4 +260,15 @@ echo "==> smoke: eval-bench batched vs serial on the sweep artifacts"
 cargo run --release -q -p autocat-bench --bin eval-bench -- \
     --dir "$SWEEP_OUT" --eval-episodes 40 --lanes 4
 
+echo "==> smoke: eval-bench thread sweep (per-scenario digests at 1 and 2 threads)"
+# One child per thread count through the shared harness driver; it fails
+# unless every scenario's stats digest is the same at both counts.
+cargo run --release -q -p autocat-bench --bin eval-bench -- \
+    --dir "$SWEEP_OUT" --eval-episodes 40 --lanes 4 --threads-list 1,2
+
+echo "==> smoke: rollout-bench thread sweep (per-lane-count digests at 1 and 2 threads)"
+# The fused rollout at 1/2/4/8 lanes; it fails unless every lane count
+# collects bit-identical batches at both thread counts.
+cargo run --release -q -p autocat-bench --bin rollout-bench -- --threads-list 1,2
+
 echo "CI OK"

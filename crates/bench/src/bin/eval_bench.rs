@@ -21,9 +21,9 @@
 //! eval-bench --dir runs/sweep --threads-list 1,2,4,8
 //! ```
 //!
-//! `--threads-list` adds the thread-scaling axis: the vendored rayon shim
-//! sizes its pool once per process, so the harness re-executes itself once
-//! per thread count (mirroring train-bench) and reports a scaling curve.
+//! `--threads-list` adds the thread-scaling axis: the harness re-executes
+//! itself once per thread count (see [`autocat_bench::harness`]) and
+//! reports a scaling curve.
 //! Per-scenario stat digests must be bit-identical across all thread
 //! counts; the sweep hard-fails otherwise.
 //!
@@ -33,10 +33,13 @@
 //! comparison under `"codec"` in `BENCH_eval.json` on `--write`.
 
 use autocat::gym::CacheGuessingGame;
-use autocat::ppo::{eval, EvalStats, Trainer};
+use autocat::ppo::{eval, Trainer};
+use autocat_bench::harness::{
+    check_digests, fixed, parse_threads_list, run_per_thread, write_bench_json, JsonRow, ResultLine,
+};
 use autocat_bench::sweep::{artifact_names, resolve_checkpoint_path, scenario_path};
 use autocat_scenario::run::TrainOverrides;
-use autocat_scenario::value;
+use autocat_scenario::value::{self, Value};
 use autocat_scenario::Scenario;
 use std::path::Path;
 use std::time::Instant;
@@ -71,19 +74,7 @@ fn parse_args() -> Result<Args, String> {
             "--filter" => args.filter = Some(value("--filter")?),
             "--write" => args.write = true,
             "--threads-list" => {
-                let list = value("--threads-list")?
-                    .split(',')
-                    .map(|t| match t.trim().parse::<usize>() {
-                        // 0 means "unset" to the rayon shim (all cores); a
-                        // row labeled 0 would be a lie.
-                        Ok(0) | Err(_) => Err(format!("bad thread count `{t}`")),
-                        Ok(n) => Ok(n),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if list.is_empty() {
-                    return Err("--threads-list needs at least one entry".into());
-                }
-                args.threads_list = Some(list);
+                args.threads_list = Some(parse_threads_list(&value("--threads-list")?)?);
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -135,9 +126,8 @@ fn load_trainer(dir: &Path, name: &str) -> Result<Trainer<CacheGuessingGame>, St
 }
 
 /// Aggregate checkpoint-codec timings over every benched artifact: the
-/// same [`Value`](autocat_scenario::value::Value) tree serialized, written,
-/// read back and parsed through the JSON interchange codec and through the
-/// binary store codec. Tree construction and trainer rebuild are common to
+/// same [`Value`] tree serialized, written, read back and parsed through
+/// the JSON interchange codec and through the binary store codec. Tree construction and trainer rebuild are common to
 /// both paths and excluded — this times exactly what switching codecs
 /// changes.
 struct CodecBench {
@@ -215,12 +205,46 @@ fn bench_codec(dir: &Path, names: &[String]) -> Result<CodecBench, String> {
     Ok(bench)
 }
 
+/// One scenario's results: measured in this process by [`bench_one`], or
+/// read back from a child's `eval-bench-result` line by the
+/// `--threads-list` sweep.
 struct Row {
     scenario: String,
     serial_secs: f64,
     batched_secs: f64,
-    stats: EvalStats,
+    accuracy: f64,
+    detection_rate: f64,
+    avg_length: f64,
     digest: u64,
+}
+
+impl Row {
+    fn from_line(line: &ResultLine) -> Result<Self, String> {
+        Ok(Row {
+            scenario: line.get("scenario")?.to_string(),
+            serial_secs: line.num("serial_secs")?,
+            batched_secs: line.num("batched_secs")?,
+            accuracy: line.num("accuracy")?,
+            detection_rate: line.num("detection")?,
+            avg_length: line.num("avg_length")?,
+            digest: line.hex("digest")?,
+        })
+    }
+
+    fn json(&self, episodes: usize) -> JsonRow {
+        let serial = episodes as f64 / self.serial_secs;
+        let batched = episodes as f64 / self.batched_secs;
+        vec![
+            ("scenario", Value::Str(self.scenario.clone())),
+            ("serial_eps_per_sec", fixed(serial, 1)),
+            ("batched_eps_per_sec", fixed(batched, 1)),
+            ("speedup", fixed(batched / serial, 2)),
+            ("accuracy", fixed(self.accuracy, 4)),
+            ("detection_rate", fixed(self.detection_rate, 4)),
+            ("avg_length", fixed(self.avg_length, 2)),
+            ("digest", Value::Str(format!("{:016x}", self.digest))),
+        ]
+    }
 }
 
 fn bench_one(dir: &Path, name: &str, episodes: usize, lanes: usize) -> Result<Row, String> {
@@ -257,173 +281,80 @@ fn bench_one(dir: &Path, name: &str, episodes: usize, lanes: usize) -> Result<Ro
         scenario: name.to_string(),
         serial_secs,
         batched_secs,
+        accuracy: stats.accuracy(),
+        detection_rate: stats.detection_rate(),
+        avg_length: f64::from(stats.avg_length),
         digest: stats.digest(),
-        stats,
     })
 }
 
-/// One scenario's results in the shape `BENCH_eval.json` records; produced
-/// directly by in-process runs and reparsed from child result lines by the
-/// `--threads-list` sweep.
-struct JsonRow {
-    scenario: String,
-    serial_secs: f64,
-    batched_secs: f64,
-    accuracy: f64,
-    detection_rate: f64,
-    avg_length: f64,
-    digest: u64,
-}
-
-impl Row {
-    fn to_json_row(&self) -> JsonRow {
-        JsonRow {
-            scenario: self.scenario.clone(),
-            serial_secs: self.serial_secs,
-            batched_secs: self.batched_secs,
-            accuracy: self.stats.accuracy(),
-            detection_rate: self.stats.detection_rate(),
-            avg_length: f64::from(self.stats.avg_length),
-            digest: self.digest,
-        }
-    }
-}
-
-/// `(threads, total batched secs across scenarios)` per sweep point.
-type ScalingPoint = (usize, f64);
-
 fn write_json(
     args: &Args,
-    rows: &[JsonRow],
-    scaling: &[ScalingPoint],
+    rows: &[Row],
+    scaling: &[(usize, f64)],
     codec: &CodecBench,
-) -> std::io::Result<()> {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let entries: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let serial = args.episodes as f64 / r.serial_secs;
-            let batched = args.episodes as f64 / r.batched_secs;
-            format!(
-                "    {{\"scenario\": \"{}\", \"serial_eps_per_sec\": {:.1}, \
-                 \"batched_eps_per_sec\": {:.1}, \"speedup\": {:.2}, \"accuracy\": {:.4}, \
-                 \"detection_rate\": {:.4}, \"avg_length\": {:.2}, \"digest\": \"{:016x}\"}}",
-                r.scenario,
-                serial,
-                batched,
-                batched / serial,
-                r.accuracy,
-                r.detection_rate,
-                r.avg_length,
-                r.digest
-            )
-        })
-        .collect();
+) -> Result<(), String> {
+    let results: Vec<JsonRow> = rows.iter().map(|r| r.json(args.episodes)).collect();
     let total_episodes = (args.episodes * rows.len()) as f64;
-    let scaling_entries: Vec<String> = scaling
+    let thread_scaling: Vec<JsonRow> = scaling
         .iter()
         .map(|&(threads, secs)| {
-            format!(
-                "    {{\"threads\": {threads}, \"batched_eps_per_sec\": {:.1}, \
-                 \"speedup\": {:.2}}}",
-                total_episodes / secs,
-                scaling[0].1 / secs
-            )
+            vec![
+                ("threads", Value::Int(threads as i64)),
+                ("batched_eps_per_sec", fixed(total_episodes / secs, 1)),
+                ("speedup", fixed(scaling[0].1 / secs, 2)),
+            ]
         })
         .collect();
-    let scaling_json = if scaling_entries.is_empty() {
-        String::new()
-    } else {
-        format!(
-            ",\n  \"thread_scaling\": [\n{}\n  ]",
-            scaling_entries.join(",\n")
-        )
-    };
-    let codec_json = format!(
-        ",\n  \"codec\": {{\"files\": {}, \"reps\": {}, \
-         \"json_save_ms\": {:.3}, \"json_load_ms\": {:.3}, \
-         \"bin_save_ms\": {:.3}, \"bin_load_ms\": {:.3}, \
-         \"json_bytes\": {}, \"bin_bytes\": {}, \"roundtrip_speedup\": {:.2}}}",
-        codec.files,
-        codec.reps,
-        codec.json_save_secs * 1e3,
-        codec.json_load_secs * 1e3,
-        codec.bin_save_secs * 1e3,
-        codec.bin_load_secs * 1e3,
-        codec.json_bytes,
-        codec.bin_bytes,
-        codec.roundtrip_speedup()
+    let codec_json = Value::Table(
+        [
+            ("files", Value::Int(codec.files as i64)),
+            ("reps", Value::Int(codec.reps as i64)),
+            ("json_save_ms", fixed(codec.json_save_secs * 1e3, 3)),
+            ("json_load_ms", fixed(codec.json_load_secs * 1e3, 3)),
+            ("bin_save_ms", fixed(codec.bin_save_secs * 1e3, 3)),
+            ("bin_load_ms", fixed(codec.bin_load_secs * 1e3, 3)),
+            ("json_bytes", Value::Int(codec.json_bytes as i64)),
+            ("bin_bytes", Value::Int(codec.bin_bytes as i64)),
+            ("roundtrip_speedup", fixed(codec.roundtrip_speedup(), 2)),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect(),
     );
-    let json = format!(
-        "{{\n  \"benchmark\": \"eval_throughput\",\n  \"episodes\": {},\n  \"lanes\": {},\n  \
-         \"available_cpus\": {cpus},\n  \"results\": [\n{}\n  ]{codec_json}{scaling_json}\n}}\n",
-        args.episodes,
-        args.lanes,
-        entries.join(",\n")
-    );
-    std::fs::write("BENCH_eval.json", json)
-}
-
-/// Parses the `eval-bench-result` lines out of one child's stdout.
-fn parse_child_rows(stdout: &str) -> Result<Vec<JsonRow>, String> {
-    let mut rows = Vec::new();
-    for line in stdout
-        .lines()
-        .filter(|l| l.starts_with("eval-bench-result"))
-    {
-        let field = |key: &str| {
-            line.split_whitespace()
-                .find_map(|f| f.strip_prefix(&format!("{key}=")))
-                .ok_or_else(|| format!("missing `{key}` in `{line}`"))
-        };
-        let num = |key: &str| -> Result<f64, String> {
-            field(key)?
-                .parse::<f64>()
-                .map_err(|e| format!("bad `{key}` in `{line}`: {e}"))
-        };
-        rows.push(JsonRow {
-            scenario: field("scenario")?.to_string(),
-            serial_secs: num("serial_secs")?,
-            batched_secs: num("batched_secs")?,
-            accuracy: num("accuracy")?,
-            detection_rate: num("detection")?,
-            avg_length: num("avg_length")?,
-            digest: u64::from_str_radix(field("digest")?, 16)
-                .map_err(|e| format!("bad `digest` in `{line}`: {e}"))?,
-        });
+    let mut sections: Vec<(&str, &[JsonRow])> = vec![("results", &results)];
+    if !thread_scaling.is_empty() {
+        sections.push(("thread_scaling", &thread_scaling));
     }
-    if rows.is_empty() {
-        return Err(format!("no eval-bench-result lines in:\n{stdout}"));
-    }
-    Ok(rows)
+    write_bench_json(
+        "BENCH_eval.json",
+        &[
+            ("benchmark", Value::Str("eval_throughput".into())),
+            ("episodes", Value::Int(args.episodes as i64)),
+            ("lanes", Value::Int(args.lanes as i64)),
+            ("codec", codec_json),
+        ],
+        &sections,
+    )
 }
 
 /// The `--threads-list` parent: one child process per thread count, a
 /// digest gate across all of them, and a scaling table.
 fn run_thread_sweep(args: &Args, threads_list: &[usize]) -> Result<(), String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let mut per_thread: Vec<(usize, Vec<JsonRow>)> = Vec::new();
-    for &threads in threads_list {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.args(["--dir", &args.dir])
-            .args(["--eval-episodes", &args.episodes.to_string()])
-            .args(["--lanes", &args.lanes.to_string()])
-            .env("RAYON_NUM_THREADS", threads.to_string());
-        if let Some(filter) = &args.filter {
-            cmd.args(["--filter", filter]);
-        }
-        let out = cmd
-            .output()
-            .map_err(|e| format!("spawning child for {threads} thread(s): {e}"))?;
-        if !out.status.success() {
-            return Err(format!(
-                "child for {threads} thread(s) failed:\n{}",
-                String::from_utf8_lossy(&out.stderr)
-            ));
-        }
-        let rows = parse_child_rows(&String::from_utf8_lossy(&out.stdout))?;
+    let mut child_args = vec![
+        "--dir".to_string(),
+        args.dir.clone(),
+        "--eval-episodes".into(),
+        args.episodes.to_string(),
+        "--lanes".into(),
+        args.lanes.to_string(),
+    ];
+    if let Some(filter) = &args.filter {
+        child_args.extend(["--filter".to_string(), filter.clone()]);
+    }
+    let mut per_thread: Vec<(usize, Vec<Row>)> = Vec::new();
+    for (threads, lines) in run_per_thread(threads_list, &child_args, "eval-bench-result")? {
+        let rows = lines.iter().map(Row::from_line).collect::<Result<_, _>>()?;
         per_thread.push((threads, rows));
     }
 
@@ -447,18 +378,14 @@ fn run_thread_sweep(args: &Args, threads_list: &[usize]) -> Result<(), String> {
 
     // The determinism gate: per scenario, every thread count must produce
     // the same stats digest.
-    let (threads0, rows0) = &per_thread[0];
-    for (threads, rows) in &per_thread[1..] {
-        for (a, b) in rows0.iter().zip(rows.iter()) {
-            if a.scenario != b.scenario || a.digest != b.digest {
-                return Err(format!(
-                    "eval stats diverged across thread counts: {} ({} thread(s)) \
-                     -> {:016x}, {} ({} thread(s)) -> {:016x}",
-                    a.scenario, threads0, a.digest, b.scenario, threads, b.digest
-                ));
-            }
-        }
-    }
+    check_digests(
+        "scenario",
+        per_thread.iter().flat_map(|(threads, rows)| {
+            rows.iter()
+                .map(move |r| (*threads, r.scenario.as_str(), r.digest))
+        }),
+    )
+    .map_err(|e| format!("eval stats: {e}"))?;
     println!(
         "determinism: per-scenario digests bit-identical across {} thread count(s)",
         per_thread.len()
@@ -470,9 +397,7 @@ fn run_thread_sweep(args: &Args, threads_list: &[usize]) -> Result<(), String> {
         let names = artifact_names_filtered(args)?;
         let codec = bench_codec(Path::new(&args.dir), &names)?;
         print_codec(&codec);
-        write_json(args, rows0, &scaling, &codec)
-            .map_err(|e| format!("writing BENCH_eval.json: {e}"))?;
-        println!("wrote BENCH_eval.json");
+        write_json(args, &per_thread[0].1, &scaling, &codec)?;
     }
     Ok(())
 }
@@ -505,45 +430,13 @@ fn print_codec(codec: &CodecBench) {
         codec.json_bytes,
         codec.bin_bytes
     );
-    println!(
-        "eval-bench-codec files={} reps={} json_save_secs={:.6} json_load_secs={:.6} \
-         bin_save_secs={:.6} bin_load_secs={:.6} roundtrip_speedup={:.4}",
-        codec.files,
-        codec.reps,
-        codec.json_save_secs,
-        codec.json_load_secs,
-        codec.bin_save_secs,
-        codec.bin_load_secs,
-        codec.roundtrip_speedup()
-    );
 }
 
-fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-        }
-    };
-
-    if let Some(threads_list) = args.threads_list.clone() {
-        if let Err(e) = run_thread_sweep(&args, &threads_list) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-
+/// Benches every artifact in this process: the serial-vs-batched gate,
+/// the table, the `eval-bench-result` lines and the codec round trip.
+fn run_in_process(args: &Args) -> Result<(), String> {
     let dir = Path::new(&args.dir);
-    let names: Vec<String> = match artifact_names_filtered(&args) {
-        Ok(names) => names,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
-
+    let names = artifact_names_filtered(args)?;
     println!(
         "evaluation throughput: {} scenario(s) under {}, {} episodes, {} lanes",
         names.len(),
@@ -557,27 +450,20 @@ fn main() {
     );
     let mut rows = Vec::new();
     for name in &names {
-        match bench_one(dir, name, args.episodes, args.lanes) {
-            Ok(row) => {
-                let serial = args.episodes as f64 / row.serial_secs;
-                let batched = args.episodes as f64 / row.batched_secs;
-                println!(
-                    "{:<24} {:>12.1} {:>13.1} {:>7.2}x {:>9.3} {:>7.3}  {:016x}",
-                    row.scenario,
-                    serial,
-                    batched,
-                    batched / serial,
-                    row.stats.accuracy(),
-                    row.stats.detection_rate(),
-                    row.digest
-                );
-                rows.push(row);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
+        let row = bench_one(dir, name, args.episodes, args.lanes)?;
+        let serial = args.episodes as f64 / row.serial_secs;
+        let batched = args.episodes as f64 / row.batched_secs;
+        println!(
+            "{:<24} {:>12.1} {:>13.1} {:>7.2}x {:>9.3} {:>7.3}  {:016x}",
+            row.scenario,
+            serial,
+            batched,
+            batched / serial,
+            row.accuracy,
+            row.detection_rate,
+            row.digest
+        );
+        rows.push(row);
     }
     println!(
         "serial vs batched(1 lane): bit-identical for all {} scenario(s)",
@@ -596,30 +482,34 @@ fn main() {
             args.episodes,
             row.serial_secs,
             row.batched_secs,
-            row.stats.accuracy(),
-            row.stats.detection_rate(),
-            row.stats.avg_length,
+            row.accuracy,
+            row.detection_rate,
+            row.avg_length,
             row.digest
         );
     }
 
     // The codec save/load comparison (the binary-vs-JSON checkpoint
     // round trip) — always timed and printed; recorded on --write.
-    let codec = match bench_codec(dir, &names) {
-        Ok(codec) => codec,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let codec = bench_codec(dir, &names)?;
     print_codec(&codec);
-
     if args.write {
-        let json_rows: Vec<JsonRow> = rows.iter().map(Row::to_json_row).collect();
-        if let Err(e) = write_json(&args, &json_rows, &[], &codec) {
-            eprintln!("error: writing BENCH_eval.json: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote BENCH_eval.json");
+        write_json(args, &rows, &[], &codec)?;
+    }
+    Ok(())
+}
+
+fn main() {
+    let args = parse_args().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        usage();
+    });
+    let result = match &args.threads_list {
+        Some(threads_list) => run_thread_sweep(&args, threads_list),
+        None => run_in_process(&args),
+    };
+    if let Err(e) = result {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
 }

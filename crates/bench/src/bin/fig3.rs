@@ -11,7 +11,7 @@ use autocat::attacks::textbook::{run_scripted_multi, TextbookPrimeProbe};
 use autocat::detect::EventTrain;
 use autocat::gym::{EnvConfig, MultiGuessConfig, MultiGuessEnv};
 use autocat::ppo::{eval, Backbone, PpoConfig, Trainer};
-use autocat_bench::{play_sampled_episode, print_header, Budget};
+use autocat_bench::{print_header, Budget};
 use rand::SeedableRng;
 
 /// Returns the RL agent for one figure lane: loaded from the cache
@@ -135,7 +135,7 @@ fn main() {
             stats.detection_rate()
         );
         // One more full episode to read its event log.
-        play_sampled_episode(env, net, rng2);
+        eval::evaluate(env, net, 1, false, rng2);
         let train = EventTrain::from_events(env.episode_events().iter());
         render_train(label, &train);
         render_autocorrelogram(label, &train);

@@ -40,6 +40,8 @@ use autocat::nn::math::tanh_in_place;
 use autocat::nn::matrix::with_inline_kernels;
 use autocat::nn::state::fnv1a;
 use autocat::nn::{Matrix, SparseRows};
+use autocat_bench::harness::{fixed, write_bench_json, JsonRow};
+use autocat_scenario::value::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -297,7 +299,7 @@ fn main() {
         "{:>14} {:>22} {:>8} {:>12} {:>12} {:>9}",
         "kernel", "shape", "tier", "simd GMAC/s", "scal GMAC/s", "speedup"
     );
-    let mut rows = Vec::new();
+    let mut results: Vec<JsonRow> = Vec::new();
     for kernel in &KERNELS {
         for &(label, m, k, n) in &SHAPES {
             let slow = bench_one(kernel, m, k, n, simd::Tier::Scalar);
@@ -312,34 +314,30 @@ fn main() {
                     slow,
                     fast / slow
                 );
-                rows.push((kernel.name, label, tier, fast, slow));
+                results.push(vec![
+                    ("kernel", Value::Str(kernel.name.into())),
+                    ("shape", Value::Str(label.into())),
+                    ("tier", Value::Str(tier.name().into())),
+                    ("simd_gmacs", fixed(fast, 3)),
+                    ("scalar_gmacs", fixed(slow, 3)),
+                    ("speedup", fixed(fast / slow, 2)),
+                ]);
             }
         }
     }
 
     if write {
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let entries: Vec<String> = rows
-            .iter()
-            .map(|(kernel, shape, tier, fast, slow)| {
-                format!(
-                    "    {{\"kernel\": \"{kernel}\", \"shape\": \"{shape}\", \
-                     \"tier\": \"{}\", \"simd_gmacs\": {fast:.3}, \
-                     \"scalar_gmacs\": {slow:.3}, \"speedup\": {:.2}}}",
-                    tier.name(),
-                    fast / slow
-                )
-            })
-            .collect();
-        let json = format!(
-            "{{\n  \"benchmark\": \"matmul_kernels\",\n  \"dispatch_tier\": \"{}\",\n  \
-             \"available_cpus\": {cpus},\n  \"reps\": {REPS},\n  \"results\": [\n{}\n  ]\n}}\n",
-            dispatch.name(),
-            entries.join(",\n")
-        );
-        std::fs::write("BENCH_matmul.json", &json).expect("write BENCH_matmul.json");
-        println!("wrote BENCH_matmul.json");
+        write_bench_json(
+            "BENCH_matmul.json",
+            &[
+                ("benchmark", Value::Str("matmul_kernels".into())),
+                ("reps", Value::Int(REPS as i64)),
+            ],
+            &[("results", &results)],
+        )
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
     }
 }

@@ -3,9 +3,9 @@
 //! against the paper's config 6 environment with the default 2x128 MLP.
 //!
 //! ```text
-//! rollout_bench                        # sweep lanes x threads, print table
-//! rollout_bench --write                # also record BENCH_rollout.json
-//! rollout_bench --threads-list 1,4
+//! rollout-bench                        # sweep lanes x threads, print table
+//! rollout-bench --write                # also record BENCH_rollout.json
+//! rollout-bench --threads-list 1,4
 //! ```
 //!
 //! Lane configurations are measured in interleaved repetitions and the
@@ -13,9 +13,9 @@
 //! shared machine hits every configuration equally instead of biasing
 //! whichever one ran during a slow phase.
 //!
-//! The vendored rayon shim sizes its pool once per process, so each
-//! thread count runs in a **child process** (`--child` is the internal
-//! single-measurement mode), mirroring train-bench. Every child also
+//! Each thread count runs in a **child process** (see
+//! [`autocat_bench::harness`]; `--child` is the internal
+//! single-measurement mode), as in train-bench. Every child also
 //! digests the bytes of the batches it collected; for a fixed lane count
 //! the collected data must be bit-identical across thread counts, and the
 //! harness hard-fails if it is not.
@@ -27,9 +27,12 @@ use autocat::gym::{env::CacheGuessingGame, EnvConfig, VecEnv};
 use autocat::nn::models::{MlpConfig, MlpPolicy};
 use autocat::nn::state::fnv1a;
 use autocat::ppo::rollout::collect;
+use autocat_bench::harness::{
+    check_digests, fixed, parse_threads_list, run_per_thread, write_bench_json, JsonRow,
+};
+use autocat_scenario::value::Value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::process::Command;
 use std::time::Instant;
 
 const LANE_CONFIGS: [usize; 4] = [1, 2, 4, 8];
@@ -113,18 +116,7 @@ fn parse_args() -> Result<Args, String> {
                 let value = it
                     .next()
                     .ok_or_else(|| "--threads-list requires a value".to_string())?;
-                args.threads_list = value
-                    .split(',')
-                    .map(|t| match t.trim().parse::<usize>() {
-                        // The rayon shim treats 0 as "unset" and falls back
-                        // to all cores; a row labeled 0 would be a lie.
-                        Ok(0) | Err(_) => Err(format!("bad thread count `{t}`")),
-                        Ok(n) => Ok(n),
-                    })
-                    .collect::<Result<_, _>>()?;
-                if args.threads_list.is_empty() {
-                    return Err("--threads-list needs at least one entry".into());
-                }
+                args.threads_list = parse_threads_list(&value)?;
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -132,9 +124,9 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One full lane sweep in this process; returns (lanes, steps, secs,
-/// digest) per lane configuration, best-of-REPS interleaved.
-fn run_child() -> Vec<(usize, usize, f64, u64)> {
+/// One full lane sweep in this process, best-of-REPS interleaved; prints
+/// one `rollout-bench-result` line per lane configuration.
+fn run_child() {
     let mut harnesses: Vec<Harness> = LANE_CONFIGS.iter().map(|&l| Harness::new(l)).collect();
     let mut best = vec![(0usize, f64::INFINITY); LANE_CONFIGS.len()];
     // The RNG stream advances across repetitions, so each rep collects
@@ -153,186 +145,97 @@ fn run_child() -> Vec<(usize, usize, f64, u64)> {
             }
         }
     }
-    LANE_CONFIGS
-        .iter()
-        .zip(best)
-        .zip(digests)
-        .map(|((&lanes, (steps, secs)), bytes)| (lanes, steps, secs, fnv1a(bytes)))
-        .collect()
-}
-
-struct Row {
-    threads: usize,
-    lanes: usize,
-    steps: usize,
-    secs: f64,
-    digest: u64,
-}
-
-/// Re-executes this binary once per thread count and parses the child's
-/// per-lane result lines.
-fn run_parent(threads_list: &[usize]) -> Result<Vec<Row>, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let mut rows = Vec::new();
-    for &threads in threads_list {
-        let out = Command::new(&exe)
-            .arg("--child")
-            .env("RAYON_NUM_THREADS", threads.to_string())
-            .output()
-            .map_err(|e| format!("spawning child for {threads} thread(s): {e}"))?;
-        if !out.status.success() {
-            return Err(format!(
-                "child for {threads} thread(s) failed:\n{}",
-                String::from_utf8_lossy(&out.stderr)
-            ));
-        }
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        for line in stdout
-            .lines()
-            .filter(|l| l.starts_with("rollout-bench-result"))
-        {
-            let mut lanes = None;
-            let mut steps = None;
-            let mut secs = None;
-            let mut digest = None;
-            for field in line.split_whitespace().skip(1) {
-                let (key, value) = field
-                    .split_once('=')
-                    .ok_or_else(|| format!("bad result field `{field}`"))?;
-                match key {
-                    "lanes" => lanes = value.parse::<usize>().ok(),
-                    "steps" => steps = value.parse::<usize>().ok(),
-                    "secs" => secs = value.parse::<f64>().ok(),
-                    "digest" => digest = u64::from_str_radix(value, 16).ok(),
-                    _ => {}
-                }
-            }
-            match (lanes, steps, secs, digest) {
-                (Some(lanes), Some(steps), Some(secs), Some(digest)) => rows.push(Row {
-                    threads,
-                    lanes,
-                    steps,
-                    secs,
-                    digest,
-                }),
-                _ => return Err(format!("unparseable child result `{line}`")),
-            }
-        }
-        let produced = rows.iter().filter(|r| r.threads == threads).count();
-        if produced != LANE_CONFIGS.len() {
-            return Err(format!(
-                "child for {threads} thread(s) produced {produced} result line(s), \
-                 expected {}",
-                LANE_CONFIGS.len()
-            ));
-        }
+    for ((lanes, (steps, secs)), bytes) in LANE_CONFIGS.iter().zip(best).zip(digests) {
+        let digest = fnv1a(bytes);
+        println!(
+            "rollout-bench-result lanes={lanes} steps={steps} secs={secs:.6} digest={digest:016x}"
+        );
     }
-    Ok(rows)
 }
 
-fn write_json(rows: &[Row]) -> std::io::Result<()> {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let entries: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"threads\": {}, \"lanes\": {}, \"steps\": {}, \"secs\": {:.4}, \
-                 \"steps_per_sec\": {:.1}, \"digest\": \"{:016x}\"}}",
-                r.threads,
-                r.lanes,
-                r.steps,
-                r.secs,
-                r.steps as f64 / r.secs,
-                r.digest
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"benchmark\": \"rollout_throughput\",\n  \"env\": \"flush_reload_fa4\",\n  \
-         \"backbone\": \"mlp_128x128\",\n  \"horizon\": {HORIZON},\n  \"reps\": {REPS},\n  \
-         \"available_cpus\": {cpus},\n  \"results\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    std::fs::write("BENCH_rollout.json", &json)
-}
-
-fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: rollout_bench [--threads-list 1,2,4,8] [--write]");
-            std::process::exit(2);
-        }
-    };
-
-    if args.child {
-        for (lanes, steps, secs, digest) in run_child() {
-            println!(
-                "rollout-bench-result lanes={lanes} steps={steps} secs={secs:.6} \
-                 digest={digest:016x}"
-            );
-        }
-        return;
-    }
-
+/// Re-executes this binary once per thread count, prints the table, gates
+/// the per-lane-count digests and, on `--write`, records
+/// `BENCH_rollout.json`.
+fn run_parent(args: &Args) -> Result<(), String> {
     println!(
         "rollout throughput (config 6, MLP 2x128, horizon {HORIZON}, best of {REPS} \
          interleaved reps per thread count)"
     );
-    let rows = match run_parent(&args.threads_list) {
-        Ok(rows) => rows,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let children = run_per_thread(
+        &args.threads_list,
+        &["--child".to_string()],
+        "rollout-bench-result",
+    )?;
 
     println!(
         "{:>8} {:>6} {:>10} {:>10} {:>14} {:>9}  digest",
         "threads", "lanes", "steps", "secs", "steps/sec", "speedup"
     );
-    let base = rows[0].steps as f64 / rows[0].secs;
-    for r in &rows {
-        let sps = r.steps as f64 / r.secs;
-        println!(
-            "{:>8} {:>6} {:>10} {:>10.3} {:>14.0} {:>8.2}x  {:016x}",
-            r.threads,
-            r.lanes,
-            r.steps,
-            r.secs,
-            sps,
-            sps / base,
-            r.digest
-        );
-    }
-
-    // The determinism gate: for each lane count, every thread count must
-    // have collected bit-identical batches.
-    for &lanes in &LANE_CONFIGS {
-        let mut per_lane = rows.iter().filter(|r| r.lanes == lanes);
-        let first = per_lane.next().expect("at least one thread count");
-        if let Some(bad) = per_lane.find(|r| r.digest != first.digest) {
-            eprintln!(
-                "error: rollout diverged across thread counts at {lanes} lane(s): \
-                 {} thread(s) -> {:016x}, {} thread(s) -> {:016x}",
-                first.threads, first.digest, bad.threads, bad.digest
+    let mut digests = Vec::new();
+    let mut results: Vec<JsonRow> = Vec::new();
+    let mut base = None;
+    for (threads, lines) in &children {
+        for line in lines {
+            let lanes: usize = line.num("lanes")?;
+            let (steps, secs) = (line.num::<usize>("steps")?, line.num::<f64>("secs")?);
+            let digest = line.hex("digest")?;
+            let sps = steps as f64 / secs;
+            let base = *base.get_or_insert(sps);
+            println!(
+                "{:>8} {:>6} {:>10} {:>10.3} {:>14.0} {:>8.2}x  {:016x}",
+                threads,
+                lanes,
+                steps,
+                secs,
+                sps,
+                sps / base,
+                digest
             );
-            std::process::exit(1);
+            digests.push((*threads, lanes, digest));
+            results.push(vec![
+                ("threads", Value::Int(*threads as i64)),
+                ("lanes", Value::Int(lanes as i64)),
+                ("steps", Value::Int(steps as i64)),
+                ("secs", fixed(secs, 4)),
+                ("steps_per_sec", fixed(sps, 1)),
+                ("digest", Value::Str(format!("{digest:016x}"))),
+            ]);
         }
     }
+    // The determinism gate: for each lane count, every thread count must
+    // have collected bit-identical batches.
+    check_digests("lane count", digests).map_err(|e| format!("collected batches: {e}"))?;
     println!(
         "determinism: batch digests bit-identical across {} thread count(s) at every lane count",
-        args.threads_list.len()
+        children.len()
     );
 
     if args.write {
-        if let Err(e) = write_json(&rows) {
-            eprintln!("error: writing BENCH_rollout.json: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote BENCH_rollout.json");
+        write_bench_json(
+            "BENCH_rollout.json",
+            &[
+                ("benchmark", Value::Str("rollout_throughput".into())),
+                ("env", Value::Str("flush_reload_fa4".into())),
+                ("backbone", Value::Str("mlp_128x128".into())),
+                ("horizon", Value::Int(HORIZON as i64)),
+                ("reps", Value::Int(REPS as i64)),
+            ],
+            &[("results", &results)],
+        )?;
+    }
+    Ok(())
+}
+
+fn main() {
+    let args = parse_args().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!("usage: rollout-bench [--threads-list 1,2,4,8] [--write]");
+        std::process::exit(2);
+    });
+    if args.child {
+        run_child();
+    } else if let Err(e) = run_parent(&args) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
 }

@@ -3,8 +3,8 @@
 
 use autocat::attacks::textbook::{run_scripted_multi, TextbookPrimeProbe};
 use autocat::gym::{EnvConfig, MultiGuessConfig, MultiGuessEnv};
-use autocat::ppo::{Backbone, PpoConfig, Trainer};
-use autocat_bench::{play_sampled_episode, print_header, Budget};
+use autocat::ppo::{eval, Backbone, PpoConfig, Trainer};
+use autocat_bench::{print_header, Budget};
 use rand::SeedableRng;
 
 fn eval_rl(trainer: &mut Trainer<MultiGuessEnv>, episodes: usize) -> (f64, f64, f64) {
@@ -13,7 +13,7 @@ fn eval_rl(trainer: &mut Trainer<MultiGuessEnv>, episodes: usize) -> (f64, f64, 
     let mut acc = 0.0;
     let mut max_ac = 0.0;
     for _ in 0..episodes {
-        play_sampled_episode(env, net, rng);
+        eval::evaluate(env, net, 1, false, rng);
         let stats = env.stats();
         bit_rate += stats.bit_rate();
         acc += stats.accuracy();

@@ -6,8 +6,8 @@ use autocat::detect::benign::{benign_pattern_suite, generate_trace, BenignWorklo
 use autocat::detect::svm::{cross_validate, SvmTrainConfig};
 use autocat::detect::{CycloneFeatures, LinearSvm};
 use autocat::gym::{EnvConfig, MultiGuessConfig, MultiGuessEnv};
-use autocat::ppo::{Backbone, PpoConfig, Trainer};
-use autocat_bench::{play_sampled_episode, print_header, Budget};
+use autocat::ppo::{eval, Backbone, PpoConfig, Trainer};
+use autocat_bench::{print_header, Budget};
 use rand::SeedableRng;
 
 fn main() {
@@ -93,7 +93,7 @@ fn main() {
         let mut det = 0.0;
         let eps = 20;
         for _ in 0..eps {
-            play_sampled_episode(env, net, r2);
+            eval::evaluate(env, net, 1, false, r2);
             let stats = env.stats();
             br += stats.bit_rate();
             acc += stats.accuracy();

@@ -1,6 +1,7 @@
-//! Shared helpers for the table/figure harness binaries, plus the
-//! [`sweep`] pipeline (train every scenario → checkpoint → Table IV
-//! reproduction report).
+//! Shared helpers for the table/figure harness binaries, the
+//! [`harness`] machinery of the throughput bins (thread sweeps, digest
+//! gate, `BENCH_*.json` writer), plus the [`sweep`] pipeline (train every
+//! scenario → checkpoint → Table IV reproduction report).
 //!
 //! Every binary regenerates one table or figure of the paper. Budgets:
 //! set `AUTOCAT_BUDGET=full` for the paper-scale runs; the default
@@ -8,6 +9,7 @@
 //! full sweep finishes on a laptop.
 
 pub mod census;
+pub mod harness;
 pub mod sweep;
 
 /// The shared training-override flags, re-exported from
@@ -16,11 +18,8 @@ pub mod cli {
     pub use autocat_scenario::run::TrainOverrides;
 }
 
-use autocat::gym::{EnvConfig, Environment};
-use autocat::nn::models::PolicyValueNet;
-use autocat::nn::{Categorical, Matrix};
+use autocat::gym::EnvConfig;
 use autocat_scenario::Scenario;
-use rand::rngs::StdRng;
 
 /// Run budget selected via the `AUTOCAT_BUDGET` environment variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,27 +85,6 @@ pub fn standard_scenario(
     scenario.train.max_steps = budget.max_steps();
     scenario.train.ppo.num_lanes = budget.lanes();
     scenario
-}
-
-/// Plays one episode with actions sampled from `net`, one-row forward per
-/// step, drawing from `rng` only: reset, then forward, sample and step
-/// until done. The multi-guess bins read the finished episode's statistics
-/// and event log from `env` afterwards.
-pub fn play_sampled_episode(
-    env: &mut impl Environment,
-    net: &mut dyn PolicyValueNet,
-    rng: &mut StdRng,
-) {
-    let mut obs = env.reset(rng);
-    loop {
-        let (logits, _) = net.forward(&Matrix::from_row(&obs));
-        let a = Categorical::from_logits(logits.row(0)).sample(rng);
-        let r = env.step(a, rng);
-        if r.done {
-            break;
-        }
-        obs = r.obs;
-    }
 }
 
 /// Prints a table header with a separator line.

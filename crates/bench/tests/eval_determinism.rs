@@ -10,6 +10,7 @@
 //! diverges from the serial evaluator, so every spawn doubles as the
 //! serial-vs-batched bit-identity gate.
 
+use autocat_bench::harness::parse_result_lines;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -46,22 +47,14 @@ fn eval_digests_env(
         "eval-bench failed under {threads} thread(s):\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let digests: Vec<(String, String)> = stdout
-        .lines()
-        .filter(|l| l.starts_with("eval-bench-result"))
+    parse_result_lines(&String::from_utf8_lossy(&out.stdout), "eval-bench-result")
+        .unwrap()
+        .iter()
         .map(|line| {
-            let field = |key: &str| {
-                line.split_whitespace()
-                    .find_map(|f| f.strip_prefix(&format!("{key}=")))
-                    .unwrap_or_else(|| panic!("missing `{key}` in `{line}`"))
-                    .to_string()
-            };
+            let field = |key| line.get(key).unwrap().to_string();
             (field("scenario"), field("digest"))
         })
-        .collect();
-    assert!(!digests.is_empty(), "no result lines in:\n{stdout}");
-    digests
+        .collect()
 }
 
 #[test]

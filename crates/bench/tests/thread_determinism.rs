@@ -8,6 +8,7 @@
 //! (one full measurement per invocation) and compare the final-weight
 //! digests it reports.
 
+use autocat_bench::harness::parse_result_lines;
 use std::process::Command;
 
 /// The `--shards 1` run's final-weight digest, pinned: the runs below
@@ -51,18 +52,13 @@ fn train_digest_env(threads: &str, extra: &[&str], envs: &[(&str, &str)]) -> (u6
         "child failed under {threads} thread(s):\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let line = stdout
-        .lines()
-        .find(|l| l.starts_with("train-bench-result"))
-        .unwrap_or_else(|| panic!("no result line in:\n{stdout}"));
-    let field = |key: &str| {
-        line.split_whitespace()
-            .find_map(|f| f.strip_prefix(&format!("{key}=")))
-            .unwrap_or_else(|| panic!("missing `{key}` in `{line}`"))
-            .to_string()
-    };
-    (field("steps").parse().unwrap(), field("digest"))
+    let lines =
+        parse_result_lines(&String::from_utf8_lossy(&out.stdout), "train-bench-result").unwrap();
+    let line = &lines[0];
+    (
+        line.num("steps").unwrap(),
+        line.get("digest").unwrap().to_string(),
+    )
 }
 
 #[test]

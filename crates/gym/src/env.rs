@@ -62,10 +62,6 @@ pub struct CacheGuessingGame {
     revealed: bool,
 }
 
-/// Alias emphasizing the pluggable-backend view of the environment: a
-/// guessing game over any boxed [`CacheBackend`].
-pub type CacheEnv = CacheGuessingGame;
-
 impl CacheGuessingGame {
     /// Creates the environment with the backend described by
     /// [`EnvConfig::cache`].

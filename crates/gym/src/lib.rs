@@ -51,7 +51,7 @@ pub use action::{Action, ActionSpace};
 pub use autocat_cache::CacheBackend;
 pub use autocat_detect::{Monitor, MonitorSpec, Verdict};
 pub use config::{CacheSpec, EnvConfig, RewardConfig};
-pub use env::{backend_from_spec, CacheEnv, CacheGuessingGame};
+pub use env::{backend_from_spec, CacheGuessingGame};
 pub use hardware::{HardwareProfile, NoiseModel, SimulatedProcessor};
 pub use multi::{MultiGuessConfig, MultiGuessEnv};
 pub use obs::ObsEncoder;

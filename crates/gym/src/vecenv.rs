@@ -6,16 +6,14 @@
 //! the trainer can run **one batched forward of N observation rows per
 //! step** and amortize the per-call cost N-fold.
 //!
-//! Two ways to step lanes:
-//!
-//! * [`VecEnv::step_each`] steps every lane once per call, spreading the
-//!   lanes across the rayon pool. It is the reference schedule.
-//! * [`VecEnv::run_groups`] hands contiguous lane groups to a caller's
-//!   closure as the tasks of **one** `rayon::scope`, and each task steps
-//!   its group for as many steps as it likes. Rollout collection runs its
-//!   whole horizon this way: per group and step, a batched forward, a
-//!   sample per lane, a step per lane. The pool synchronizes once per
-//!   rollout instead of once per step.
+//! One way to step lanes: [`VecEnv::run_groups`] hands contiguous lane
+//! groups to a caller's closure as the tasks of **one** `rayon::scope`, and
+//! each task steps its group for as many steps as it likes. Rollout
+//! collection runs its whole horizon this way: per group and step, a
+//! batched forward, a sample per lane, a step per lane. The pool
+//! synchronizes once per rollout instead of once per step.
+//! [`VecEnv::step_each`] steps every lane once, serially and in lane
+//! order; it is the reference schedule the tests compare against.
 //!
 //! Determinism contract:
 //!
@@ -144,51 +142,23 @@ impl<E: Environment + Clone> VecEnv<E> {
         if num_lanes == 0 {
             return Err("VecEnv needs at least one lane".into());
         }
-        let envs = vec![proto; num_lanes];
-        Self::from_envs(envs, seed)
-    }
-}
-
-impl<E: Environment> VecEnv<E> {
-    /// Creates one lane per environment (for heterogeneous lane setups,
-    /// e.g. one cache configuration per lane in a sweep).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `envs` is empty or the environments disagree on
-    /// observation/action dimensions.
-    pub fn from_envs(envs: Vec<E>, seed: u64) -> Result<Self, String> {
-        if envs.is_empty() {
-            return Err("VecEnv needs at least one lane".into());
-        }
-        let shape = |e: &E| (e.obs_dim(), e.num_actions(), e.window(), e.token_dim());
-        let lane0 = shape(&envs[0]);
-        for (i, e) in envs.iter().enumerate() {
-            if shape(e) != lane0 {
-                return Err(format!(
-                    "lane {i} has (obs_dim, actions, window, token_dim) = {:?}, lane 0 has {:?}",
-                    shape(e),
-                    lane0
-                ));
-            }
-        }
-        let lanes = envs
+        let obs_dim = proto.obs_dim();
+        let lanes = vec![proto; num_lanes]
             .into_iter()
             .enumerate()
-            .map(|(i, env)| {
-                let obs_dim = env.obs_dim();
-                Lane {
-                    env,
-                    rng: StdRng::seed_from_u64(lane_seed(seed, i as u64)),
-                    obs: vec![0.0; obs_dim],
-                    episode_return: 0.0,
-                    episode_len: 0,
-                }
+            .map(|(i, env)| Lane {
+                env,
+                rng: StdRng::seed_from_u64(lane_seed(seed, i as u64)),
+                obs: vec![0.0; obs_dim],
+                episode_return: 0.0,
+                episode_len: 0,
             })
             .collect();
         Ok(Self { lanes })
     }
+}
 
+impl<E: Environment> VecEnv<E> {
     /// Number of lanes.
     pub fn num_lanes(&self) -> usize {
         self.lanes.len()
@@ -282,81 +252,41 @@ impl<E: Environment> VecEnv<E> {
             }
         }
     }
-}
 
-impl<E: Environment + Send> VecEnv<E> {
-    /// Steps every lane once. `choose` maps `(lane_index, lane_rng)` to the
-    /// action index plus an arbitrary payload (rollout collection passes the
-    /// action's log-probability through); it is called exactly once per
-    /// lane. Lanes that finish their episode auto-reset.
+    /// Steps every lane once, in lane order on the calling thread: the
+    /// reference schedule the tests hold [`VecEnv::run_groups`] to.
+    /// `choose` maps `(lane_index, lane_rng)` to the action index plus an
+    /// arbitrary payload (rollout collection passes the action's
+    /// log-probability through); it is called exactly once per lane. Lanes
+    /// that finish their episode auto-reset.
     ///
     /// With one lane, all draws (including `choose`'s) come from the
     /// caller's `rng`, preserving the scalar code path's RNG stream. With
-    /// multiple lanes each lane draws from its own stream and stepping is
-    /// spread across rayon workers in contiguous chunks, so results do not
-    /// depend on thread count.
-    pub fn step_each<A, C>(&mut self, choose: C, rng: &mut StdRng) -> Vec<LaneStep<A>>
-    where
-        A: Send,
-        C: Fn(usize, &mut StdRng) -> (usize, A) + Sync,
-    {
+    /// multiple lanes each lane draws from its own stream.
+    pub fn step_each<A>(
+        &mut self,
+        mut choose: impl FnMut(usize, &mut StdRng) -> (usize, A),
+        rng: &mut StdRng,
+    ) -> Vec<LaneStep<A>> {
         if self.is_scalar_compat() {
             let lane = &mut self.lanes[0];
             let (action, payload) = choose(0, rng);
             return vec![lane.step(action, payload, rng)];
         }
-        let workers = rayon::current_num_threads().min(self.lanes.len()).max(1);
-        if workers == 1 {
-            return self
-                .lanes
-                .iter_mut()
-                .enumerate()
-                .map(|(i, lane)| {
-                    lane.with_own_rng(|lane, rng| {
-                        let (action, payload) = choose(i, rng);
-                        lane.step(action, payload, rng)
-                    })
+        self.lanes
+            .iter_mut()
+            .enumerate()
+            .map(|(i, lane)| {
+                lane.with_own_rng(|lane, rng| {
+                    let (action, payload) = choose(i, rng);
+                    lane.step(action, payload, rng)
                 })
-                .collect();
-        }
-        let chunk_len = self.lanes.len().div_ceil(workers);
-        let mut results: Vec<Option<LaneStep<A>>> = Vec::new();
-        results.resize_with(self.lanes.len(), || None);
-        {
-            let choose = &choose;
-            let step_chunk = |base: usize,
-                              lanes: &mut [Lane<E>],
-                              out: &mut [Option<LaneStep<A>>]| {
-                for (offset, (lane, slot)) in lanes.iter_mut().zip(out.iter_mut()).enumerate() {
-                    let i = base + offset;
-                    let mut lane_rng = std::mem::replace(&mut lane.rng, StdRng::seed_from_u64(0));
-                    let (action, payload) = choose(i, &mut lane_rng);
-                    *slot = Some(lane.step(action, payload, &mut lane_rng));
-                    lane.rng = lane_rng;
-                }
-            };
-            let mut lane_chunks = self.lanes.chunks_mut(chunk_len);
-            let mut result_chunks = results.chunks_mut(chunk_len);
-            // The caller participates: chunk 0 runs inline on this thread
-            // and the scope's wait helps with the rest, so the worker count
-            // (which includes this thread) matches the threads doing work.
-            let first = lane_chunks.next().zip(result_chunks.next());
-            rayon::scope(|scope| {
-                for (chunk_idx, (lanes, out)) in lane_chunks.zip(result_chunks).enumerate() {
-                    let base = (chunk_idx + 1) * chunk_len;
-                    scope.spawn(move |_| step_chunk(base, lanes, out));
-                }
-                if let Some((lanes, out)) = first {
-                    step_chunk(0, lanes, out);
-                }
-            });
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every lane must be stepped"))
+            })
             .collect()
     }
+}
 
+impl<E: Environment + Send> VecEnv<E> {
     /// Runs `work` once per contiguous group of `group_len` lanes (the
     /// last group may be shorter), handing group `g` the `g`-th entry of
     /// `tasks`. Within a group, `work` may step its lanes any number of
@@ -516,13 +446,6 @@ mod tests {
     #[test]
     fn zero_lanes_is_an_error() {
         assert!(VecEnv::new(0, game(), 1).is_err());
-    }
-
-    #[test]
-    fn mismatched_lanes_are_rejected() {
-        let a = CacheGuessingGame::new(EnvConfig::flush_reload_fa4()).unwrap();
-        let b = CacheGuessingGame::new(EnvConfig::prime_probe_dm4()).unwrap();
-        assert!(VecEnv::from_envs(vec![a, b], 1).is_err());
     }
 
     #[test]

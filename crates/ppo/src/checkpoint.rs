@@ -29,13 +29,6 @@
 //! The float codec is exact (each `f32` is written as its `f64` widening
 //! with shortest-round-trip formatting), so no precision is lost through
 //! the text file.
-//!
-//! One caveat: loading always rebuilds a *homogeneous* VecEnv by cloning
-//! the prototype into every lane. A trainer built over heterogeneous lanes
-//! ([`Trainer::from_vecenv`]) can save, but the resume guarantee only
-//! covers trainers whose lanes share one configuration (the
-//! [`Trainer::new`] path — which is what scenarios and the sweep harness
-//! use).
 
 use crate::trainer::{Backbone, PpoConfig, Trainer};
 use autocat_gym::{Environment, VecEnv};

@@ -249,34 +249,9 @@ impl<E: Environment + Clone + Send> Trainer<E> {
 }
 
 impl<E: Environment + Send> Trainer<E> {
-    /// Creates a trainer over an existing [`VecEnv`] (heterogeneous lanes).
-    pub fn from_vecenv(venv: VecEnv<E>, backbone: Backbone, config: PpoConfig, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let net = backbone.build(venv.lane(0), &mut rng);
-        let adam = Adam::new(config.lr);
-        Self {
-            venv,
-            net,
-            backbone,
-            adam,
-            config,
-            rng,
-            total_steps: 0,
-            recent: VecDeque::new(),
-            recent_cap: 100,
-            workspace: UpdateWorkspace::default(),
-        }
-    }
-
     /// The first lane's environment (e.g. to inspect its action space).
     pub fn env(&self) -> &E {
         self.venv.lane(0)
-    }
-
-    /// Mutable access to the first lane's environment (e.g. to force
-    /// secrets for evaluation between rollouts).
-    pub fn env_mut(&mut self) -> &mut E {
-        self.venv.lane_mut(0)
     }
 
     /// The vectorized environment driving rollouts.
