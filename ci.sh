@@ -68,16 +68,24 @@ echo "==> autocat-lint (workspace invariant checker)"
 cargo run --release -q -p autocat-lint -- --list-allows
 cargo run --release -q -p autocat-lint
 
-echo "==> layering: the daemon does not link the bench harness; no serde"
+echo "==> layering: the daemon does not link the bench harness; nn has no threads; no serde"
 # The shared train -> evaluate pipeline lives in autocat-scenario, so the
-# daemon needs nothing from the harness crate; and serialization goes
-# through the workspace's own value codec, so no manifest names serde.
+# daemon needs nothing from the harness crate; the numerics crate runs
+# every kernel on the calling thread, so it does not link rayon (the
+# callers own the parallelism); and serialization goes through the
+# workspace's own value codec, so no manifest names serde.
 # (Output captured first: `cargo tree | grep -q` under pipefail would let
 # an early grep exit turn a hit into a pass.)
 SERVE_TREE=$(cargo tree --offline -p autocat-serve -e normal)
 if grep -q "autocat-bench" <<<"$SERVE_TREE"; then
     echo "error: autocat-serve depends on autocat-bench:" >&2
     echo "$SERVE_TREE" >&2
+    exit 1
+fi
+NN_TREE=$(cargo tree --offline -p autocat-nn -e normal)
+if grep -q "rayon" <<<"$NN_TREE"; then
+    echo "error: autocat-nn depends on rayon:" >&2
+    echo "$NN_TREE" >&2
     exit 1
 fi
 SERDE_MANIFESTS=$(git ls-files -- 'Cargo.toml' '*/Cargo.toml' | xargs grep -l "serde" || true)
@@ -133,18 +141,29 @@ cleanup() {
     [ -n "${SERVE_PID:-}" ] && kill "$SERVE_PID" 2>/dev/null || true
 }
 trap cleanup EXIT
+# Boots a daemon on a free loopback port with the given extra flags,
+# logging its output to the file named first, and sets SERVE_PID and
+# SERVE_ADDR. Fails with the daemon's log if it does not listen within
+# 5 s.
+start_daemon() {
+    local log=$1
+    shift
+    cargo run --release -q -p autocat-serve -- daemon --addr 127.0.0.1:0 "$@" > "$log" 2>&1 &
+    SERVE_PID=$!
+    for _ in $(seq 50); do
+        SERVE_ADDR=$(sed -n 's/^autocat-serve: listening on //p' "$log")
+        [ -n "$SERVE_ADDR" ] && return
+        sleep 0.1
+    done
+    echo "error: the daemon did not listen within 5 s; its log:" >&2
+    cat "$log" >&2
+    exit 1
+}
 cargo build --release -q -p autocat-serve -p autocat-bench
 cargo run --release -q -p autocat-bench --bin scenario-run -- \
     --scenario table4-6 --steps 1 --ckpt "$SERVE_OUT/oneshot.ckpt.bin" \
     | tee "$SERVE_OUT/oneshot.log"
-cargo run --release -q -p autocat-serve -- daemon \
-    --addr 127.0.0.1:0 --store "$SERVE_OUT/store" > "$SERVE_OUT/daemon.log" &
-SERVE_PID=$!
-for _ in $(seq 50); do
-    grep -q "listening on" "$SERVE_OUT/daemon.log" && break
-    sleep 0.1
-done
-SERVE_ADDR=$(sed -n 's/^autocat-serve: listening on //p' "$SERVE_OUT/daemon.log")
+start_daemon "$SERVE_OUT/daemon.log" --store "$SERVE_OUT/store"
 cargo run --release -q -p autocat-serve -- submit --addr "$SERVE_ADDR" \
     --scenario table4-6 --steps 1 --wait | tee "$SERVE_OUT/daemon-job.log"
 cargo run --release -q -p autocat-serve -- fetch --addr "$SERVE_ADDR" \
@@ -163,15 +182,7 @@ echo "==> smoke: job table survives SIGKILL; restart resumes bit-identically"
 # same store must re-enqueue the job from the journal and train it to the
 # exact bytes the one-shot run above produced.
 RESTART_STORE="$SERVE_OUT/restart-store"
-cargo run --release -q -p autocat-serve -- daemon \
-    --addr 127.0.0.1:0 --store "$RESTART_STORE" --workers 0 \
-    > "$SERVE_OUT/daemon2.log" &
-SERVE_PID=$!
-for _ in $(seq 50); do
-    grep -q "listening on" "$SERVE_OUT/daemon2.log" && break
-    sleep 0.1
-done
-SERVE_ADDR=$(sed -n 's/^autocat-serve: listening on //p' "$SERVE_OUT/daemon2.log")
+start_daemon "$SERVE_OUT/daemon2.log" --store "$RESTART_STORE" --workers 0
 cargo run --release -q -p autocat-serve -- submit --addr "$SERVE_ADDR" \
     --scenario table4-6 --steps 1 > "$SERVE_OUT/restart-submit.log"
 grep -q "submitted job 1" "$SERVE_OUT/restart-submit.log"
@@ -181,15 +192,7 @@ grep -q "attached to job 1" "$SERVE_OUT/restart-dup.log"
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 SERVE_PID=
-cargo run --release -q -p autocat-serve -- daemon \
-    --addr 127.0.0.1:0 --store "$RESTART_STORE" --workers 1 \
-    > "$SERVE_OUT/daemon3.log" &
-SERVE_PID=$!
-for _ in $(seq 50); do
-    grep -q "listening on" "$SERVE_OUT/daemon3.log" && break
-    sleep 0.1
-done
-SERVE_ADDR=$(sed -n 's/^autocat-serve: listening on //p' "$SERVE_OUT/daemon3.log")
+start_daemon "$SERVE_OUT/daemon3.log" --store "$RESTART_STORE" --workers 1
 grep -q "journal replayed" "$SERVE_OUT/daemon3.log"
 cargo run --release -q -p autocat-serve -- watch --addr "$SERVE_ADDR" --job 1 \
     > "$SERVE_OUT/restart-job.log"
@@ -268,7 +271,20 @@ cargo run --release -q -p autocat-bench --bin eval-bench -- \
 
 echo "==> smoke: rollout-bench thread sweep (per-lane-count digests at 1 and 2 threads)"
 # The fused rollout at 1/2/4/8 lanes; it fails unless every lane count
-# collects bit-identical batches at both thread counts.
-cargo run --release -q -p autocat-bench --bin rollout-bench -- --threads-list 1,2
+# collects bit-identical batches at both thread counts. This pins each
+# lane count's batches to the recorded digest as well.
+ROLLOUT_BENCH_OUT=$(cargo run --release -q -p autocat-bench --bin rollout-bench -- \
+    --threads-list 1,2)
+echo "$ROLLOUT_BENCH_OUT"
+for pin in 1:bf25b88ee950649d 2:ef6e8f9d0ff252e6 4:ecd301d5067be9e2 8:0a10f69d6e6523ff; do
+    lanes=${pin%%:*}
+    digest=${pin#*:}
+    for threads in 1 2; do
+        if ! grep -qE "^ +$threads +$lanes .* $digest\$" <<<"$ROLLOUT_BENCH_OUT"; then
+            echo "error: rollout-bench at $lanes lane(s), $threads thread(s) did not print $digest" >&2
+            exit 1
+        fi
+    done
+done
 
 echo "CI OK"

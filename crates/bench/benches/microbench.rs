@@ -75,7 +75,7 @@ fn bench_nn(c: &mut Criterion) {
     let mut mlp = MlpPolicy::new(&MlpConfig::new(256, 11), &mut rng);
     let obs = Matrix::full(32, 256, 0.3);
     group.bench_function("mlp_forward_batch32", |b| {
-        b.iter(|| mlp.forward(&obs));
+        b.iter(|| mlp.forward_inference(&obs));
     });
     group.bench_function("mlp_train_batch32", |b| {
         b.iter(|| {
@@ -84,10 +84,10 @@ fn bench_nn(c: &mut Criterion) {
         });
     });
     let tcfg = TransformerConfig::new(16, 16, 11).with_dims(32, 4, 64);
-    let mut tf = TransformerPolicy::new(&tcfg, &mut rng);
+    let tf = TransformerPolicy::new(&tcfg, &mut rng);
     let tobs = Matrix::full(8, tcfg.obs_dim(), 0.3);
     group.bench_function("transformer_forward_batch8", |b| {
-        b.iter(|| tf.forward(&tobs));
+        b.iter(|| tf.forward_inference(&tobs));
     });
     group.finish();
 }

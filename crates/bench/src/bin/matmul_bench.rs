@@ -24,11 +24,11 @@
 //! avx2 tier). Recording all tiers makes the committed baseline say so
 //! instead of hiding it; `SIMD_TIER=avx2` is the production override.
 //!
-//! All kernel calls run under `with_inline_kernels`, for two reasons: the
-//! forced SIMD tier is thread-local (it would not reach rayon pool
-//! workers), and the point of this harness is the single-thread kernel
-//! rate — thread scaling is the train/eval/rollout benches' axis. GMAC/s
-//! counts one multiply-accumulate per `m*k*n` product term.
+//! Every kernel runs serially on the calling thread, so the forced SIMD
+//! tier (a thread-local) reaches all of its work, and the rate measured is
+//! the single-thread kernel rate — thread scaling is the
+//! train/eval/rollout benches' axis. GMAC/s counts one
+//! multiply-accumulate per `m*k*n` product term.
 //!
 //! The `--check` gate exists because the scalar path is not a test-only
 //! artifact: it is what the `scalar-fallback` build and non-x86 targets
@@ -37,7 +37,6 @@
 //! on every push.
 
 use autocat::nn::math::tanh_in_place;
-use autocat::nn::matrix::with_inline_kernels;
 use autocat::nn::state::fnv1a;
 use autocat::nn::{Matrix, SparseRows};
 use autocat_bench::harness::{fixed, write_bench_json, JsonRow};
@@ -174,17 +173,15 @@ fn bench_one(kernel: &Kernel, m: usize, k: usize, n: usize, tier: simd::Tier) ->
     let iters = (MACS_PER_REP / (m * k * n)).max(1);
     let mut best = f64::INFINITY;
     simd::with_forced_tier(tier, || {
-        with_inline_kernels(|| {
-            // Warm-up (allocator, page faults) before timing.
-            std::hint::black_box((kernel.run)(&a, &b));
-            for _ in 0..REPS {
-                let start = Instant::now();
-                for _ in 0..iters {
-                    std::hint::black_box((kernel.run)(&a, &b));
-                }
-                best = best.min(start.elapsed().as_secs_f64());
+        // Warm-up (allocator, page faults) before timing.
+        std::hint::black_box((kernel.run)(&a, &b));
+        for _ in 0..REPS {
+            let start = Instant::now();
+            for _ in 0..iters {
+                std::hint::black_box((kernel.run)(&a, &b));
             }
-        })
+            best = best.min(start.elapsed().as_secs_f64());
+        }
     });
     (iters * m * k * n) as f64 / best / 1e9
 }
@@ -199,11 +196,8 @@ fn run_check(tier: simd::Tier) -> usize {
         for kernel in &KERNELS {
             let mut rng = StdRng::seed_from_u64(23);
             let (a, b) = (kernel.make)(m, k, n, &mut rng);
-            let fast =
-                simd::with_forced_tier(tier, || with_inline_kernels(|| (kernel.run)(&a, &b)));
-            let slow = simd::with_forced_tier(simd::Tier::Scalar, || {
-                with_inline_kernels(|| (kernel.run)(&a, &b))
-            });
+            let fast = simd::with_forced_tier(tier, || (kernel.run)(&a, &b));
+            let slow = simd::with_forced_tier(simd::Tier::Scalar, || (kernel.run)(&a, &b));
             let (df, ds) = (digest(&fast), digest(&slow));
             if df != ds {
                 eprintln!(

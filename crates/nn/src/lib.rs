@@ -59,9 +59,9 @@
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-//! let mut net = MlpPolicy::new(&MlpConfig::new(8, 4), &mut rng);
+//! let net = MlpPolicy::new(&MlpConfig::new(8, 4), &mut rng);
 //! let obs = Matrix::zeros(1, 8);
-//! let (logits, values) = net.forward(&obs);
+//! let (logits, values) = net.forward_inference(&obs);
 //! assert_eq!(logits.cols(), 4);
 //! assert_eq!(values.len(), 1);
 //! ```

@@ -251,21 +251,13 @@ impl Matrix {
             "matmul shape mismatch: {}x{} * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        const RB: usize = Matrix::MM_ROW_BLOCK;
         const CB: usize = Matrix::MM_COL_BLOCK;
         let (m, inner, n) = (self.rows, self.cols, other.cols);
         let mut out = Matrix::zeros(m, n);
         if inner == 0 || n == 0 {
             return out; // every element is the empty sum, +0
         }
-        // Chunks split on MM_ROW_BLOCK boundaries, so every row block is
-        // grouped exactly as in the serial pass.
-        let flops = 2 * m * inner * n;
-        let mut run = |b: &[f32]| {
-            run_rows(m, RB, n, flops, &mut out.data, |i0, i_end, chunk| {
-                self.matmul_rows(b, n, i0, i_end, chunk);
-            });
-        };
+        let mut run = |b: &[f32]| self.matmul_rows(b, n, &mut out.data);
         if n >= CB {
             run(&other.data);
         } else {
@@ -280,24 +272,23 @@ impl Matrix {
         out
     }
 
-    /// Serial matmul kernel over output rows `i0..i_end`, writing into the
-    /// caller's slice of those rows (`(i_end - i0) * n` values). `b` is
-    /// `other`'s data, followed by a zero tail when `n < MM_COL_BLOCK`. The
-    /// pack and the narrow path's staged block come from this thread's
-    /// scratch.
-    fn matmul_rows(&self, b: &[f32], n: usize, i0: usize, i_end: usize, out_rows: &mut [f32]) {
+    /// Serial matmul kernel writing all `self.rows() * n` output values.
+    /// `b` is `other`'s data, followed by a zero tail when
+    /// `n < MM_COL_BLOCK`. The pack and the narrow path's staged block come
+    /// from this thread's scratch.
+    fn matmul_rows(&self, b: &[f32], n: usize, out: &mut [f32]) {
         const RB: usize = Matrix::MM_ROW_BLOCK;
         const CB: usize = Matrix::MM_COL_BLOCK;
         // A one-row call takes the kernel's pack-free fast path.
-        let pack = if i_end - i0 > 1 { RB * self.cols } else { 0 };
+        let pack = if self.rows > 1 { RB * self.cols } else { 0 };
         let staged = if n < CB { RB * CB } else { 0 };
         with_scratch(&KERNEL_SCRATCH, pack + staged, |work| {
             let (pack, staged) = work.split_at_mut(pack);
             let (a, inner) = (&self.data, self.cols);
             if n >= CB {
-                matmul_rows_dispatch(a, b, inner, n, i0, i_end, out_rows, pack);
+                matmul_rows_dispatch(a, b, inner, n, out, pack);
             } else {
-                matmul_narrow_rows_dispatch(a, b, inner, n, i0, i_end, out_rows, pack, staged);
+                matmul_narrow_rows_dispatch(a, b, inner, n, out, pack, staged);
             }
         });
     }
@@ -326,18 +317,13 @@ impl Matrix {
         if k == 0 || m == 0 || n == 0 {
             return out; // every element is the empty sum, +0
         }
-        let flops = 2 * k * m * n;
         if n >= Matrix::MM_COL_BLOCK {
-            run_rows(m, 1, n, flops, &mut out.data, |i0, i_end, chunk| {
-                self.matmul_tn_cols(other, i0, i_end, chunk);
-            });
+            self.matmul_tn_cols(other, &mut out.data);
             return out;
         }
         // Narrow: (otherᵀ·self)ᵀ, so each axpy runs across the wide side.
         with_scratch(&OPERAND_SCRATCH, n * m, |swapped| {
-            run_rows(n, 1, m, flops, swapped, |j0, j_end, chunk| {
-                other.matmul_tn_cols(self, j0, j_end, chunk);
-            });
+            other.matmul_tn_cols(self, swapped);
             for (j, col) in swapped.chunks_exact(m).enumerate() {
                 for (out_row, &v) in out.data.chunks_exact_mut(n).zip(col) {
                     out_row[j] = v;
@@ -347,18 +333,16 @@ impl Matrix {
         out
     }
 
-    /// Serial `self^T * other` kernel over output rows (= columns of
-    /// `self`) `i0..i_end`, writing into the caller's slice of those rows.
-    fn matmul_tn_cols(&self, other: &Matrix, i0: usize, i_end: usize, out_rows: &mut [f32]) {
+    /// Serial `self^T * other` kernel writing all `self.cols() *
+    /// other.cols()` output values.
+    fn matmul_tn_cols(&self, other: &Matrix, out: &mut [f32]) {
         matmul_tn_dispatch(
             &self.data,
             self.rows,
             self.cols,
             &other.data,
             other.cols,
-            i0,
-            i_end,
-            out_rows,
+            out,
         );
     }
 
@@ -392,19 +376,13 @@ impl Matrix {
         if cols == 0 || n == 0 {
             return out; // every element is the empty sum, +0
         }
-        let flops = 2 * m * cols * n;
         if m < CB || n < CB {
-            run_rows(m, 1, n, flops, &mut out.data, |i0, i_end, chunk| {
-                matmul_nt_dispatch(&self.data, cols, &other.data, n, i0, i_end, chunk);
-            });
+            matmul_nt_dispatch(&self.data, cols, &other.data, n, &mut out.data);
             return out;
         }
         with_scratch(&OPERAND_SCRATCH, cols * n.next_multiple_of(CB), |panels| {
             other.pack_nt_panels(panels);
-            let panels = &*panels;
-            run_rows(m, 1, n, flops, &mut out.data, |i0, i_end, chunk| {
-                matmul_nt_panels_dispatch(&self.data, cols, panels, n, i0, i_end, chunk);
-            });
+            matmul_nt_panels_dispatch(&self.data, cols, panels, n, &mut out.data);
         });
         out
     }
@@ -449,30 +427,6 @@ impl Matrix {
         self.assert_same_shape(other, "add_assign");
         for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
             *a += b;
-        }
-    }
-
-    /// Element-wise `self += scale * other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_scaled(&mut self, other: &Matrix, scale: f32) {
-        self.assert_same_shape(other, "add_scaled");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += scale * b;
-        }
-    }
-
-    /// Element-wise `self -= other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn sub_assign(&mut self, other: &Matrix) {
-        self.assert_same_shape(other, "sub_assign");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a -= b;
         }
     }
 
@@ -540,13 +494,6 @@ impl Matrix {
         out
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for a in &mut self.data {
-            *a = f(*a);
-        }
-    }
-
     /// Returns a new matrix with `f` applied to every element.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
         let data = self.data.iter().map(|&a| f(a)).collect();
@@ -565,19 +512,9 @@ impl Matrix {
         out
     }
 
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|a| a * a).sum::<f32>().sqrt()
-    }
-
     /// Fills the matrix with zeros.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|a| *a = 0.0);
-    }
-
-    /// Returns `true` if any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|a| !a.is_finite())
     }
 
     fn assert_same_shape(&self, other: &Matrix, op: &str) {
@@ -639,24 +576,13 @@ impl fmt::Debug for Matrix {
 }
 
 thread_local! {
-    /// Set inside [`with_inline_kernels`]: callers whose sibling tasks
-    /// already fill the pool (e.g. the sharded PPO update's shard 0, which
-    /// runs on the calling thread while the sibling shards are queued)
-    /// force matmuls on this thread to stay serial. Chunks they dispatched
-    /// would queue behind the whole-shard tasks in the pool's shared FIFO,
-    /// so the caller would end up running them itself, one by one, with
-    /// the dispatch overhead on top.
-    static FORCE_INLINE: Cell<bool> = const { Cell::new(false) };
-}
-
-thread_local! {
-    /// A reshaped copy of one kernel operand, built on the calling thread
-    /// and read by every worker of the call: [`Matrix::matmul`]'s narrow
-    /// `other` with a zero tail, [`Matrix::matmul_nt`]'s `other^T` panels
-    /// and [`Matrix::matmul_tn`]'s swapped narrow product.
+    /// A reshaped copy of one kernel operand or result:
+    /// [`Matrix::matmul`]'s narrow `other` with a zero tail,
+    /// [`Matrix::matmul_nt`]'s `other^T` panels and [`Matrix::matmul_tn`]'s
+    /// swapped narrow product.
     static OPERAND_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
-    /// The workspace of one serial [`Matrix::matmul`] row range: the
-    /// k-major pack and the narrow path's staged output block.
+    /// The workspace of one [`Matrix::matmul`] call: the k-major pack and
+    /// the narrow path's staged output block.
     static KERNEL_SCRATCH: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
 }
 
@@ -675,87 +601,6 @@ fn with_scratch<T>(
     let out = f(&mut buf);
     key.set(buf);
     out
-}
-
-/// Runs `f` with this thread's parallel kernel dispatch disabled: every
-/// matmul inside executes serially on the calling thread. Scheduling
-/// only — results are bit-identical either way.
-pub fn with_inline_kernels<T>(f: impl FnOnce() -> T) -> T {
-    FORCE_INLINE.with(|flag| {
-        let prev = flag.replace(true);
-        let out = f();
-        flag.set(prev);
-        out
-    })
-}
-
-/// Worker count for a matmul-family kernel with roughly `flops` scalar
-/// operations and `max_chunks` separable units of output: 1 (run serial)
-/// unless the rayon pool has extra threads *and* the kernel is large
-/// enough to amortize task dispatch. Small kernels — notably the per-step
-/// rollout forwards, which run while VecEnv lanes occupy the worker pool —
-/// must stay inline, as must everything under [`with_inline_kernels`].
-///
-/// The worker count influences only how output chunks are distributed,
-/// never what is computed per output element (callers split work on
-/// boundaries that preserve the serial instruction sequence), so results
-/// stay bit-identical across every `RAYON_NUM_THREADS` setting.
-fn parallel_workers(max_chunks: usize, flops: usize) -> usize {
-    const MIN_PAR_FLOPS: usize = 1 << 22;
-    if flops < MIN_PAR_FLOPS || FORCE_INLINE.with(|flag| flag.get()) {
-        return 1;
-    }
-    rayon::current_num_threads().min(max_chunks).max(1)
-}
-
-/// Splits `out` into contiguous chunks of `rows_per` rows (`n` columns
-/// each) and runs `work(first_row, num_rows, chunk)` for every chunk
-/// across the rayon pool, with the first chunk inline on the caller's
-/// thread. The chunk layout is the caller's; this only schedules.
-fn run_row_chunks(
-    out: &mut [f32],
-    rows_per: usize,
-    n: usize,
-    work: impl Fn(usize, usize, &mut [f32]) + Sync,
-) {
-    debug_assert!(rows_per > 0 && n > 0);
-    let work = &work;
-    rayon::scope(|scope| {
-        let mut chunks = out.chunks_mut(rows_per * n);
-        let first = chunks.next();
-        for (idx, chunk) in chunks.enumerate() {
-            let i0 = (idx + 1) * rows_per;
-            scope.spawn(move |_| work(i0, chunk.len() / n, chunk));
-        }
-        if let Some(chunk) = first {
-            work(0, chunk.len() / n, chunk);
-        }
-    });
-}
-
-/// Runs a row-range kernel `kernel(i0, i_end, chunk)` over all `rows`
-/// output rows of `out` (`n` values each, about `flops` scalar operations
-/// in all): inline, or split across the pool into chunks whose sizes are
-/// multiples of `align` rows. A kernel computes each output row alone, with
-/// the same instruction sequence wherever its chunk starts, so the split
-/// never changes bits.
-fn run_rows(
-    rows: usize,
-    align: usize,
-    n: usize,
-    flops: usize,
-    out: &mut [f32],
-    kernel: impl Fn(usize, usize, &mut [f32]) + Sync,
-) {
-    let workers = parallel_workers(rows.div_ceil(align), flops);
-    if workers <= 1 {
-        kernel(0, rows, out);
-        return;
-    }
-    let rows_per = rows.div_ceil(align).div_ceil(workers) * align;
-    run_row_chunks(out, rows_per, n, |i0, chunk_rows, chunk| {
-        kernel(i0, i0 + chunk_rows, chunk);
-    });
 }
 
 /// Instantiates one generic kernel body per SIMD tier and dispatches on
@@ -815,73 +660,63 @@ macro_rules! tiered_kernel {
 pub(crate) use tiered_kernel;
 
 tiered_kernel! {
-    /// Tier-dispatched [`matmul_rows_body`] (serial `a * b` over a row range).
+    /// Tier-dispatched [`matmul_rows_body`] (serial `a * b`).
     fn matmul_rows_dispatch / matmul_rows_body(
         a: &[f32],
         b: &[f32],
         inner: usize,
         n: usize,
-        i0: usize,
-        i_end: usize,
-        out_rows: &mut [f32],
+        out: &mut [f32],
         pack: &mut [f32],
     )
 }
 
 tiered_kernel! {
-    /// Tier-dispatched [`matmul_narrow_rows_body`] (serial `a * b` over a
-    /// row range, for `b` narrower than one column block).
+    /// Tier-dispatched [`matmul_narrow_rows_body`] (serial `a * b`, for `b`
+    /// narrower than one column block).
     fn matmul_narrow_rows_dispatch / matmul_narrow_rows_body(
         a: &[f32],
         b: &[f32],
         inner: usize,
         n: usize,
-        i0: usize,
-        i_end: usize,
-        out_rows: &mut [f32],
+        out: &mut [f32],
         pack: &mut [f32],
         staged: &mut [f32],
     )
 }
 
 tiered_kernel! {
-    /// Tier-dispatched [`matmul_tn_body`] (serial `a^T * b` over a column range).
+    /// Tier-dispatched [`matmul_tn_body`] (serial `a^T * b`).
     fn matmul_tn_dispatch / matmul_tn_body(
         a: &[f32],
         a_rows: usize,
         a_cols: usize,
         b: &[f32],
         n: usize,
-        i0: usize,
-        i_end: usize,
-        out_rows: &mut [f32],
+        out: &mut [f32],
     )
 }
 
 tiered_kernel! {
-    /// Tier-dispatched [`matmul_nt_body`] (serial `a * b^T` over a row range).
+    /// Tier-dispatched [`matmul_nt_body`] (serial `a * b^T`).
     fn matmul_nt_dispatch / matmul_nt_body(
         a: &[f32],
         cols: usize,
         b: &[f32],
         n: usize,
-        i0: usize,
-        i_end: usize,
-        out_rows: &mut [f32],
+        out: &mut [f32],
     )
 }
 
 tiered_kernel! {
-    /// Tier-dispatched [`matmul_nt_panels_body`] (serial `a * b^T` over a
-    /// row range, against `b^T` in 16-wide panels).
+    /// Tier-dispatched [`matmul_nt_panels_body`] (serial `a * b^T`, against
+    /// `b^T` in 16-wide panels).
     fn matmul_nt_panels_dispatch / matmul_nt_panels_body(
         a: &[f32],
         cols: usize,
         panels: &[f32],
         n: usize,
-        i0: usize,
-        i_end: usize,
-        out_rows: &mut [f32],
+        out: &mut [f32],
     )
 }
 
@@ -1029,24 +864,20 @@ fn stripe_lane<I: Isa>(a: &[f32], panel: &[f32], l: usize) -> I::F16 {
     (acc[0] + acc[1]) + (acc[2] + acc[3])
 }
 
-/// Serial matmul kernel body over output rows `i0..i_end`: every row
-/// block goes through [`dense_block_matmul`], with `pack` as its k-major
-/// repack (empty for a one-row call).
+/// Serial matmul kernel body: every row block goes through
+/// [`dense_block_matmul`], with `pack` as its k-major repack (empty for a
+/// one-row call).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // flat-slice kernel ABI: dims are positional
 fn matmul_rows_body<I: Isa>(
     a: &[f32],
     b: &[f32],
     inner: usize,
     n: usize,
-    i0: usize,
-    i_end: usize,
-    out_rows: &mut [f32],
+    out: &mut [f32],
     pack: &mut [f32],
 ) {
     const RB: usize = Matrix::MM_ROW_BLOCK;
-    let a = &a[i0 * inner..i_end * inner];
-    for (block_a, out_block) in a.chunks(RB * inner).zip(out_rows.chunks_mut(RB * n)) {
+    for (block_a, out_block) in a.chunks(RB * inner).zip(out.chunks_mut(RB * n)) {
         let rb = out_block.len() / n;
         dense_block_matmul::<I>(block_a, b, out_block, rb, inner, n, n, pack);
     }
@@ -1060,22 +891,18 @@ fn matmul_rows_body<I: Isa>(
 /// its own: inlined beside the wide loop in one function, it cost that
 /// loop a register and 20–30% on wide shapes.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // flat-slice kernel ABI: dims are positional
 fn matmul_narrow_rows_body<I: Isa>(
     a: &[f32],
     b: &[f32],
     inner: usize,
     n: usize,
-    i0: usize,
-    i_end: usize,
-    out_rows: &mut [f32],
+    out: &mut [f32],
     pack: &mut [f32],
     staged: &mut [f32],
 ) {
     const RB: usize = Matrix::MM_ROW_BLOCK;
     const CB: usize = Matrix::MM_COL_BLOCK;
-    let a = &a[i0 * inner..i_end * inner];
-    for (block_a, out_block) in a.chunks(RB * inner).zip(out_rows.chunks_mut(RB * n)) {
+    for (block_a, out_block) in a.chunks(RB * inner).zip(out.chunks_mut(RB * n)) {
         let rb = out_block.len() / n;
         let staged = &mut staged[..rb * CB];
         dense_block_matmul::<I>(block_a, b, staged, rb, inner, CB, n, pack);
@@ -1085,57 +912,41 @@ fn matmul_narrow_rows_body<I: Isa>(
     }
 }
 
-/// Serial `a^T * b` kernel body over output rows (= columns of `a`)
-/// `i0..i_end`: k-row outer loop, zero-skipping axpy across output columns.
+/// Serial `a^T * b` kernel body (output rows = columns of `a`): k-row
+/// outer loop, zero-skipping axpy across output columns.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // flat-slice kernel ABI: dims are positional
 fn matmul_tn_body<I: Isa>(
     a: &[f32],
     a_rows: usize,
     a_cols: usize,
     b: &[f32],
     n: usize,
-    i0: usize,
-    i_end: usize,
-    out_rows: &mut [f32],
+    out: &mut [f32],
 ) {
     for k in 0..a_rows {
-        let a_row = &a[k * a_cols + i0..k * a_cols + i_end];
+        let a_row = &a[k * a_cols..(k + 1) * a_cols];
         let b_row = &b[k * n..(k + 1) * n];
-        for (local, &av) in a_row.iter().enumerate() {
+        for (i, &av) in a_row.iter().enumerate() {
             if av == 0.0 {
                 continue;
             }
-            axpy_row::<I>(&mut out_rows[local * n..(local + 1) * n], av, b_row);
+            axpy_row::<I>(&mut out[i * n..(i + 1) * n], av, b_row);
         }
     }
 }
 
-/// Serial `a * b^T` kernel body over output rows `i0..i_end`: every output
-/// element is one `dot_canonical` over the shared `cols` axis.
+/// Serial `a * b^T` kernel body: every output element is one
+/// `dot_canonical` over the shared `cols` axis.
 #[inline(always)]
-fn matmul_nt_body<I: Isa>(
-    a: &[f32],
-    cols: usize,
-    b: &[f32],
-    n: usize,
-    i0: usize,
-    i_end: usize,
-    out_rows: &mut [f32],
-) {
-    for i in i0..i_end {
-        let a_row = &a[i * cols..(i + 1) * cols];
-        for (j, out) in out_rows[(i - i0) * n..(i - i0 + 1) * n]
-            .iter_mut()
-            .enumerate()
-        {
+fn matmul_nt_body<I: Isa>(a: &[f32], cols: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    for (a_row, out_row) in a.chunks_exact(cols).zip(out.chunks_exact_mut(n)) {
+        for (j, out) in out_row.iter_mut().enumerate() {
             *out = dot_canonical::<I>(a_row, &b[j * cols..(j + 1) * cols]);
         }
     }
 }
 
-/// Serial `a * b^T` kernel body over output rows `i0..i_end`. `panels`
-/// holds `b^T` as [`Matrix::MM_COL_BLOCK`]-wide column panels (see
+/// Serial `a * b^T` kernel body. `panels` holds `b^T` as [`Matrix::MM_COL_BLOCK`]-wide column panels (see
 /// [`Matrix::pack_nt_panels`]): each run of 16 outputs of a row is one
 /// [`dot_canonical_lanes`] against its panel, and a last partial run keeps
 /// only its live lanes. Panels go outermost so one stays in cache across
@@ -1146,15 +957,12 @@ fn matmul_nt_panels_body<I: Isa>(
     cols: usize,
     panels: &[f32],
     n: usize,
-    i0: usize,
-    i_end: usize,
-    out_rows: &mut [f32],
+    out: &mut [f32],
 ) {
     const CB: usize = Matrix::MM_COL_BLOCK;
-    let a = &a[i0 * cols..i_end * cols];
     for (j0, panel) in (0..n).step_by(CB).zip(panels.chunks_exact(cols * CB)) {
         let live = (n - j0).min(CB);
-        for (a_row, out_row) in a.chunks_exact(cols).zip(out_rows.chunks_exact_mut(n)) {
+        for (a_row, out_row) in a.chunks_exact(cols).zip(out.chunks_exact_mut(n)) {
             let dots = dot_canonical_lanes::<I>(a_row, panel);
             if live == CB {
                 dots.write_to_slice(&mut out_row[j0..]);
@@ -1304,118 +1112,6 @@ pub fn log_sum_exp(row: &[f32]) -> f32 {
 mod tests {
     use super::*;
 
-    /// Deterministic pseudo-random matrix (SplitMix64-driven) with a
-    /// sprinkling of exact zeros so both the sparse and dense matmul
-    /// paths get exercised.
-    fn scrambled(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut state = seed;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let data = (0..rows * cols)
-            .map(|_| {
-                let bits = next();
-                if bits % 5 == 0 {
-                    0.0
-                } else {
-                    (bits % 2000) as f32 / 1000.0 - 1.0
-                }
-            })
-            .collect();
-        Matrix::from_vec(rows, cols, data)
-    }
-
-    fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
-        assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()), "{what} shape");
-        for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "{what} diverges at element {i}");
-        }
-    }
-
-    #[test]
-    fn chunked_matmul_kernels_match_serial_bit_for_bit() {
-        // The parallel dispatch splits output rows into chunks whose
-        // layout varies with the worker count; every split that respects
-        // the callers' boundary rules must reproduce the serial kernel's
-        // bytes exactly. Exercised here explicitly (the test process may
-        // have a single-thread pool).
-        let a = scrambled(23, 17, 1);
-        let b = scrambled(17, 21, 2);
-        let serial = a.matmul(&b);
-        for rows_per in [Matrix::MM_ROW_BLOCK, 2 * Matrix::MM_ROW_BLOCK, 16] {
-            let mut out = Matrix::zeros(a.rows(), b.cols());
-            let n = b.cols();
-            run_row_chunks(out.as_mut_slice(), rows_per, n, |i0, rows, chunk| {
-                a.matmul_rows(b.as_slice(), n, i0, i0 + rows, chunk);
-            });
-            assert_bits_eq(&out, &serial, "matmul");
-        }
-    }
-
-    #[test]
-    fn chunked_matmul_tn_and_nt_match_serial_bit_for_bit() {
-        let a = scrambled(19, 13, 3);
-        let b = scrambled(19, 11, 4);
-        let serial = a.matmul_tn(&b);
-        for rows_per in [1usize, 3, 5, 13] {
-            let mut out = Matrix::zeros(a.cols(), b.cols());
-            run_row_chunks(out.as_mut_slice(), rows_per, b.cols(), |i0, rows, chunk| {
-                a.matmul_tn_cols(&b, i0, i0 + rows, chunk);
-            });
-            assert_bits_eq(&out, &serial, "matmul_tn");
-        }
-
-        // 19 rows against 14 and 37 outputs: the per-output kernel and
-        // the panel kernel (three panels, the last one partial). Both
-        // kernels must give every chunking the serial bytes.
-        for c in [scrambled(14, 13, 5), scrambled(37, 13, 6)] {
-            let serial = a.matmul_nt(&c);
-            let n = c.rows();
-            let mut panels = vec![0.0; c.cols() * n.next_multiple_of(Matrix::MM_COL_BLOCK)];
-            c.pack_nt_panels(&mut panels);
-            for rows_per in [1usize, 4, 19] {
-                let mut out = Matrix::zeros(a.rows(), n);
-                run_row_chunks(out.as_mut_slice(), rows_per, n, |i0, rows, chunk| {
-                    matmul_nt_dispatch(
-                        a.as_slice(),
-                        a.cols(),
-                        c.as_slice(),
-                        n,
-                        i0,
-                        i0 + rows,
-                        chunk,
-                    );
-                });
-                assert_bits_eq(&out, &serial, "matmul_nt");
-                let mut out = Matrix::zeros(a.rows(), n);
-                run_row_chunks(out.as_mut_slice(), rows_per, n, |i0, rows, chunk| {
-                    matmul_nt_panels_dispatch(
-                        a.as_slice(),
-                        a.cols(),
-                        &panels,
-                        n,
-                        i0,
-                        i0 + rows,
-                        chunk,
-                    );
-                });
-                assert_bits_eq(&out, &serial, "matmul_nt panels");
-            }
-        }
-    }
-
-    #[test]
-    fn small_kernels_stay_inline() {
-        // Rollout-sized forwards must never pay task dispatch (and must
-        // not contend with VecEnv lane stepping for the worker pool).
-        assert_eq!(parallel_workers(2, 2 * 8 * 500 * 128), 1);
-        assert!(parallel_workers(64, 1 << 25) >= 1);
-    }
-
     #[test]
     fn zeros_and_shape() {
         let m = Matrix::zeros(3, 4);
@@ -1541,7 +1237,7 @@ mod tests {
     fn softmax_stability_with_large_values() {
         let m = Matrix::from_row(&[1000.0, 1000.0, 999.0]);
         let s = m.softmax_rows();
-        assert!(!s.has_non_finite());
+        assert!(s.as_slice().iter().all(|v| v.is_finite()));
         let sum: f32 = s.row(0).iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
     }

@@ -232,9 +232,9 @@ mod tests {
 
     #[test]
     fn forward_shapes() {
-        let mut net = MlpPolicy::new(&MlpConfig::new(6, 3), &mut rng());
+        let net = MlpPolicy::new(&MlpConfig::new(6, 3), &mut rng());
         let obs = Matrix::zeros(4, 6);
-        let (logits, values) = net.forward(&obs);
+        let (logits, values) = net.forward_inference(&obs);
         assert_eq!(logits.rows(), 4);
         assert_eq!(logits.cols(), 3);
         assert_eq!(values.len(), 4);
@@ -242,9 +242,9 @@ mod tests {
 
     #[test]
     fn initial_policy_is_near_uniform() {
-        let mut net = MlpPolicy::new(&MlpConfig::new(6, 4), &mut rng());
+        let net = MlpPolicy::new(&MlpConfig::new(6, 4), &mut rng());
         let obs = Matrix::full(1, 6, 0.5);
-        let (logits, _) = net.forward(&obs);
+        let (logits, _) = net.forward_inference(&obs);
         let probs = logits.softmax_rows();
         for &p in probs.row(0) {
             assert!((p - 0.25).abs() < 0.05, "prob {p} far from uniform");
@@ -260,7 +260,7 @@ mod tests {
         let obs = Matrix::from_rows(&[&[0.3, -0.5, 0.8], &[1.0, 0.2, -0.4]]);
         let w = [1.5f32, -0.7];
         let loss = |net: &mut MlpPolicy| -> f32 {
-            let (logits, values) = net.forward(&obs);
+            let (logits, values) = net.forward_inference(&obs);
             let mut l = 0.0;
             for i in 0..2 {
                 for a in 0..2 {

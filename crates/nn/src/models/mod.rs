@@ -33,13 +33,6 @@ pub trait PolicyValueNet: Send + Sync {
     /// fused rollout run it concurrently from several lane groups.
     fn forward_inference(&self, obs: &Matrix) -> (Matrix, Vec<f32>);
 
-    /// Batched inference pass via `&mut self` — a convenience wrapper over
-    /// [`PolicyValueNet::forward_inference`] for callers holding a mutable
-    /// handle. Same result, bit for bit.
-    fn forward(&mut self, obs: &Matrix) -> (Matrix, Vec<f32>) {
-        self.forward_inference(obs)
-    }
-
     /// Training pass over a minibatch.
     ///
     /// For each row `i` of `obs` the model produces `(logits_i, value_i)` and

@@ -351,9 +351,9 @@ mod tests {
     #[test]
     fn forward_shapes() {
         let cfg = tiny_config();
-        let mut net = TransformerPolicy::new(&cfg, &mut rng());
+        let net = TransformerPolicy::new(&cfg, &mut rng());
         let obs = Matrix::zeros(3, cfg.obs_dim());
-        let (logits, values) = net.forward(&obs);
+        let (logits, values) = net.forward_inference(&obs);
         assert_eq!(logits.rows(), 3);
         assert_eq!(logits.cols(), 2);
         assert_eq!(values.len(), 3);
@@ -367,7 +367,7 @@ mod tests {
         let obs = crate::init::random_uniform(2, cfg.obs_dim(), 1.0, &mut obs_rng);
         let w = [0.8f32, -1.2];
         let loss = |net: &mut TransformerPolicy| -> f32 {
-            let (logits, values) = net.forward(&obs);
+            let (logits, values) = net.forward_inference(&obs);
             let mut l = 0.0;
             for i in 0..obs.rows() {
                 for a in 0..2 {
@@ -402,7 +402,7 @@ mod tests {
         let obs = crate::init::random_uniform(1, cfg.obs_dim(), 1.0, &mut obs_rng);
         let w = [1.0f32, 0.0];
         let loss = |net: &mut TransformerPolicy| -> f32 {
-            let (logits, _) = net.forward(&obs);
+            let (logits, _) = net.forward_inference(&obs);
             logits[(0, 0)]
         };
         net.zero_grad();

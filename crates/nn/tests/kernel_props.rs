@@ -32,7 +32,6 @@
 //! kernel's bits on such inputs), and the narrow-path property pins the
 //! finite-operand argument on ReLU-like inputs against `±0` weights.
 
-use autocat_nn::matrix::with_inline_kernels;
 use autocat_nn::state::fnv1a;
 use autocat_nn::Matrix;
 use proptest::prelude::*;
@@ -106,11 +105,11 @@ fn tiers() -> Vec<simd::Tier> {
         .collect()
 }
 
-/// Runs `kernel` inline under each of [`tiers`] and checks its output
+/// Runs `kernel` under each of [`tiers`] and checks its output
 /// against `want` bit for bit.
 fn assert_every_tier(kernel: &dyn Fn() -> Matrix, want: &[f32], what: &str) -> Result<(), String> {
     for tier in tiers() {
-        let got = simd::with_forced_tier(tier, || with_inline_kernels(kernel));
+        let got = simd::with_forced_tier(tier, kernel);
         assert_bits_equal(&got, want, &format!("{what} ({} tier)", tier.name()))?;
     }
     Ok(())
@@ -269,7 +268,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = dense(m, k, &mut rng);
         let b = dense(k, n, &mut rng);
-        let got = with_inline_kernels(|| a.matmul(&b));
+        let got = a.matmul(&b);
         assert_bits_equal(&got, &naive_matmul(&a, &b), "matmul dense")?;
     }
 
@@ -283,7 +282,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = sparse(m, k, &mut rng);
         let b = dense(k, n, &mut rng);
-        let got = with_inline_kernels(|| a.matmul(&b));
+        let got = a.matmul(&b);
         assert_bits_equal(&got, &naive_matmul(&a, &b), "matmul sparse")?;
     }
 
@@ -297,7 +296,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = dense(k, m, &mut rng);
         let b = dense(k, n, &mut rng);
-        let got = with_inline_kernels(|| a.matmul_tn(&b));
+        let got = a.matmul_tn(&b);
         assert_bits_equal(&got, &naive_matmul_tn(&a, &b), "matmul_tn")?;
     }
 
@@ -311,7 +310,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = dense(m, k, &mut rng);
         let b = dense(n, k, &mut rng);
-        let got = with_inline_kernels(|| a.matmul_nt(&b));
+        let got = a.matmul_nt(&b);
         let want = naive_matmul_nt(&a, &b);
         for (i, (g, w)) in got.as_slice().iter().zip(want.iter()).enumerate() {
             // Reassociating a k-term dot product perturbs it by at most
@@ -397,8 +396,8 @@ proptest! {
             ("matmul_nt", &|| a.matmul_nt(&b_t)),
         ];
         for (name, run) in runs {
-            let fast = simd::with_forced_tier(simd::tier(), || with_inline_kernels(run));
-            let slow = simd::with_forced_tier(simd::Tier::Scalar, || with_inline_kernels(run));
+            let fast = simd::with_forced_tier(simd::tier(), run);
+            let slow = simd::with_forced_tier(simd::Tier::Scalar, run);
             prop_assert!(
                 digest(&fast) == digest(&slow),
                 "{name} {m}x{k}x{n}: {} tier digest {:016x} != scalar {:016x}",

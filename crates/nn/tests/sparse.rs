@@ -17,7 +17,6 @@
 //! `n` ∈ {1, 7, 8, 15, 16, 17, 64, 65}.
 
 use autocat_nn::layers::Linear;
-use autocat_nn::matrix::with_inline_kernels;
 use autocat_nn::{Matrix, SparseRows};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -38,13 +37,12 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Runs `f` on every tier with kernels inline (a forced tier does not
-/// reach pool workers) and asserts every tier's bits equal the scalar
+/// Runs `f` on every tier and asserts every tier's bits equal the scalar
 /// tier's; returns the scalar result.
 fn on_every_tier(what: &str, f: impl Fn() -> Matrix) -> Matrix {
-    let scalar = simd::with_forced_tier(Tier::Scalar, || with_inline_kernels(&f));
+    let scalar = simd::with_forced_tier(Tier::Scalar, &f);
     for tier in tiers() {
-        let got = simd::with_forced_tier(tier, || with_inline_kernels(&f));
+        let got = simd::with_forced_tier(tier, &f);
         assert_eq!(
             bits(&got),
             bits(&scalar),
@@ -299,8 +297,8 @@ proptest! {
         let dy = weights(rows, n, &mut rng);
         let csr = SparseRows::from_dense(&x);
         let fwd = on_every_tier("sparse matmul", || csr.matmul(&w));
-        prop_assert_eq!(bits(&fwd), bits(&with_inline_kernels(|| x.matmul(&w))));
+        prop_assert_eq!(bits(&fwd), bits(&x.matmul(&w)));
         let bwd = on_every_tier("sparse matmul_tn", || csr.matmul_tn(&dy));
-        prop_assert_eq!(bits(&bwd), bits(&with_inline_kernels(|| x.matmul_tn(&dy))));
+        prop_assert_eq!(bits(&bwd), bits(&x.matmul_tn(&dy)));
     }
 }

@@ -18,9 +18,8 @@
 //! * **Multiple lanes**: each lane owns an RNG stream derived from one
 //!   caller draw via [`autocat_gym::lane_seed`], lane results merge in
 //!   fixed lane order ([`EpisodeTally::merge`]), and the batched forward
-//!   is bitwise thread-count-invariant (deterministic row-parallel
-//!   matmul), so results depend only on `(inputs, lanes)` — never on
-//!   `RAYON_NUM_THREADS` or scheduling.
+//!   runs serially on the evaluating thread, so results depend only on
+//!   `(inputs, lanes)` — never on `RAYON_NUM_THREADS` or scheduling.
 
 use autocat_gym::{lane_seed, Environment};
 use autocat_nn::models::PolicyValueNet;
@@ -130,7 +129,7 @@ pub fn evaluate(
     for _ in 0..episodes {
         let mut obs = env.reset(rng);
         loop {
-            let (logits, _) = net.forward(&Matrix::from_row(&obs));
+            let (logits, _) = net.forward_inference(&Matrix::from_row(&obs));
             let dist = Categorical::from_logits(logits.row(0));
             let action = if deterministic {
                 dist.argmax()
@@ -271,7 +270,7 @@ pub fn evaluate_batched<E: Environment + Clone>(
             .iter()
             .map(|&i| lane_states[i].obs.as_slice())
             .collect();
-        let (logits, _) = net.forward(&Matrix::from_rows(&rows));
+        let (logits, _) = net.forward_inference(&Matrix::from_rows(&rows));
         for (row, &i) in live.iter().enumerate() {
             let lane = &mut lane_states[i];
             let dist = Categorical::from_logits(logits.row(row));

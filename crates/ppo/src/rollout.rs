@@ -23,7 +23,6 @@
 //! determinism contract).
 
 use autocat_gym::{Environment, FinishedEpisode, StepInfo, VecEnv};
-use autocat_nn::matrix::with_inline_kernels;
 use autocat_nn::models::PolicyValueNet;
 use autocat_nn::{Categorical, Matrix};
 use rand::rngs::StdRng;
@@ -249,10 +248,7 @@ pub fn collect<E: Environment + Send>(
         for rows in steps {
             group.write_obs(group_obs.as_mut_slice());
             rows.obs.copy_from_slice(group_obs.as_slice());
-            // Pool workers run group forwards; suppress the kernels' own
-            // rayon dispatch so they never deadlock the pool and stay
-            // bit-identical (serial and parallel kernels agree).
-            let (logits, vals) = with_inline_kernels(|| net_ref.forward_inference(&group_obs));
+            let (logits, vals) = net_ref.forward_inference(&group_obs);
             for (local, &value) in vals.iter().enumerate() {
                 let step = group.step(local, |lane_rng| {
                     let dist = Categorical::from_logits(logits.row(local));
@@ -285,7 +281,7 @@ pub fn collect<E: Environment + Send>(
 
     // Bootstrap values for the state after each lane's last transition.
     let boot_mat = Matrix::from_vec(lanes, obs_dim, venv.obs_flat());
-    let (_, boot_vals) = net.forward(&boot_mat);
+    let (_, boot_vals) = net.forward_inference(&boot_mat);
 
     // Per-lane GAE over the time-major storage.
     let mut advantages = vec![0.0f32; total];
@@ -486,7 +482,7 @@ mod tests {
             let mut obs = env.reset(rng);
             for _ in 0..horizon {
                 let obs_mat = Matrix::from_row(&obs);
-                let (logits, vals) = net.forward(&obs_mat);
+                let (logits, vals) = net.forward_inference(&obs_mat);
                 let dist = Categorical::from_logits(logits.row(0));
                 let action = dist.sample(rng);
                 let logp = dist.log_prob(action);
@@ -506,7 +502,7 @@ mod tests {
             let bootstrap = if *dones.last().unwrap() {
                 0.0
             } else {
-                let (_, vals) = net.forward(&Matrix::from_row(&obs));
+                let (_, vals) = net.forward_inference(&Matrix::from_row(&obs));
                 vals[0]
             };
             values.push(bootstrap);
@@ -582,7 +578,7 @@ mod tests {
             venv.reset_all(rng);
             for _ in 0..t_steps {
                 let obs_mat = Matrix::from_vec(lanes, obs_dim, venv.obs_flat());
-                let (logits, vals) = net.forward(&obs_mat);
+                let (logits, vals) = net.forward_inference(&obs_mat);
                 let results = venv.step_each(
                     |lane, lane_rng| {
                         let dist = Categorical::from_logits(logits.row(lane));
@@ -610,7 +606,7 @@ mod tests {
                 }
             }
             let boot_mat = Matrix::from_vec(lanes, obs_dim, venv.obs_flat());
-            let (_, boot_vals) = net.forward(&boot_mat);
+            let (_, boot_vals) = net.forward_inference(&boot_mat);
             let mut advantages = vec![0.0f32; total];
             let mut returns = vec![0.0f32; total];
             for lane in 0..lanes {

@@ -7,12 +7,14 @@
 //! **one** primary network, which every shard reads through `&` (its
 //! [`TrainNet::train_shard`] takes `&self`): shard 0 on the calling
 //! thread, shards 1..N as rayon tasks, which the pool workers and the
-//! waiting caller share between them. Each shard writes its activations
-//! and accumulates its gradients into its own [`Tape`]; shard 0's
-//! gradient tensors are then swapped into the primary's parameters and
-//! the rest reduced on top **in fixed shard order**. The tapes and every
-//! buffer the update needs live in an `UpdateWorkspace` sized on first
-//! use, so the steady-state update allocates none of them.
+//! waiting caller share between them. Sharding is the update's only
+//! parallelism: the matmul kernels run serially on whichever thread runs
+//! a shard, so one shard keeps the update on one core. Each shard writes
+//! its activations and accumulates its gradients into its own [`Tape`];
+//! shard 0's gradient tensors are then swapped into the primary's
+//! parameters and the rest reduced on top **in fixed shard order**. The
+//! tapes and every buffer the update needs live in an `UpdateWorkspace`
+//! sized on first use, so the steady-state update allocates none of them.
 //!
 //! # Determinism contract
 //!
@@ -39,7 +41,6 @@
 //! single-threaded update's exact operations.
 
 use autocat_nn::grad::reduce_grads;
-use autocat_nn::matrix::with_inline_kernels;
 use autocat_nn::models::{Tape, TrainNet};
 use autocat_nn::{Categorical, Matrix};
 
@@ -162,15 +163,15 @@ pub(crate) struct UpdateWorkspace {
 /// 8 shards make 5) — depends only on the arguments, so the result is
 /// bit-identical for every thread count. Shards 1..N are queued on the
 /// rayon pool; shard 0 (the first rows of `chunk`) then runs on the
-/// calling thread, with parallel matmul dispatch suppressed
-/// ([`with_inline_kernels`]) when siblings fill the pool, and the calling
-/// thread helps run whichever siblings are still queued. All of them read
-/// `primary`'s weights and write only their own slot. Shard 0's gradient
-/// tensors are then swapped into `primary` and the others reduced on top
-/// **in shard order**, whichever thread ran them and whatever order they
-/// finished in, with the norm summed in the same pass; loss sums reduce
-/// in the same order. With one range there is nothing to add, and the
-/// reduction only sums the norm: the plain unsharded update.
+/// calling thread, which helps run whichever siblings are still queued.
+/// Each shard's matmuls run serially on the thread that runs the shard.
+/// All of them read `primary`'s weights and write only their own slot.
+/// Shard 0's gradient tensors are then swapped into `primary` and the
+/// others reduced on top **in shard order**, whichever thread ran them
+/// and whatever order they finished in, with the norm summed in the same
+/// pass; loss sums reduce in the same order. With one range there is
+/// nothing to add, and the reduction only sums the norm: the plain
+/// unsharded update.
 pub(crate) fn sharded_minibatch(
     primary: &mut dyn TrainNet,
     workspace: &mut UpdateWorkspace,
@@ -193,16 +194,11 @@ pub(crate) fn sharded_minibatch(
         .expect("minibatch chunks are non-empty");
     let shard0_rows = ranges.next().expect("minibatch chunks are non-empty");
     let net: &dyn TrainNet = primary;
-    let pool_busy = !siblings.is_empty();
     rayon::scope(|scope| {
         for (slot, rows) in siblings.iter_mut().zip(ranges) {
             scope.spawn(move |_| slot.run(net, ctx, rows));
         }
-        if pool_busy {
-            with_inline_kernels(|| slot0.run(net, ctx, shard0_rows));
-        } else {
-            slot0.run(net, ctx, shard0_rows);
-        }
+        slot0.run(net, ctx, shard0_rows);
     });
     // Fixed-order reduction: shard 0's gradients move into the primary;
     // add shards 1..N on top in layout order.
