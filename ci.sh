@@ -122,6 +122,23 @@ for threads in 1 2; do
     fi
 done
 
+echo "==> smoke: train-bench digest gate past the subnormal-moment point (65536 steps)"
+# At 16384 steps no Adam first moment is subnormal yet; by 65536, 5,696
+# are, and on the last step 328 16-lane blocks have every lane stuck at a
+# fixed point of m <- 0.9*m. So this run takes Adam's stuck-moment fast
+# path as well as the full formula; both thread counts must end on the
+# recorded weights.
+TRAIN_BENCH_LONG_DIGEST=66fb3a2d9ae2a52c
+TRAIN_BENCH_LONG_OUT=$(cargo run --release -q -p autocat-bench --bin train-bench -- \
+    --scenario table4-6 --steps 65536 --lanes 8 --shards 8 --threads-list 1,2)
+echo "$TRAIN_BENCH_LONG_OUT"
+for threads in 1 2; do
+    if ! grep -qE "^ +$threads +65536 .* $TRAIN_BENCH_LONG_DIGEST\$" <<<"$TRAIN_BENCH_LONG_OUT"; then
+        echo "error: train-bench (65536 steps) at $threads thread(s) did not print $TRAIN_BENCH_LONG_DIGEST" >&2
+        exit 1
+    fi
+done
+
 echo "==> smoke: scenario-run trains table4-6 for a short budget"
 cargo run --release -q -p autocat-bench --bin scenario-run -- \
     --scenario table4-6 --steps 4096 --lanes 2 --shards 2

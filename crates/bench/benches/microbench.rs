@@ -139,7 +139,7 @@ fn bench_ppo_update(c: &mut Criterion) {
                     0,
                 )
             },
-            |mut t| t.train_update(),
+            |mut t| t.train_update().unwrap(),
             BatchSize::SmallInput,
         );
     });

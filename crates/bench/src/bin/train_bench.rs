@@ -102,7 +102,7 @@ fn run_child(args: &Args) -> Result<(), String> {
     // Drive plain updates (no convergence early-exit): every child must
     // perform the identical amount of work.
     while trainer.total_steps() < scenario.train.max_steps {
-        trainer.train_update();
+        trainer.train_update().map_err(|e| e.to_string())?;
     }
     let secs = start.elapsed().as_secs_f64();
     let digest = params_digest(trainer.net_mut());

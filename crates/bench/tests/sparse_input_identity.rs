@@ -58,7 +58,8 @@ impl DenseMlp {
     fn forward(&mut self, obs: &Matrix) -> (Matrix, Matrix) {
         self.hs = vec![obs.clone()];
         for (lin, act) in &self.trunk {
-            let h = act.forward_inference(&lin.forward_inference(&self.hs[self.hs.len() - 1]));
+            let mut h = lin.forward_inference(&self.hs[self.hs.len() - 1]);
+            act.forward_in_place(&mut h);
             self.hs.push(h);
         }
         let features = &self.hs[self.trunk.len()];
@@ -84,8 +85,8 @@ impl DenseMlp {
         let mut grad = self.policy.backward(features, dlogits, &mut policy_grads);
         grad.add_assign(&self.value.backward(features, dvalues, &mut value_grads));
         for (i, (lin, act)) in self.trunk.iter().enumerate().rev() {
-            let dy = act.backward(&self.hs[i + 1], &grad);
-            grad = lin.backward(&self.hs[i], &dy, &mut trunk_grads[i]);
+            act.backward_in_place(&self.hs[i + 1], &mut grad);
+            grad = lin.backward(&self.hs[i], &grad, &mut trunk_grads[i]);
         }
         trunk_grads
             .iter()

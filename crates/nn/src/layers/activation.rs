@@ -1,13 +1,15 @@
-//! Element-wise activation layers.
+//! Element-wise activation layers, run in place.
 //!
 //! `tanh` is [`crate::math::tanh`], never libm's: the bit-exact port of
 //! glibc 2.36's `tanhf`, so activations (and every digest downstream)
 //! do not depend on the host. The `Tanh` forward runs the vectorised
-//! [`math::tanh_in_place`] over its output buffer.
+//! [`math::tanh_in_place`] over the layer's output buffer.
 //!
 //! Both kinds' derivatives are functions of the output, so a training
 //! caller keeps the forward's output and the backward pass reads `f'`
-//! off it: the activation never runs again.
+//! off it: the activation never runs again. The backward scales the
+//! incoming gradient in place, `dy ← dy·f'(y)`, so neither pass copies
+//! or allocates.
 
 use crate::math;
 use crate::matrix::Matrix;
@@ -59,24 +61,39 @@ impl Activation {
         Self { kind }
     }
 
-    /// Forward pass. A training caller keeps the output for the backward
-    /// pass.
-    pub fn forward_inference(&self, x: &Matrix) -> Matrix {
+    /// Forward pass in place: `y ← f(y)`. A training caller keeps the
+    /// output for the backward pass.
+    pub fn forward_in_place(&self, y: &mut Matrix) {
         match self.kind {
-            ActivationKind::Tanh => {
-                let mut y = x.clone();
-                math::tanh_in_place(y.as_mut_slice());
-                y
-            }
-            kind => x.map(|v| kind.apply(v)),
+            ActivationKind::Tanh => math::tanh_in_place(y.as_mut_slice()),
+            kind => y
+                .as_mut_slice()
+                .iter_mut()
+                .for_each(|v| *v = kind.apply(*v)),
         }
     }
 
-    /// Backward pass: `dx = dy * f'(x)`, with `f'` read off the forward's
-    /// output `y`.
-    pub fn backward(&self, y: &Matrix, dy: &Matrix) -> Matrix {
-        let deriv = y.map(|v| self.kind.derivative_from_output(v));
-        dy.hadamard(&deriv)
+    /// Backward pass in place: `dy ← dy·f'(x)`, with `f'` read off the
+    /// forward's output `y` (`dy·(1 − y·y)` for `Tanh`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `y` and `dy` have one shape.
+    pub fn backward_in_place(&self, y: &Matrix, dy: &mut Matrix) {
+        assert!(
+            (y.rows(), y.cols()) == (dy.rows(), dy.cols()),
+            "activation backward shape mismatch: {}x{} vs {}x{}",
+            y.rows(),
+            y.cols(),
+            dy.rows(),
+            dy.cols()
+        );
+        let pairs = dy.as_mut_slice().iter_mut().zip(y.as_slice());
+        match self.kind {
+            // The arm of its own lets the loop vectorise.
+            ActivationKind::Tanh => pairs.for_each(|(d, &y)| *d *= 1.0 - y * y),
+            kind => pairs.for_each(|(d, &y)| *d *= kind.derivative_from_output(y)),
+        }
     }
 }
 
@@ -102,17 +119,23 @@ mod tests {
         }
     }
 
+    fn forward(a: &Activation, x: Matrix) -> Matrix {
+        let mut y = x;
+        a.forward_in_place(&mut y);
+        y
+    }
+
     #[test]
     fn relu_clamps_negatives() {
         let a = Activation::new(ActivationKind::Relu);
-        let y = a.forward_inference(&Matrix::from_row(&[-1.0, 0.0, 2.0]));
+        let y = forward(&a, Matrix::from_row(&[-1.0, 0.0, 2.0]));
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.0]);
     }
 
     #[test]
     fn tanh_bounds() {
         let a = Activation::new(ActivationKind::Tanh);
-        let y = a.forward_inference(&Matrix::from_row(&[-100.0, 0.0, 100.0]));
+        let y = forward(&a, Matrix::from_row(&[-100.0, 0.0, 100.0]));
         assert!((y.as_slice()[0] + 1.0).abs() < 1e-6);
         assert_eq!(y.as_slice()[1], 0.0);
         assert!((y.as_slice()[2] - 1.0).abs() < 1e-6);
@@ -123,9 +146,9 @@ mod tests {
         // Avoid x = 0: ReLU is non-differentiable there and the central
         // finite difference would disagree with the subgradient we return.
         let xs = [-1.5f32, -0.3, 0.1, 0.4, 2.0];
-        let y = a.forward_inference(&Matrix::from_row(&xs));
-        let dy = Matrix::full(1, xs.len(), 1.0);
-        let dx = a.backward(&y, &dy);
+        let y = forward(&a, Matrix::from_row(&xs));
+        let mut dx = Matrix::full(1, xs.len(), 1.0);
+        a.backward_in_place(&y, &mut dx);
         let eps = 1e-3;
         for (i, &xv) in xs.iter().enumerate() {
             let lp = kind.apply(xv + eps);
@@ -169,8 +192,9 @@ mod tests {
         let dys = [1.0f32, -0.5, 2.0, 0.25, -3.0, 1.5, 0.75, -1.0, 7.0, -0.125];
         for kind in [ActivationKind::Tanh, ActivationKind::Relu] {
             let a = Activation::new(kind);
-            let y = a.forward_inference(&Matrix::from_vec(2, 5, xs.to_vec()));
-            let dx = a.backward(&y, &Matrix::from_vec(2, 5, dys.to_vec()));
+            let y = forward(&a, Matrix::from_vec(2, 5, xs.to_vec()));
+            let mut dx = Matrix::from_vec(2, 5, dys.to_vec());
+            a.backward_in_place(&y, &mut dx);
             assert_eq!((dx.rows(), dx.cols()), (2, 5));
             for (i, (&x, &dy)) in xs.iter().zip(&dys).enumerate() {
                 assert_eq!(y.as_slice()[i].to_bits(), kind.apply(x).to_bits());

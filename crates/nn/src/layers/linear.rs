@@ -19,22 +19,36 @@ pub struct Linear {
     pub b: Param,
 }
 
-/// A forward input as the backward pass reads it for `dW = xᵀ dy`: a dense
-/// matrix, or the CSR compaction [`Linear::forward_sparse`] wrote.
+/// A forward input, dense or the CSR compaction of a mostly-zero batch
+/// (a network's one-hot observation), with the two products a [`Linear`]
+/// layer takes of it. Both write every element of `out`, whatever it
+/// held, reusing its storage. The sparse forms multiply only the nonzeros
+/// and give the dense forms' bits for finite weights (see
+/// [`crate::sparse`]).
 pub trait LinearInput {
-    /// `xᵀ dy`.
-    fn matmul_tn(&self, dy: &Matrix) -> Matrix;
+    /// `out = x W`.
+    fn matmul_into(&self, w: &Matrix, out: &mut Matrix);
+    /// `out = xᵀ dy`.
+    fn matmul_tn_into(&self, dy: &Matrix, out: &mut Matrix);
 }
 
 impl LinearInput for Matrix {
-    fn matmul_tn(&self, dy: &Matrix) -> Matrix {
-        Matrix::matmul_tn(self, dy)
+    fn matmul_into(&self, w: &Matrix, out: &mut Matrix) {
+        Matrix::matmul_into(self, w, out);
+    }
+
+    fn matmul_tn_into(&self, dy: &Matrix, out: &mut Matrix) {
+        Matrix::matmul_tn_into(self, dy, out);
     }
 }
 
 impl LinearInput for SparseRows {
-    fn matmul_tn(&self, dy: &Matrix) -> Matrix {
-        SparseRows::matmul_tn(self, dy)
+    fn matmul_into(&self, w: &Matrix, out: &mut Matrix) {
+        SparseRows::matmul_into(self, w, out);
+    }
+
+    fn matmul_tn_into(&self, dy: &Matrix, out: &mut Matrix) {
+        SparseRows::matmul_tn_into(self, dy, out);
     }
 }
 
@@ -68,25 +82,23 @@ impl Linear {
 
     /// Forward pass. A training caller keeps `x` for the backward pass.
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w.value);
-        y.add_row_broadcast(self.b.value.as_slice());
+        let mut y = Matrix::default();
+        self.forward_into(x, &mut y);
         y
     }
 
-    /// The training forward for a mostly-zero input, such as a network's
-    /// one-hot observation: compacts `x` into `csr` (reusing its storage)
-    /// for the backward pass and multiplies only the nonzeros. The same
-    /// bits as [`Linear::forward_inference`] for finite weights (see
+    /// The forward pass into `y`, reusing its storage: `x W` written
+    /// element by element, then `+ b`.
+    pub fn forward_into(&self, x: &impl LinearInput, y: &mut Matrix) {
+        x.matmul_into(&self.w.value, y);
+        y.add_row_broadcast(self.b.value.as_slice());
+    }
+
+    /// [`Linear::forward_inference`] for a mostly-zero input, such as a
+    /// network's one-hot observation: `x` goes through a per-thread
+    /// [`SparseRows`] compaction and only its nonzeros are multiplied.
+    /// The same bits as the dense forward for finite weights (see
     /// [`crate::sparse`]).
-    pub fn forward_sparse(&self, x: &Matrix, csr: &mut SparseRows) -> Matrix {
-        csr.compact(x);
-        let mut y = csr.matmul(&self.w.value);
-        y.add_row_broadcast(self.b.value.as_slice());
-        y
-    }
-
-    /// [`Linear::forward_sparse`] without keeping the compaction: it goes
-    /// into a per-thread buffer.
     pub fn forward_sparse_inference(&self, x: &Matrix) -> Matrix {
         let mut y = sparse::with_compacted(x, |csr| csr.matmul(&self.w.value));
         y.add_row_broadcast(self.b.value.as_slice());
@@ -94,19 +106,22 @@ impl Linear {
     }
 
     /// Backward pass for the forward input `x`: accumulates `dW`, `db` into
-    /// `grads` ([`Linear::backward_params`]) and returns `dx = dy Wᵀ`.
+    /// `grads`, each as one finished product added on top, and returns
+    /// `dx = dy Wᵀ`. A caller that runs several passes into the same
+    /// tensors (the Transformer, row by row) accumulates through this.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `grads` holds exactly two tensors.
     pub fn backward(&self, x: &Matrix, dy: &Matrix, grads: &mut [Matrix]) -> Matrix {
         self.backward_params(x, dy, grads);
         dy.matmul_nt(&self.w.value)
     }
 
-    /// Parameter-only backward pass: accumulates `dW = xᵀ dy` into
-    /// `grads[0]` and `db = Σ_rows dy` into `grads[1]` (the layer's two
-    /// tensors in [`Linear::visit_params`] order) and computes no input
-    /// gradient. A network's input layer calls this, since nothing reads
-    /// the gradient of the observation, and with a wide observation that
-    /// `dx` would be the backward pass's largest product. The parameter
-    /// gradients are bit-identical to [`Linear::backward`]'s.
+    /// [`Linear::backward`] without the input gradient. A network's input
+    /// layer calls this, since nothing reads the gradient of the
+    /// observation, and with a wide observation that `dx` would be the
+    /// backward pass's largest product.
     ///
     /// # Panics
     ///
@@ -116,11 +131,41 @@ impl Linear {
             panic!("a Linear layer has 2 gradient tensors, got {}", grads.len());
         };
         // dW = x^T dy
-        dw.add_assign(&x.matmul_tn(dy));
+        let mut product = Matrix::default();
+        x.matmul_tn_into(dy, &mut product);
+        dw.add_assign(&product);
         // db = column sums of dy
         for (g, d) in db.as_mut_slice().iter_mut().zip(dy.sum_rows()) {
             *g += d;
         }
+    }
+
+    /// The backward pass of one training pass whose gradients nothing
+    /// else adds to: **writes** `dW = xᵀ dy` and `db = Σ_rows dy` into
+    /// `grads` (the layer's two tensors in [`Linear::visit_params`]
+    /// order), whatever they held, and `dx = dy Wᵀ` into `dx`. Every
+    /// product goes into storage the caller reuses, so nothing is
+    /// allocated. Each written element is the finished product
+    /// [`Linear::backward`] adds, so it equals that sum added onto zeroed
+    /// tensors (`+0 + P = P`: a product that starts from `+0` is never
+    /// `−0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `grads` holds exactly two tensors.
+    pub fn backward_into(
+        &self,
+        x: &impl LinearInput,
+        dy: &Matrix,
+        grads: &mut [Matrix],
+        dx: &mut Matrix,
+    ) {
+        let [dw, db] = grads else {
+            panic!("a Linear layer has 2 gradient tensors, got {}", grads.len());
+        };
+        x.matmul_tn_into(dy, dw);
+        dy.sum_rows_into(db.as_mut_slice());
+        dy.matmul_nt_into(&self.w.value, dx);
     }
 
     /// Visits all parameters mutably (for the optimizer).

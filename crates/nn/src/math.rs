@@ -200,7 +200,12 @@ fn expm1_lane(a: f32) -> f32 {
     // Reduction. Between 0.5 ln2 and 1.5 ln2 the scalar code takes
     // k = ±1 with hi = a ∓ LN2_HI, lo = ±LN2_LO; those are exactly
     // a - t * LN2_HI and t * LN2_LO at t = ±1, so one formula serves both.
-    let k_round = (INVLN2 * a + if neg { -0.5 } else { 0.5 }) as i32;
+    // The scalar code's `as i32` truncates; `trunc` and then the
+    // `1.5·2^23` add give that integer exactly for every |v| < 2^22, which
+    // covers each lane whose result is kept (|v| < 64), and unlike the
+    // saturating cast they vectorise. Other lanes get a wrapped `k`.
+    let v = (INVLN2 * a + if neg { -0.5 } else { 0.5 }).trunc();
+    let k_round = ((v + 12_582_912.0).to_bits() as i32).wrapping_sub(0x4b40_0000);
     let k_reduced = if hx < 0x3f85_1592 {
         if neg {
             -1

@@ -206,22 +206,20 @@ impl Matrix {
 
     /// Returns a new matrix consisting of the given rows (gather).
     pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(0, self.cols);
-        self.gather_rows_into(indices, &mut out);
-        out
+        let mut data = Vec::with_capacity(indices.len() * self.cols);
+        for &idx in indices {
+            data.extend_from_slice(self.row(idx));
+        }
+        Matrix::from_vec(indices.len(), self.cols, data)
     }
 
-    /// [`Matrix::gather_rows`] into `out`, reshaping it to
-    /// `indices.len() x self.cols()` and reusing its storage: no
-    /// allocation once `out` has held a gather at least this large.
-    pub fn gather_rows_into(&self, indices: &[usize], out: &mut Matrix) {
-        out.rows = indices.len();
-        out.cols = self.cols;
-        out.data.clear();
-        out.data.reserve(indices.len() * self.cols);
-        for &idx in indices {
-            out.data.extend_from_slice(self.row(idx));
-        }
+    /// Reshapes to `rows x cols`, reusing the storage. The elements keep
+    /// whatever the storage held (zero past its old length): for callers
+    /// that write every element next.
+    pub(crate) fn set_shape(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Matrix product `self * other`.
@@ -246,6 +244,19 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul`] into `out`, reshaped to the product's shape and
+    /// reusing its storage: the same bits, and no allocation once `out`
+    /// has held a product at least this large.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.rows()`.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
@@ -253,9 +264,10 @@ impl Matrix {
         );
         const CB: usize = Matrix::MM_COL_BLOCK;
         let (m, inner, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
+        out.set_shape(m, n);
         if inner == 0 || n == 0 {
-            return out; // every element is the empty sum, +0
+            out.fill_zero(); // every element is the empty sum, +0
+            return;
         }
         let mut run = |b: &[f32]| self.matmul_rows(b, n, &mut out.data);
         if n >= CB {
@@ -269,7 +281,6 @@ impl Matrix {
                 run(copy);
             });
         }
-        out
     }
 
     /// Serial matmul kernel writing all `self.rows() * n` output values.
@@ -307,19 +318,31 @@ impl Matrix {
     ///
     /// Panics if `self.rows() != other.rows()`.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_tn_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_tn`] into `out`, reshaped to the product's shape
+    /// and reusing its storage: the same bits, whatever `out` held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != other.rows()`.
+    pub fn matmul_tn_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn shape mismatch: ({}x{})^T * {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
         let (k, m, n) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, n);
-        if k == 0 || m == 0 || n == 0 {
-            return out; // every element is the empty sum, +0
-        }
-        if n >= Matrix::MM_COL_BLOCK {
+        out.set_shape(m, n);
+        if k == 0 || m == 0 || n == 0 || n >= Matrix::MM_COL_BLOCK {
+            // The wide kernel accumulates from `+0`; with no shared rows
+            // every element is the empty sum.
+            out.fill_zero();
             self.matmul_tn_cols(other, &mut out.data);
-            return out;
+            return;
         }
         // Narrow: (otherᵀ·self)ᵀ, so each axpy runs across the wide side.
         with_scratch(&OPERAND_SCRATCH, n * m, |swapped| {
@@ -330,7 +353,6 @@ impl Matrix {
                 }
             }
         });
-        out
     }
 
     /// Serial `self^T * other` kernel writing all `self.cols() *
@@ -365,6 +387,18 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != other.cols()`.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_nt_into(other, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul_nt`] into `out`, reshaped to the product's shape
+    /// and reusing its storage: the same bits, whatever `out` held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.cols()`.
+    pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.cols,
             "matmul_nt shape mismatch: {}x{} * ({}x{})^T",
@@ -372,19 +406,19 @@ impl Matrix {
         );
         const CB: usize = Matrix::MM_COL_BLOCK;
         let (m, cols, n) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(m, n);
+        out.set_shape(m, n);
         if cols == 0 || n == 0 {
-            return out; // every element is the empty sum, +0
+            out.fill_zero(); // every element is the empty sum, +0
+            return;
         }
         if m < CB || n < CB {
             matmul_nt_dispatch(&self.data, cols, &other.data, n, &mut out.data);
-            return out;
+            return;
         }
         with_scratch(&OPERAND_SCRATCH, cols * n.next_multiple_of(CB), |panels| {
             other.pack_nt_panels(panels);
             matmul_nt_panels_dispatch(&self.data, cols, panels, n, &mut out.data);
         });
-        out
     }
 
     /// Writes `self^T` into the zeroed `out` as column panels of
@@ -430,22 +464,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise Hadamard product, returning a new matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.assert_same_shape(other, "hadamard");
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .collect();
-        Matrix::from_vec(self.rows, self.cols, data)
-    }
-
     /// Multiplies every element by `scale` in place.
     pub fn scale(&mut self, scale: f32) {
         for a in &mut self.data {
@@ -471,12 +489,24 @@ impl Matrix {
     /// Sums over rows, returning a vector of length `cols`.
     pub fn sum_rows(&self) -> Vec<f32> {
         let mut out = vec![0.0; self.cols];
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::sum_rows`] written into `out`: each element is `+0`, then
+    /// the rows added in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != self.cols()`.
+    pub fn sum_rows_into(&self, out: &mut [f32]) {
+        assert_eq!(out.len(), self.cols, "sum_rows length mismatch");
+        out.fill(0.0);
         for r in 0..self.rows {
             for (o, v) in out.iter_mut().zip(self.row(r).iter()) {
                 *o += v;
             }
         }
-        out
     }
 
     /// Mean over rows, returning a vector of length `cols`.
@@ -492,12 +522,6 @@ impl Matrix {
             *o *= inv;
         }
         out
-    }
-
-    /// Returns a new matrix with `f` applied to every element.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        let data = self.data.iter().map(|&a| f(a)).collect();
-        Matrix::from_vec(self.rows, self.cols, data)
     }
 
     /// Row-wise softmax, returning a new matrix.
@@ -1082,8 +1106,12 @@ fn dense_block_matmul<I: Isa>(
     }
 }
 
-/// In-place numerically-stable softmax over a slice.
-pub fn softmax_inplace(row: &mut [f32]) {
+/// In-place numerically-stable softmax over a slice: `e_i = exp(l_i −
+/// max)` once per element, then each scaled by `1 / Σ e` (left
+/// unnormalised when that sum is not positive, e.g. NaN). Returns the row
+/// max and the sum `Σ e`, from which the log-sum-exp is `max + ln(Σ e)`
+/// (see [`crate::Categorical`]).
+pub fn softmax_inplace(row: &mut [f32]) -> (f32, f32) {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0;
     for v in row.iter_mut() {
@@ -1096,16 +1124,7 @@ pub fn softmax_inplace(row: &mut [f32]) {
             *v *= inv;
         }
     }
-}
-
-/// Log-sum-exp of a slice (numerically stable).
-pub fn log_sum_exp(row: &[f32]) -> f32 {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    if !max.is_finite() {
-        return max;
-    }
-    let sum: f32 = row.iter().map(|&v| (v - max).exp()).sum();
-    max + sum.ln()
+    (max, sum)
 }
 
 #[cfg(test)]
@@ -1243,13 +1262,6 @@ mod tests {
     }
 
     #[test]
-    fn log_sum_exp_matches_naive_for_small_values() {
-        let row = [0.1f32, -0.5, 1.2];
-        let naive = row.iter().map(|v| v.exp()).sum::<f32>().ln();
-        assert!((log_sum_exp(&row) - naive).abs() < 1e-6);
-    }
-
-    #[test]
     fn sum_rows_and_mean_rows() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(m.sum_rows(), vec![4.0, 6.0]);
@@ -1271,22 +1283,48 @@ mod tests {
         assert_eq!(g.as_slice(), &[3.0, 1.0]);
     }
 
+    /// The `_into` products reshape a reused buffer that holds stale values
+    /// of another shape and write the fresh product's bits, on every
+    /// kernel path: wide and narrow `matmul` and `matmul_tn`, the panel
+    /// and the per-element `matmul_nt`, and the empty products.
     #[test]
-    fn gather_rows_into_reshapes_a_reused_buffer() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let mut out = Matrix::full(4, 3, 9.0);
-        for rows in [&[2usize, 0, 1][..], &[1], &[0, 2]] {
-            m.gather_rows_into(rows, &mut out);
-            assert_eq!(out, m.gather_rows(rows));
-            assert_eq!((out.rows(), out.cols()), (rows.len(), 2));
+    fn into_products_reshape_a_reused_buffer() {
+        let fill = |rows: usize, cols: usize, seed: usize| {
+            let data = (0..rows * cols)
+                .map(|i| match (i * 7 + seed) % 9 {
+                    0 => 0.0,
+                    k => (k as f32 - 4.5) * 0.37,
+                })
+                .collect();
+            Matrix::from_vec(rows, cols, data)
+        };
+        let bits = |m: &Matrix| {
+            (
+                m.rows(),
+                m.cols(),
+                m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            )
+        };
+        let mut out = Matrix::full(5, 40, f32::NAN);
+        for (m, k, n) in [
+            (32, 64, 64),
+            (32, 64, 11),
+            (3, 5, 1),
+            (20, 17, 33),
+            (4, 0, 3),
+            (0, 6, 2),
+        ] {
+            let a = fill(m, k, 1);
+            let b = fill(k, n, 2);
+            a.matmul_into(&b, &mut out);
+            assert_eq!(bits(&out), bits(&a.matmul(&b)), "matmul {m}x{k}x{n}");
+            let c = fill(m, n, 3);
+            a.matmul_tn_into(&c, &mut out);
+            assert_eq!(bits(&out), bits(&a.matmul_tn(&c)), "matmul_tn {m}x{k}x{n}");
+            let d = fill(n, k, 4);
+            a.matmul_nt_into(&d, &mut out);
+            assert_eq!(bits(&out), bits(&a.matmul_nt(&d)), "matmul_nt {m}x{k}x{n}");
         }
-    }
-
-    #[test]
-    fn hadamard_product() {
-        let a = Matrix::from_row(&[1.0, 2.0, 3.0]);
-        let b = Matrix::from_row(&[2.0, 0.5, -1.0]);
-        assert_eq!(a.hadamard(&b).as_slice(), &[2.0, 1.0, -3.0]);
     }
 
     #[test]

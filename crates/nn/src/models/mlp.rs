@@ -1,10 +1,24 @@
 //! MLP policy/value network.
+//!
+//! The training pass ([`TrainNet::train_shard`]) allocates nothing once
+//! its [`Tape`] has seen a shard this large. The input layer compacts the
+//! shard's observation rows straight into the tape's CSR buffer, with no
+//! dense gather, and multiplies only their nonzeros. Every other product
+//! (each trunk layer's output, the heads' logits and values, the loss
+//! gradients and the backward pass's two gradient buffers) goes into a
+//! matrix the tape owns, sized on first use. `tanh` and its derivative
+//! run in place on those buffers. Each gradient tensor is written once
+//! per pass, as the finished product, so a reused tape needs no zeroing
+//! and the bits equal adding each product onto zeroed tensors. The input
+//! layer's `dW` (observation width × first hidden width) is scattered
+//! from the nonzeros only: the tape remembers which of its rows the last
+//! pass wrote, and only those are cleared for the next.
 
 use crate::layers::{Activation, ActivationKind, Linear};
 use crate::matrix::Matrix;
-use crate::models::{train_batch_on_tape, PolicyValueNet, RowGrad, Tape, TrainNet};
+use crate::models::{train_batch_via_shard, PolicyValueNet, RowGrad, RowLoss, Tape, TrainNet};
 use crate::param::Param;
-use crate::sparse::SparseRows;
+use crate::sparse::{SparseRows, TouchedRows};
 use rand::Rng;
 
 /// Configuration for [`MlpPolicy`].
@@ -103,20 +117,53 @@ impl MlpPolicy {
     /// observation's nonzeros ([`Linear::forward_sparse_inference`]).
     fn trunk_forward_inference(&self, obs: &Matrix) -> Matrix {
         let ((input_layer, input_act), hidden) = self.trunk.split_first().expect("non-empty trunk");
-        let mut h = input_act.forward_inference(&input_layer.forward_sparse_inference(obs));
+        let mut h = input_layer.forward_sparse_inference(obs);
+        input_act.forward_in_place(&mut h);
         for (lin, act) in hidden {
-            h = act.forward_inference(&lin.forward_inference(&h));
+            h = lin.forward_inference(&h);
+            act.forward_in_place(&mut h);
         }
         h
     }
 }
 
-/// What [`MlpPolicy`]'s training pass keeps in a shard's tape: the
-/// observation's CSR compaction, the input layer's input, whose storage
-/// the next pass reuses.
+/// What [`MlpPolicy`]'s training pass keeps in a shard's tape (module
+/// docs). Every buffer is reshaped in place by the next pass.
 #[derive(Debug, Default)]
 pub(crate) struct MlpTape {
+    /// The shard's observation rows as CSR: the input layer's input.
     csr: SparseRows,
+    /// Each trunk layer's activation output: its own derivative's input
+    /// and the next layer's input; the last is the features both heads
+    /// read.
+    hs: Vec<Matrix>,
+    logits: Matrix,
+    values: Matrix,
+    /// The loss gradients the loss closure writes, row by row.
+    dlogits: Matrix,
+    dvalues: Matrix,
+    /// The gradient flowing back through the trunk, and the buffer the
+    /// next layer's input gradient is written into before the two swap.
+    grad: Matrix,
+    grad_next: Matrix,
+    /// The rows of the input layer's `dW` in the tape's gradients that
+    /// the last pass scattered into: the only ones the next pass zeroes.
+    input_rows: TouchedRows,
+}
+
+impl MlpTape {
+    /// The tape of gradients that are all zero.
+    pub(crate) fn zeroed() -> Self {
+        Self {
+            input_rows: TouchedRows::none(),
+            ..Self::default()
+        }
+    }
+
+    /// The gradients were replaced: the next pass zeroes the whole `dW`.
+    pub(crate) fn forget_grads(&mut self) {
+        self.input_rows.forget();
+    }
 }
 
 impl PolicyValueNet for MlpPolicy {
@@ -133,7 +180,7 @@ impl PolicyValueNet for MlpPolicy {
         obs: &Matrix,
         grad_fn: &mut dyn FnMut(usize, &[f32], f32) -> RowGrad,
     ) {
-        train_batch_on_tape(self, obs, grad_fn);
+        train_batch_via_shard(self, obs, grad_fn);
     }
 
     fn zero_grad(&mut self) {
@@ -167,57 +214,68 @@ impl PolicyValueNet for MlpPolicy {
 }
 
 impl TrainNet for MlpPolicy {
-    fn train_shard(
-        &self,
-        tape: &mut Tape,
-        obs: &Matrix,
-        grad_fn: &mut dyn FnMut(usize, &[f32], f32) -> RowGrad,
-    ) {
+    fn train_shard(&self, tape: &mut Tape, obs: &Matrix, rows: &[usize], loss: &mut RowLoss) {
         assert_eq!(obs.cols(), self.obs_dim, "observation dim mismatch");
         let Tape {
             grads,
-            mlp: MlpTape { csr },
+            mlp:
+                MlpTape {
+                    csr,
+                    hs,
+                    logits,
+                    values,
+                    dlogits,
+                    dvalues,
+                    grad,
+                    grad_next,
+                    input_rows,
+                },
             ..
         } = tape;
-        // The input layer compacts the observation into the tape's CSR
-        // rows ([`Linear::forward_sparse`]) for its backward. `hs` holds
-        // each trunk layer's activation output, its own derivative's input
-        // and the next layer's input; the last is the features both heads
-        // read. They are fresh matrices every pass, so they live only for
-        // the pass.
         let ((input_layer, input_act), hidden) = self.trunk.split_first().expect("non-empty trunk");
-        let mut hs = Vec::with_capacity(self.trunk.len());
-        hs.push(input_act.forward_inference(&input_layer.forward_sparse(obs, csr)));
-        for (lin, act) in hidden {
-            let h = act.forward_inference(&lin.forward_inference(&hs[hs.len() - 1]));
-            hs.push(h);
+        hs.resize_with(self.trunk.len(), Matrix::default);
+        csr.compact_rows(obs, rows);
+        input_layer.forward_into(&*csr, &mut hs[0]);
+        input_act.forward_in_place(&mut hs[0]);
+        for (i, (lin, act)) in hidden.iter().enumerate() {
+            let (inputs, outputs) = hs.split_at_mut(i + 1);
+            lin.forward_into(&inputs[i], &mut outputs[0]);
+            act.forward_in_place(&mut outputs[0]);
         }
         let features = &hs[hidden.len()];
-        let logits = self.policy_head.forward_inference(features);
-        let values = self.value_head.forward_inference(features);
-        let batch = obs.rows();
-        let mut dlogits = Matrix::zeros(batch, self.num_actions);
-        let mut dvalues = Matrix::zeros(batch, 1);
+        self.policy_head.forward_into(features, logits);
+        self.value_head.forward_into(features, values);
+        // The loss writes every element of both (the `RowLoss` contract).
+        let batch = rows.len();
+        dlogits.set_shape(batch, self.num_actions);
+        dvalues.set_shape(batch, 1);
         for i in 0..batch {
-            let (dl, dv) = grad_fn(i, logits.row(i), values[(i, 0)]);
-            assert_eq!(dl.len(), self.num_actions, "dlogits length mismatch");
-            dlogits.row_mut(i).copy_from_slice(&dl);
-            dvalues[(i, 0)] = dv;
+            dvalues[(i, 0)] = loss(i, logits.row(i), values[(i, 0)], dlogits.row_mut(i));
         }
         // Two gradient tensors per `Linear`: the trunk's, then the heads'.
         let (trunk_grads, head_grads) = grads.split_at_mut(2 * self.trunk.len());
         let (policy_grads, value_grads) = head_grads.split_at_mut(2);
-        let mut grad = self.policy_head.backward(features, &dlogits, policy_grads);
-        grad.add_assign(&self.value_head.backward(features, &dvalues, value_grads));
+        self.policy_head
+            .backward_into(features, dlogits, policy_grads, grad);
+        self.value_head
+            .backward_into(features, dvalues, value_grads, grad_next);
+        grad.add_assign(grad_next);
         let mut layer_grads = trunk_grads.chunks_exact_mut(2).rev();
         for (i, (lin, act)) in hidden.iter().enumerate().rev() {
-            let dy = act.backward(&hs[i + 1], &grad);
-            grad = lin.backward(&hs[i], &dy, layer_grads.next().expect("a pair per layer"));
+            act.backward_in_place(&hs[i + 1], grad);
+            let layer = layer_grads.next().expect("a pair per layer");
+            lin.backward_into(&hs[i], grad, layer, grad_next);
+            std::mem::swap(grad, grad_next);
         }
         // Nothing reads the observation's gradient: skip the input
-        // layer's `dx` product.
-        let dy = input_act.backward(&hs[0], &grad);
-        input_layer.backward_params(csr, &dy, layer_grads.next().expect("a pair per layer"));
+        // layer's `dx` product. Its `dW` is zeroed only where the last
+        // pass scattered (see `input_rows`) before this pass scatters.
+        input_act.backward_in_place(&hs[0], grad);
+        let [dw, db] = layer_grads.next().expect("a pair per layer") else {
+            unreachable!("chunks of two")
+        };
+        csr.matmul_tn_into_touched(grad, dw, input_rows);
+        grad.sum_rows_into(db.as_mut_slice());
     }
 }
 
@@ -315,7 +373,8 @@ mod tests {
         let mut grads = Tape::for_net(net).grads;
         let mut hs = vec![obs.clone()];
         for (lin, act) in &net.trunk {
-            let h = act.forward_inference(&lin.forward_inference(&hs[hs.len() - 1]));
+            let mut h = lin.forward_inference(&hs[hs.len() - 1]);
+            act.forward_in_place(&mut h);
             hs.push(h);
         }
         let features = &hs[net.trunk.len()];
@@ -325,7 +384,8 @@ mod tests {
         grad.add_assign(&net.value_head.backward(features, dv, value_grads));
         let layers = net.trunk.iter().zip(trunk_grads.chunks_exact_mut(2));
         for (i, ((lin, act), g)) in layers.enumerate().rev() {
-            grad = lin.backward(&hs[i], &act.backward(&hs[i + 1], &grad), g);
+            act.backward_in_place(&hs[i + 1], &mut grad);
+            grad = lin.backward(&hs[i], &grad, g);
         }
         grads
             .iter()

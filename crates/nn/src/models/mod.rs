@@ -13,6 +13,13 @@ use crate::param::Param;
 /// `(dL/dlogits, dL/dvalue)`.
 pub type RowGrad = (Vec<f32>, f32);
 
+/// A training shard's per-row loss: `loss(i, logits_i, value_i, dlogits)`
+/// for row `i` of the shard writes `dL/dlogits_i` into `dlogits` (one
+/// element per action, every one written) and returns `dL/dvalue_i`. The
+/// model hands it a row of storage it reuses, so the loss allocates
+/// nothing per row.
+pub type RowLoss<'a> = dyn FnMut(usize, &[f32], f32, &mut [f32]) -> f32 + 'a;
+
 /// A network with a categorical policy head and a scalar value head.
 ///
 /// PPO interacts with models exclusively through this trait so the MLP and
@@ -67,28 +74,28 @@ pub trait PolicyValueNet: Send + Sync {
 /// the trainer holds, so every gradient shard runs against the one set of
 /// weights, each with its own [`Tape`].
 pub trait TrainNet: PolicyValueNet {
-    /// One shard's training pass over `obs`, with the per-row protocol of
-    /// [`PolicyValueNet::train_batch`]. What the backward pass needs goes
-    /// into `tape`, and the parameter gradients accumulate into
-    /// `tape.grads`, which must hold one tensor per parameter, shaped like
-    /// it, in [`PolicyValueNet::visit_params`] order. The model's own
+    /// One shard's training pass over the rows of `obs` that `rows`
+    /// selects, in that order: row `i` of the shard is
+    /// `obs.row(rows[i])`, and `loss` is called once per shard row, in
+    /// order. What the backward pass needs goes into `tape`, and the
+    /// shard's parameter gradients are **written** into `tape.grads`,
+    /// which must hold one tensor per parameter, shaped like it, in
+    /// [`PolicyValueNet::visit_params`] order: whatever the tensors held
+    /// is replaced, so a reused tape needs no zeroing. The model's own
     /// `Param::grad`s are not touched.
-    fn train_shard(
-        &self,
-        tape: &mut Tape,
-        obs: &Matrix,
-        grad_fn: &mut dyn FnMut(usize, &[f32], f32) -> RowGrad,
-    );
+    fn train_shard(&self, tape: &mut Tape, obs: &Matrix, rows: &[usize], loss: &mut RowLoss);
 }
 
 /// One gradient shard's training state: the gradient tensors its
-/// backward pass accumulates into, and what each training forward keeps
-/// for that backward pass. Reused pass after pass, so a shard allocates
-/// its activation storage once.
+/// backward pass writes, and what each training forward keeps for that
+/// backward pass. Reused pass after pass, so a shard allocates its
+/// activation storage once. Only the model's training pass and
+/// [`Tape::swap_grads`] write the gradients, so a model may keep track of
+/// what they hold (the MLP remembers which input-layer rows are nonzero).
 #[derive(Debug, Default)]
 pub struct Tape {
     /// One gradient tensor per parameter, in `visit_params` order.
-    pub grads: Vec<Matrix>,
+    grads: Vec<Matrix>,
     mlp: mlp::MlpTape,
     transformer: transformer::TransformerTape,
 }
@@ -97,12 +104,21 @@ impl Tape {
     /// A tape whose gradients are zero tensors shaped like `net`'s
     /// parameters.
     pub fn for_net(net: &mut dyn PolicyValueNet) -> Self {
-        let mut tape = Self::default();
+        let mut tape = Self {
+            mlp: mlp::MlpTape::zeroed(),
+            ..Self::default()
+        };
         net.visit_params(&mut |p| {
             tape.grads
                 .push(Matrix::zeros(p.value.rows(), p.value.cols()))
         });
         tape
+    }
+
+    /// The gradient tensors the last training pass wrote, in
+    /// `visit_params` order.
+    pub fn grads(&self) -> &[Matrix] {
+        &self.grads
     }
 
     /// Swaps the gradient tensors with `net`'s `Param::grad`s, in
@@ -121,21 +137,41 @@ impl Tape {
             grads.next().is_none(),
             "tape has more tensors than the model"
         );
+        self.mlp.forget_grads();
     }
 }
 
-/// [`PolicyValueNet::train_batch`] through [`TrainNet::train_shard`]: moves
-/// each `Param::grad` into a tape, runs the pass and moves the tensors
-/// back, so the gradients accumulate onto what the parameters held.
-fn train_batch_on_tape(
+/// `grad_fn`, [`PolicyValueNet::train_batch`]'s callback, as a
+/// [`RowLoss`]: its returned gradient is copied into the row.
+fn row_loss(
+    grad_fn: &mut dyn FnMut(usize, &[f32], f32) -> RowGrad,
+) -> impl FnMut(usize, &[f32], f32, &mut [f32]) -> f32 + '_ {
+    move |i, logits, value, dlogits| {
+        let (dl, dv) = grad_fn(i, logits, value);
+        assert_eq!(dl.len(), dlogits.len(), "dlogits length mismatch");
+        dlogits.copy_from_slice(&dl);
+        dv
+    }
+}
+
+/// [`PolicyValueNet::train_batch`] through [`TrainNet::train_shard`]: one
+/// pass over every row of `obs` into a fresh tape, whose tensors are then
+/// added onto the `Param::grad`s, one finished sum per tensor. A model
+/// whose pass writes each gradient tensor once (the MLP) gets what adding
+/// each of its products onto the parameters directly gives.
+fn train_batch_via_shard(
     net: &mut dyn TrainNet,
     obs: &Matrix,
     grad_fn: &mut dyn FnMut(usize, &[f32], f32) -> RowGrad,
 ) {
-    let mut tape = Tape::default();
-    net.visit_params(&mut |p| tape.grads.push(std::mem::take(&mut p.grad)));
-    net.train_shard(&mut tape, obs, grad_fn);
-    tape.swap_grads(net);
+    let mut tape = Tape::for_net(net);
+    let rows: Vec<usize> = (0..obs.rows()).collect();
+    net.train_shard(&mut tape, obs, &rows, &mut row_loss(grad_fn));
+    let mut grads = tape.grads.iter();
+    net.visit_params(&mut |p| {
+        p.grad
+            .add_assign(grads.next().expect("tape has fewer tensors than the model"))
+    });
 }
 
 #[cfg(test)]
@@ -156,46 +192,46 @@ mod tests {
             .collect()
     }
 
-    /// Three threads train their own batches into their own tapes against
-    /// one shared `net`, twice: first on another thread's batch, so the
-    /// second pass starts from a tape holding a different batch's
-    /// activations. Each tape must then hold, bit for bit, what
-    /// `train_batch` accumulates from zero on a private clone, and the
-    /// shared net's own gradients stay zero.
+    /// Three threads train their own row selections of one observation
+    /// matrix into their own tapes against one shared `net`, twice: first
+    /// on another thread's rows, so the second pass starts from a tape
+    /// holding a different selection's activations and gradients. Each
+    /// tape must then hold, bit for bit, what `train_batch` accumulates
+    /// from zero on a private clone over the gathered rows, and the shared
+    /// net's own gradients stay zero.
     fn check_shared_net<N: TrainNet + Clone>(mut net: N) {
         let mut rng = StdRng::seed_from_u64(1);
         let obs_dim = net.obs_dim();
-        let batches: Vec<Matrix> = [5usize, 1, 9]
-            .into_iter()
-            .map(|rows| {
-                let data = (0..rows * obs_dim)
-                    .map(|_| match rng.gen_range(0..3) {
-                        0 => rng.gen_range(-1.0f32..1.0),
-                        _ => 0.0,
-                    })
-                    .collect();
-                Matrix::from_vec(rows, obs_dim, data)
-            })
-            .collect();
-        let mut tapes: Vec<Tape> = batches.iter().map(|_| Tape::for_net(&mut net)).collect();
+        let obs = Matrix::from_vec(
+            12,
+            obs_dim,
+            (0..12 * obs_dim)
+                .map(|_| match rng.gen_range(0..3) {
+                    0 => rng.gen_range(-1.0f32..1.0),
+                    _ => 0.0,
+                })
+                .collect(),
+        );
+        let selections: [Vec<usize>; 3] = [vec![4, 0, 11, 2, 7], vec![9], (0..12).rev().collect()];
+        let mut tapes: Vec<Tape> = selections.iter().map(|_| Tape::for_net(&mut net)).collect();
         for shift in [1, 0] {
             std::thread::scope(|scope| {
                 for (k, tape) in tapes.iter_mut().enumerate() {
-                    let (net, obs) = (&net, &batches[(k + shift) % batches.len()]);
+                    let (net, obs) = (&net, &obs);
+                    let rows = &selections[(k + shift) % selections.len()];
                     scope.spawn(move || {
-                        tape.grads.iter_mut().for_each(Matrix::fill_zero);
-                        net.train_shard(tape, obs, &mut loss_grad);
+                        net.train_shard(tape, obs, rows, &mut row_loss(&mut loss_grad));
                     });
                 }
             });
         }
-        for (tape, obs) in tapes.iter().zip(&batches) {
+        for (tape, rows) in tapes.iter().zip(&selections) {
             let mut clone = net.clone();
             clone.zero_grad();
-            clone.train_batch(obs, &mut loss_grad);
+            clone.train_batch(&obs.gather_rows(rows), &mut loss_grad);
             let mut expected = Vec::new();
             clone.visit_params(&mut |p| expected.push(p.grad.clone()));
-            assert_eq!(bits(&tape.grads), bits(&expected), "{} rows", obs.rows());
+            assert_eq!(bits(&tape.grads), bits(&expected), "rows {rows:?}");
         }
         let mut own = Vec::new();
         net.visit_params(&mut |p| own.push(p.grad.clone()));

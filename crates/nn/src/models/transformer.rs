@@ -10,7 +10,7 @@ use crate::layers::{
     Activation, ActivationKind, AttentionTape, LayerNorm, LayerNormTape, Linear, MultiHeadAttention,
 };
 use crate::matrix::Matrix;
-use crate::models::{train_batch_on_tape, PolicyValueNet, RowGrad, Tape, TrainNet};
+use crate::models::{row_loss, PolicyValueNet, RowGrad, RowLoss, Tape, TrainNet};
 use crate::param::Param;
 use rand::Rng;
 
@@ -151,9 +151,8 @@ impl TransformerPolicy {
         let mut res1 = x.clone();
         res1.add_assign(&attn_out);
         let y1 = self.ln1.forward(&res1, &mut tape.ln1);
-        let a = self
-            .ff_act
-            .forward_inference(&self.ff1.forward_inference(&y1));
+        let mut a = self.ff1.forward_inference(&y1);
+        self.ff_act.forward_in_place(&mut a);
         let ff = self.ff2.forward_inference(&a);
         let mut res2 = y1.clone();
         res2.add_assign(&ff);
@@ -203,9 +202,8 @@ impl TransformerPolicy {
         }
         let dres2 = self.ln2.backward(&tape.ln2, &dy2, g_ln2);
         // res2 = y1 + ff(y1): gradient flows both through FFN and residual.
-        let da = self
-            .ff_act
-            .backward(&tape.a, &self.ff2.backward(&tape.a, &dres2, g_ff2));
+        let mut da = self.ff2.backward(&tape.a, &dres2, g_ff2);
+        self.ff_act.backward_in_place(&tape.a, &mut da);
         let dff = self.ff1.backward(&tape.y1, &da, g_ff1);
         let mut dy1 = dres2;
         dy1.add_assign(&dff);
@@ -221,6 +219,23 @@ impl TransformerPolicy {
         }
         // The token embedding is the input layer: no `dx` to compute.
         self.embed.backward_params(&tape.tokens, &dx, g_embed);
+    }
+
+    /// Trains the rows of `obs` that `rows` selects one sequence at a
+    /// time (the [`TrainNet::train_shard`] protocol), each backward pass
+    /// adding onto what `tape.grads` holds.
+    fn accumulate_rows(&self, tape: &mut Tape, obs: &Matrix, rows: &[usize], loss: &mut RowLoss) {
+        assert_eq!(
+            obs.cols(),
+            self.config.obs_dim(),
+            "observation dim mismatch"
+        );
+        let mut dlogits = vec![0.0; self.config.num_actions];
+        for (i, &row) in rows.iter().enumerate() {
+            let (logits, value) = self.forward_single(obs.row(row), &mut tape.transformer);
+            let dvalue = loss(i, &logits, value, &mut dlogits);
+            self.backward_single(&tape.transformer, &mut tape.grads, &dlogits, dvalue);
+        }
     }
 }
 
@@ -261,12 +276,18 @@ impl PolicyValueNet for TransformerPolicy {
         (logits, values)
     }
 
+    /// Every row's backward pass adds onto the `Param::grad`s in turn:
+    /// they move into a tape for the pass and back after it.
     fn train_batch(
         &mut self,
         obs: &Matrix,
         grad_fn: &mut dyn FnMut(usize, &[f32], f32) -> RowGrad,
     ) {
-        train_batch_on_tape(self, obs, grad_fn);
+        let mut tape = Tape::default();
+        self.visit_params(&mut |p| tape.grads.push(std::mem::take(&mut p.grad)));
+        let rows: Vec<usize> = (0..obs.rows()).collect();
+        self.accumulate_rows(&mut tape, obs, &rows, &mut row_loss(grad_fn));
+        tape.swap_grads(self);
     }
 
     fn zero_grad(&mut self) {
@@ -311,27 +332,9 @@ impl PolicyValueNet for TransformerPolicy {
 }
 
 impl TrainNet for TransformerPolicy {
-    fn train_shard(
-        &self,
-        tape: &mut Tape,
-        obs: &Matrix,
-        grad_fn: &mut dyn FnMut(usize, &[f32], f32) -> RowGrad,
-    ) {
-        assert_eq!(
-            obs.cols(),
-            self.config.obs_dim(),
-            "observation dim mismatch"
-        );
-        for i in 0..obs.rows() {
-            let (logits, value) = self.forward_single(obs.row(i), &mut tape.transformer);
-            let (dlogits, dvalue) = grad_fn(i, &logits, value);
-            assert_eq!(
-                dlogits.len(),
-                self.config.num_actions,
-                "dlogits length mismatch"
-            );
-            self.backward_single(&tape.transformer, &mut tape.grads, &dlogits, dvalue);
-        }
+    fn train_shard(&self, tape: &mut Tape, obs: &Matrix, rows: &[usize], loss: &mut RowLoss) {
+        tape.grads.iter_mut().for_each(Matrix::fill_zero);
+        self.accumulate_rows(tape, obs, rows, loss);
     }
 }
 

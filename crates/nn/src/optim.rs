@@ -7,6 +7,17 @@
 //! operations in the scalar formula's order: no fused multiply-add, and
 //! division and square root are correctly rounded in every lane. So the
 //! tiers return the scalar update's bits and differ only in speed.
+//!
+//! Parameters whose gradients stay zero (the input-layer rows of window
+//! slots that short episodes never fill) leave their first moments to
+//! decay into subnormal fixed points of `m ← RN(β1·m)`, where they stay.
+//! On x86 every multiply or divide that reads such a lane takes a
+//! microcode assist: at the end of an attack-fr run that more than
+//! doubled the Adam step's time per minibatch (about 95 against 40 µs on
+//! a Sapphire Rapids host). The kernel recognises a block whose every
+//! lane is in that
+//! state and skips the operations whose results it knows exactly; the
+//! derivation is on `adam_update_body`.
 
 use crate::grad::reduce_grads;
 use crate::matrix::tiered_kernel;
@@ -100,7 +111,7 @@ impl Adam {
 
     fn coeffs(&self, grad_scale: Option<f32>) -> AdamCoeffs {
         debug_assert!(self.t > 0, "call begin_step before update_param");
-        AdamCoeffs {
+        let mut c = AdamCoeffs {
             grad_scale,
             beta1: self.beta1,
             one_minus_beta1: 1.0 - self.beta1,
@@ -110,7 +121,10 @@ impl Adam {
             bc2: 1.0 - self.beta2.powi(self.t as i32),
             lr: self.lr,
             eps: self.eps,
-        }
+            stuck_bound: 0,
+        };
+        c.stuck_bound = c.stuck_moment_bound();
+        c
     }
 }
 
@@ -126,6 +140,49 @@ struct AdamCoeffs {
     bc2: f32,
     lr: f32,
     eps: f32,
+    /// `K` of the stuck-moment fast path on this step, or 0 when the fast
+    /// path is off (see [`adam_update_body`]): a lane whose `|m|` is at
+    /// most `K·2⁻¹⁴⁹`, i.e. whose magnitude bits are in `1..=K`, can be
+    /// stuck.
+    stuck_bound: u32,
+}
+
+impl AdamCoeffs {
+    /// The largest `K` for which every `k` in `1..=K` is a fixed point of
+    /// `k·2⁻¹⁴⁹ ← RN(β1·k·2⁻¹⁴⁹)`, if this step meets the fast path's
+    /// other conditions (`bc1 == 1`, `lr·K ≤ 0.5` with `lr ≥ +0`, a finite
+    /// clip scale, `bc2 > 0` and `eps > 0`); otherwise 0.
+    ///
+    /// For `0 < β1 < 1` the product `β1·k·2⁻¹⁴⁹` stays on the subnormal
+    /// grid of spacing `2⁻¹⁴⁹`, so it rounds to `k·2⁻¹⁴⁹` exactly when
+    /// `RN(β1·k) = k` in integers (ties to even): `k·(1 − β1) < 1/2`, or
+    /// `= 1/2` with `k` even. That holds for a prefix `1..=K` of the
+    /// integers; `β1·k` is exact in `f64`, so the test is too. For the
+    /// default `β1 = 0.9` (`0.89999998`), `K = 4`.
+    fn stuck_moment_bound(&self) -> u32 {
+        let lr_ok = self.lr >= 0.0 && self.lr.is_sign_positive();
+        let scale_ok = self.grad_scale.is_none_or(f32::is_finite);
+        let beta_ok = self.beta1 > 0.0 && self.beta1 < 1.0;
+        if !(self.bc1 == 1.0 && self.bc2 > 0.0 && self.eps > 0.0 && lr_ok && scale_ok && beta_ok) {
+            return 0;
+        }
+        const MAX_SUBNORMAL: u32 = (1 << 23) - 1;
+        let beta1 = f64::from(self.beta1);
+        let fixed = |k: u32| (beta1 * f64::from(k)).round_ties_even() == f64::from(k);
+        let guess = (0.5 / (1.0 - beta1)).min(f64::from(MAX_SUBNORMAL));
+        let mut k = guess as u32;
+        while k > 0 && !fixed(k) {
+            k -= 1;
+        }
+        while k < MAX_SUBNORMAL && fixed(k + 1) {
+            k += 1;
+        }
+        if f64::from(self.lr) * f64::from(k) <= 0.5 {
+            k
+        } else {
+            0
+        }
+    }
 }
 
 fn update_tensor(p: &mut Param, c: &AdamCoeffs) {
@@ -157,6 +214,36 @@ tiered_kernel! {
 /// One Adam step over a tensor: 16 lanes at a time, then the scalar
 /// formula ([`adam_lane`]) on the tail, with the same operations per
 /// element on both.
+///
+/// # Stuck first moments
+///
+/// A lane is *stuck* when its (clip-scaled) gradient is `±0` and its first
+/// moment is a nonzero subnormal with `|m| ≤ K·2⁻¹⁴⁹`, `K` as
+/// [`AdamCoeffs::stuck_moment_bound`] computes it. On a step with
+/// `bc1 == 1` (from about step 165 on for `β1 = 0.9`), `lr·K ≤ 1/2`,
+/// `bc2 > 0` and `eps > 0`, the formula's result for a stuck lane is
+/// known exactly:
+///
+/// * `m′ = RN(β1·m) + RN((1 − β1)·g) = m + (±0) = m`: `m` is a fixed
+///   point of the product, and adding a signed zero to a nonzero value
+///   returns it;
+/// * `v′ = β2·v + ((1 − β2)·g)·g`, computed as always;
+/// * `m̂ = m′ / bc1 = m`, dividing by 1 being exact;
+/// * `RN(lr·m̂)` is `±0` with `m`'s sign, because
+///   `|lr·m| ≤ lr·K·2⁻¹⁴⁹ ≤ ½·2⁻¹⁴⁹` rounds to zero (a tie goes to the
+///   even zero);
+/// * so when the denominator `D = √(v′/bc2) + eps` is positive (it is
+///   whenever `v′ ≥ 0`, infinity included, and NaN otherwise), the step
+///   subtracts that signed zero: `value′ = value − (±0 with m's sign)`,
+///   the very operands the formula's last subtraction sees.
+///
+/// A block whose 16 lanes are all stuck computes `v′`, checks that every
+/// `v′` is non-negative or `+∞` and then writes `v′` and `value′` and
+/// leaves `m` as it is. That skips the multiplies and divides that read
+/// or round to subnormals, each of which costs a microcode assist on x86.
+/// The tests are integer tests on the bits (`g << 1 == 0`; `m`'s
+/// magnitude bits in `1..=K`), which take no assist. Any other block, or
+/// a stuck block with a negative or NaN `v′`, runs the full formula.
 #[inline(always)]
 fn adam_update_body<I: Isa>(
     value: &mut [f32],
@@ -165,7 +252,9 @@ fn adam_update_body<I: Isa>(
     v: &mut [f32],
     c: &AdamCoeffs,
 ) {
-    let n16 = value.len() & !(I::F16::LANES - 1);
+    const L: usize = 16;
+    debug_assert_eq!(L, I::F16::LANES);
+    let n16 = value.len() & !(L - 1);
     let splat = I::F16::splat;
     let scale = c.grad_scale.map(splat);
     let (beta1, one_minus_beta1) = (splat(c.beta1), splat(c.one_minus_beta1));
@@ -177,19 +266,50 @@ fn adam_update_body<I: Isa>(
         if let Some(scale) = scale {
             g = g * scale;
         }
-        let m_new = beta1 * I::F16::from_slice(&m[j..]) + one_minus_beta1 * g;
         let v_new = beta2 * I::F16::from_slice(&v[j..]) + one_minus_beta2 * g * g;
+        if c.stuck_bound > 0 && stuck_block(&grad[j..j + L], &m[j..j + L], c.stuck_bound) {
+            let mut v_out = [0.0f32; L];
+            v_new.write_to_slice(&mut v_out);
+            // `v′ ≥ 0` or `+∞`: not negative, not NaN.
+            if v_out
+                .iter()
+                .fold(true, |ok, v| ok & (v.to_bits() <= 0x7f80_0000))
+            {
+                let mut signed_zero = [0.0f32; L];
+                for (z, m) in signed_zero.iter_mut().zip(&m[j..j + L]) {
+                    *z = f32::from_bits(m.to_bits() & 0x8000_0000);
+                }
+                let val = I::F16::from_slice(&value[j..]) - I::F16::from_slice(&signed_zero);
+                v[j..j + L].copy_from_slice(&v_out);
+                val.write_to_slice(&mut value[j..]);
+                j += L;
+                continue;
+            }
+        }
+        let m_new = beta1 * I::F16::from_slice(&m[j..]) + one_minus_beta1 * g;
         let m_hat = m_new / bc1;
         let v_hat = v_new / bc2;
         let val = I::F16::from_slice(&value[j..]) - lr * m_hat / (v_hat.sqrt() + eps);
         m_new.write_to_slice(&mut m[j..]);
         v_new.write_to_slice(&mut v[j..]);
         val.write_to_slice(&mut value[j..]);
-        j += I::F16::LANES;
+        j += L;
     }
     for i in j..value.len() {
         adam_lane(&mut value[i], grad[i], &mut m[i], &mut v[i], c);
     }
+}
+
+/// Whether every lane is stuck ([`adam_update_body`]): a `±0` gradient
+/// and a first moment whose magnitude bits are in `1..=bound`. Integer
+/// tests only, folded without a branch per lane.
+#[inline(always)]
+fn stuck_block(grad: &[f32], m: &[f32], bound: u32) -> bool {
+    grad.iter().zip(m).fold(true, |ok, (g, m)| {
+        let zero_grad = g.to_bits() << 1 == 0;
+        let magnitude = m.to_bits() & 0x7fff_ffff;
+        ok & zero_grad & (magnitude.wrapping_sub(1) < bound)
+    })
 }
 
 /// The scalar Adam formula for one element.
@@ -352,6 +472,174 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Adam's subnormal regime: gradients that go to `±0` leave the first
+    /// moments to decay through the subnormal range into the fixed points
+    /// of `m ← RN(0.9·m)` (`±k·2⁻¹⁴⁹`, `k ≤ 4`), where they stay. Every
+    /// step, from the early ones where `bc1 ≠ 1` to well past the point
+    /// where `bc1` rounds to 1, must match the two-pass formula bit for
+    /// bit on every tier: for both signs of `m`, for signed-zero values,
+    /// for second moments that are zero, infinite or negative (whose
+    /// denominators are NaN), with and without a clip scale, and for
+    /// learning rates below, at (`lr·4 = 0.5`) and above that bound.
+    #[test]
+    fn stuck_subnormal_moments_match_the_two_pass_formula() {
+        // Six 16-lane blocks and a 3-lane tail.
+        let len = 99;
+        let value: Vec<f32> = (0..len)
+            .map(|i| match i % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1.5,
+                3 => -0.25,
+                _ => (i as f32 - 40.0) * 1e-3,
+            })
+            .collect();
+        // The gradient of lane `i` at `step`: nonzero of either sign for
+        // the first few steps (a lane's own count), then `±0` for good,
+        // except that block 4 keeps one live lane and block 5 comes back
+        // to life late.
+        let grad = |i: usize, step: usize| -> f32 {
+            let live_until = 3 + i % 5;
+            let revived = i / 16 == 5 && (600..610).contains(&step);
+            if step < live_until || revived || (i == 70 && step.is_multiple_of(3)) {
+                let sign = if (i + step).is_multiple_of(3) {
+                    -1.0
+                } else {
+                    1.0
+                };
+                sign * (0.5 + i as f32 * 0.01)
+            } else if (i + step).is_multiple_of(2) {
+                0.0
+            } else {
+                -0.0
+            }
+        };
+        for tier in tiers() {
+            for (lr, scaled) in [(3e-4f32, false), (0.125, true), (0.13, false), (0.2, true)] {
+                let mut fast = Param::new(Matrix::from_vec(1, len, value.clone()));
+                // Block 2's second moments start infinite, block 3's
+                // negative (a NaN denominator once the gradient is zero).
+                for i in 32..48 {
+                    fast.v.as_mut_slice()[i] = f32::INFINITY;
+                }
+                for i in 48..64 {
+                    fast.v.as_mut_slice()[i] = -1.0;
+                }
+                let mut slow = fast.clone();
+                let mut adam = Adam::new(lr);
+                let scale = scaled.then_some(0.75f32);
+                let mut stuck = 0;
+                for step in 0..1200 {
+                    let g: Vec<f32> = (0..len).map(|i| grad(i, step)).collect();
+                    fast.grad.as_mut_slice().copy_from_slice(&g);
+                    if let Some(s) = scale {
+                        slow.grad
+                            .as_mut_slice()
+                            .iter_mut()
+                            .zip(&g)
+                            .for_each(|(dst, &g)| *dst = g * s);
+                    } else {
+                        slow.grad.as_mut_slice().copy_from_slice(&g);
+                    }
+                    simd::with_forced_tier(tier, || adam.step_scaled(scale, |f| f(&mut fast)));
+                    two_pass_update(&adam, &mut slow);
+                    let what = format!("step {step}, lr {lr}, {} tier", tier.name());
+                    assert_eq!(bits(&fast)[0], bits(&slow)[0], "values, {what}");
+                    assert_eq!(bits(&fast)[2..], bits(&slow)[2..], "moments, {what}");
+                    stuck = fast
+                        .m
+                        .as_slice()
+                        .iter()
+                        .filter(|m| m.is_subnormal())
+                        .count();
+                }
+                // Both signs end up stuck.
+                let m = fast.m.as_slice();
+                assert!(m.iter().any(|&m| m.is_subnormal() && m > 0.0));
+                assert!(m.iter().any(|&m| m.is_subnormal() && m < 0.0));
+                assert!(stuck >= 64, "only {stuck} subnormal moments");
+            }
+        }
+    }
+
+    /// The stuck-moment states a run rarely reaches, built directly on a
+    /// restored optimizer past the point where `bc1` rounds to 1: values of
+    /// `-0` under negative stuck moments (where the signed zero the step
+    /// subtracts decides the result's sign), a block whose lanes are all
+    /// stuck but one second moment is negative or NaN (a NaN denominator:
+    /// the whole block must run the formula), infinite second moments, a
+    /// block with one moment just above the fixed points and one with a
+    /// live gradient. Every step must match the two-pass formula bit for
+    /// bit on every tier.
+    #[test]
+    fn constructed_stuck_states_match_the_two_pass_formula() {
+        let tiny = |k: i32| f32::from_bits(k.unsigned_abs()).copysign(k as f32);
+        let len = 6 * 16 + 5;
+        let mut p = Param::zeros(1, len);
+        for i in 0..len {
+            let (block, lane) = (i / 16, i % 16);
+            p.value.as_mut_slice()[i] = [0.0, -0.0, 1.5, -2.5][lane % 4];
+            p.m.as_mut_slice()[i] = tiny([1, -1, 2, -2, 3, -3, 4, -4][lane % 8]);
+            p.v.as_mut_slice()[i] = [0.0, 1e-3, 2.5e-7, 0.5][lane % 4];
+            p.grad.as_mut_slice()[i] = if lane % 3 == 0 { -0.0 } else { 0.0 };
+            match (block, lane) {
+                (1, 5) => p.v.as_mut_slice()[i] = -1.0,
+                (2, 9) => p.v.as_mut_slice()[i] = f32::NAN,
+                (3, _) => p.v.as_mut_slice()[i] = f32::INFINITY,
+                (4, 2) => p.m.as_mut_slice()[i] = tiny(-5),
+                (5, 11) => p.grad.as_mut_slice()[i] = 1e-3,
+                _ => {}
+            }
+        }
+        for tier in tiers() {
+            for (lr, scale) in [(3e-4f32, None), (0.125, Some(0.5f32)), (0.13, None)] {
+                let mut fast = p.clone();
+                let mut slow = p.clone();
+                let mut adam = Adam::restore(lr, 0.9, 0.999, 1e-8, 500);
+                for step in 0..5 {
+                    simd::with_forced_tier(tier, || adam.step_scaled(scale, |f| f(&mut fast)));
+                    if let Some(s) = scale {
+                        slow.grad.scale(s);
+                    }
+                    two_pass_update(&adam, &mut slow);
+                    slow.grad = fast.grad.clone();
+                    let what = format!("step {step}, lr {lr}, {} tier", tier.name());
+                    assert_eq!(bits(&fast)[0], bits(&slow)[0], "values, {what}");
+                    assert_eq!(bits(&fast)[2..], bits(&slow)[2..], "moments, {what}");
+                }
+            }
+        }
+    }
+
+    /// `K` of the stuck-moment fast path: 4 for the default `β1` once
+    /// `bc1` rounds to 1, off before that and above the `lr·K ≤ 1/2`
+    /// bound, and every `k ≤ K` (and no larger) a fixed point of the
+    /// subnormal product.
+    #[test]
+    fn stuck_moment_bound_is_the_largest_fixed_point() {
+        let bound = |lr: f32, beta1: f32, t: u64, scale: Option<f32>| {
+            let mut adam = Adam::new(lr);
+            adam.beta1 = beta1;
+            adam.t = t;
+            adam.coeffs(scale).stuck_bound
+        };
+        assert_eq!(bound(3e-4, 0.9, 500, None), 4);
+        assert_eq!(bound(3e-4, 0.9, 500, Some(0.3)), 4);
+        assert_eq!(bound(0.125, 0.9, 500, None), 4);
+        assert_eq!(bound(0.13, 0.9, 500, None), 0);
+        assert_eq!(bound(3e-4, 0.9, 100, None), 0, "bc1 < 1");
+        assert_eq!(bound(-0.0, 0.9, 500, None), 0);
+        assert_eq!(bound(3e-4, 0.9, 500, Some(f32::INFINITY)), 0);
+        assert_eq!(bound(3e-4, 1.0, 500, None), 0);
+        for beta1 in [0.9f32, 0.5, 0.99, 0.999, 0.3] {
+            let k = bound(1e-6, beta1, 100_000, None);
+            let stuck = |k: u32| beta1 * f32::from_bits(k) == f32::from_bits(k);
+            assert!((1..=k).all(stuck), "beta1 {beta1}: K = {k}");
+            assert!(!stuck(k + 1), "beta1 {beta1}: K = {k}");
+        }
+        assert_eq!(bound(1e-6, 0.99, 100_000, None), 50);
     }
 
     #[test]

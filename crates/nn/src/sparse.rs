@@ -97,18 +97,33 @@ impl SparseRows {
     ///
     /// Panics if `x` has more than `u32::MAX` elements.
     pub fn compact(&mut self, x: &Matrix) {
+        self.fill(x.cols(), (0..x.rows()).map(|r| x.row(r)));
+    }
+
+    /// [`SparseRows::compact`] of the rows of `x` that `rows` selects, in
+    /// that order: the compaction of `x.gather_rows(rows)`, without the
+    /// dense copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row index is out of range or the selection has more
+    /// than `u32::MAX` elements.
+    pub fn compact_rows(&mut self, x: &Matrix, rows: &[usize]) {
+        self.fill(x.cols(), rows.iter().map(|&r| x.row(r)));
+    }
+
+    fn fill<'a>(&mut self, cols: usize, rows: impl ExactSizeIterator<Item = &'a [f32]>) {
         assert!(
-            u32::try_from(x.len()).is_ok(),
+            u32::try_from(rows.len().saturating_mul(cols)).is_ok(),
             "SparseRows holds at most u32::MAX elements, got {}",
-            x.len()
+            rows.len() * cols
         );
-        self.cols = x.cols();
+        self.cols = cols;
         self.ptr.clear();
         self.idx.clear();
         self.val.clear();
         self.ptr.push(0);
-        for r in 0..x.rows() {
-            let row = x.row(r);
+        for row in rows {
             self.idx.reserve(row.len());
             self.val.reserve(row.len());
             for (c, chunk) in row.chunks(ZERO_CHUNK).enumerate() {
@@ -179,6 +194,18 @@ impl SparseRows {
     ///
     /// Panics if `self.cols() != w.rows()`.
     pub fn matmul(&self, w: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_into(w, &mut out);
+        out
+    }
+
+    /// [`SparseRows::matmul`] into `out`, reshaped to the product's shape
+    /// and reusing its storage: the same bits, whatever `out` held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != w.rows()`.
+    pub fn matmul_into(&self, w: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols,
             w.rows(),
@@ -188,7 +215,9 @@ impl SparseRows {
             w.rows(),
             w.cols()
         );
-        let mut out = Matrix::zeros(self.rows(), w.cols());
+        // The kernel writes every element: a row without nonzeros gets
+        // its accumulators' `+0`.
+        out.set_shape(self.rows(), w.cols());
         sparse_matmul_dispatch(
             &self.ptr,
             &self.idx,
@@ -197,7 +226,6 @@ impl SparseRows {
             w.cols(),
             out.as_mut_slice(),
         );
-        out
     }
 
     /// Product `selfᵀ * dy` scattered from the nonzeros only; equal bit for
@@ -207,6 +235,19 @@ impl SparseRows {
     ///
     /// Panics if `self.rows() != dy.rows()`.
     pub fn matmul_tn(&self, dy: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_tn_into(dy, &mut out);
+        out
+    }
+
+    /// [`SparseRows::matmul_tn`] into `out`, reshaped to the product's
+    /// shape and reusing its storage: `out` is zeroed and the nonzeros
+    /// scattered into it, so the bits are the same whatever it held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.rows() != dy.rows()`.
+    pub fn matmul_tn_into(&self, dy: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows(),
             dy.rows(),
@@ -216,7 +257,59 @@ impl SparseRows {
             dy.rows(),
             dy.cols()
         );
-        let mut out = Matrix::zeros(self.cols, dy.cols());
+        out.set_shape(self.cols, dy.cols());
+        out.fill_zero();
+        self.scatter_tn(dy, out, &mut []);
+    }
+
+    /// [`SparseRows::matmul_tn_into`] into a target whose only nonzero
+    /// rows are those `touched` lists, when it knows them. A row this
+    /// batch scatters into is zeroed just before its first product lands
+    /// (its lines are being written anyway), and of the other rows only
+    /// those `touched` lists are zeroed; with `touched` unknown the whole
+    /// target is. `touched` then lists the rows this scatter wrote. The
+    /// same bits as `matmul_tn_into`, without zeroing every row of a wide
+    /// input's `dW`.
+    pub(crate) fn matmul_tn_into_touched(
+        &self,
+        dy: &Matrix,
+        out: &mut Matrix,
+        touched: &mut TouchedRows,
+    ) {
+        assert_eq!(self.rows(), dy.rows(), "sparse matmul_tn row mismatch");
+        let shape = (self.cols, dy.cols());
+        let TouchedRows { known, rows, fresh } = touched;
+        fresh.clear();
+        fresh.resize(self.cols.div_ceil(64), 0);
+        for &c in &self.idx {
+            fresh[c as usize / 64] |= 1 << (c % 64);
+        }
+        if *known && (out.rows(), out.cols()) == shape {
+            for &r in rows.iter() {
+                if fresh[r as usize / 64] & (1 << (r % 64)) == 0 {
+                    out.row_mut(r as usize).fill(0.0);
+                }
+            }
+        } else {
+            out.set_shape(shape.0, shape.1);
+            out.fill_zero();
+        }
+        rows.clear();
+        for (w, &word) in fresh.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                rows.push((w * 64) as u32 + word.trailing_zeros());
+                word &= word - 1;
+            }
+        }
+        *known = true;
+        self.scatter_tn(dy, out, fresh);
+    }
+
+    /// `out += selfᵀ·dy` over the nonzeros, `out` already shaped; a row
+    /// whose bit is set in `fresh` is zeroed at its first product and its
+    /// bit cleared.
+    fn scatter_tn(&self, dy: &Matrix, out: &mut Matrix, fresh: &mut [u64]) {
         sparse_matmul_tn_dispatch(
             &self.ptr,
             &self.idx,
@@ -224,8 +317,36 @@ impl SparseRows {
             dy.as_slice(),
             dy.cols(),
             out.as_mut_slice(),
+            fresh,
         );
-        out
+    }
+}
+
+/// Which rows of a [`SparseRows::matmul_tn_into_touched`] target may be
+/// nonzero: the columns of the last batch scattered into it. Unknown at
+/// first and after [`TouchedRows::forget`], when the next scatter zeroes
+/// the whole target.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TouchedRows {
+    known: bool,
+    rows: Vec<u32>,
+    /// One bit per target row: the rows the current scatter has yet to
+    /// write.
+    fresh: Vec<u64>,
+}
+
+impl TouchedRows {
+    /// A target known to be all zero.
+    pub(crate) fn none() -> Self {
+        Self {
+            known: true,
+            ..Self::default()
+        }
+    }
+
+    /// The target was written by something else: zero it in full next.
+    pub(crate) fn forget(&mut self) {
+        self.known = false;
     }
 }
 
@@ -251,6 +372,7 @@ tiered_kernel! {
         dy: &[f32],
         n: usize,
         dw: &mut [f32],
+        fresh: &mut [u64],
     )
 }
 
@@ -323,7 +445,9 @@ fn sparse_matmul_body<I: Isa>(
 /// `dw += xᵀ * dy` for the CSR rows `ptr` delimits: for every batch row
 /// in order and every nonzero `(k, v)` of it, `dw[k] += v * dy[row]` as
 /// one axpy, the order of [`Matrix::matmul_tn`]'s zero-skipping kernel
-/// for a wide `dy`.
+/// for a wide `dy`. A row `k` whose bit is set in `fresh` (missing words
+/// count as clear) holds stale values: it is zeroed before its first axpy
+/// and its bit cleared, so it too accumulates from `+0`.
 #[inline(always)]
 fn sparse_matmul_tn_body<I: Isa>(
     ptr: &[u32],
@@ -332,6 +456,7 @@ fn sparse_matmul_tn_body<I: Isa>(
     dy: &[f32],
     n: usize,
     dw: &mut [f32],
+    fresh: &mut [u64],
 ) {
     if n == 0 {
         return;
@@ -340,7 +465,15 @@ fn sparse_matmul_tn_body<I: Isa>(
         let nz = span[0] as usize..span[1] as usize;
         for (&k, &v) in idx[nz.clone()].iter().zip(&val[nz]) {
             let k = k as usize;
-            axpy_row::<I>(&mut dw[k * n..(k + 1) * n], v, dy_row);
+            let out = &mut dw[k * n..(k + 1) * n];
+            if let Some(word) = fresh.get_mut(k / 64) {
+                let bit = 1 << (k % 64);
+                if *word & bit != 0 {
+                    *word &= !bit;
+                    out.fill(0.0);
+                }
+            }
+            axpy_row::<I>(out, v, dy_row);
         }
     }
 }

@@ -250,10 +250,12 @@ fn sparse_backward_params_equals_dense_into_nonzero_gradients() {
         let y_dense = layer.forward_inference(&x);
         let mut dense = start.clone();
         layer.backward_params(&x, &dy, &mut dense);
-        let y_sparse = on_every_tier("Linear::forward_sparse", || {
+        let y_sparse = on_every_tier("Linear::forward_into", || {
             let mut csr = SparseRows::default();
             let mut grads = start.clone();
-            let y = layer.forward_sparse(&x, &mut csr);
+            let mut y = Matrix::default();
+            csr.compact(&x);
+            layer.forward_into(&csr, &mut y);
             layer.backward_params(&csr, &dy, &mut grads);
             assert_eq!(bits(&grads[0]), bits(&dense[0]), "dW, n = {n}");
             assert_eq!(bits(&grads[1]), bits(&dense[1]), "db, n = {n}");
@@ -268,11 +270,36 @@ fn sparse_backward_params_equals_dense_into_nonzero_gradients() {
         // A CSR buffer reused from a different batch backpropagates from
         // the latest compaction only.
         let mut csr = SparseRows::default();
-        layer.forward_sparse(&token_batch(5, 24, &mut rng), &mut csr);
-        layer.forward_sparse(&x, &mut csr);
+        csr.compact(&token_batch(5, 24, &mut rng));
+        csr.compact(&x);
         let mut grads = start.clone();
         layer.backward_params(&csr, &dy, &mut grads);
         assert_eq!(bits(&grads[0]), bits(&dense[0]), "dW from a reused buffer");
+        // The write-into backward over a selection of rows, into tensors
+        // holding stale values, writes the product the accumulating
+        // backward adds onto zeros: the rows compacted straight from `x`
+        // equal the compaction of their dense gather.
+        let rows: Vec<usize> = (0..x.rows()).rev().step_by(2).collect();
+        let gathered = x.gather_rows(&rows);
+        let dy_rows = dy.gather_rows(&(0..rows.len()).collect::<Vec<_>>());
+        let mut zeroed = vec![Matrix::zeros(x.cols(), n), Matrix::zeros(1, n)];
+        layer.backward_params(&gathered, &dy_rows, &mut zeroed);
+        on_every_tier("Linear::backward_into", || {
+            let mut csr = SparseRows::default();
+            csr.compact_rows(&x, &rows);
+            assert_eq!(csr, SparseRows::from_dense(&gathered));
+            let mut written = start.clone();
+            let mut dx = Matrix::full(2, 3, f32::NAN);
+            layer.backward_into(&csr, &dy_rows, &mut written, &mut dx);
+            assert_eq!(
+                bits(&dx),
+                bits(&dy_rows.matmul_nt(&layer.w.value)),
+                "dx, n = {n}"
+            );
+            assert_eq!(bits(&written[0]), bits(&zeroed[0]), "written dW, n = {n}");
+            assert_eq!(bits(&written[1]), bits(&zeroed[1]), "written db, n = {n}");
+            written.swap_remove(0)
+        });
     }
 }
 

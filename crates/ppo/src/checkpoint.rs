@@ -410,7 +410,7 @@ mod tests {
     ) {
         let mut original = trainer_sharded(make_env(), lanes, shards, 11);
         for _ in 0..2 {
-            original.train_update();
+            original.train_update().unwrap();
         }
         let path = ckpt_path(name);
         original.save_checkpoint(&path).unwrap();
@@ -419,8 +419,8 @@ mod tests {
         assert_eq!(resumed.total_steps(), original.total_steps());
         assert_eq!(resumed.avg_return(), original.avg_return());
         for round in 0..3 {
-            let a = original.train_update();
-            let b = resumed.train_update();
+            let a = original.train_update().unwrap();
+            let b = resumed.train_update().unwrap();
             assert_eq!(a, b, "update {round} diverged after resume");
         }
         // Greedy evaluation must agree too (same weights, same RNG state).
@@ -464,7 +464,7 @@ mod tests {
         // eval actions identical to the in-memory policy's.
         let mut original = trainer(env(), 1, 3);
         for _ in 0..3 {
-            original.train_update();
+            original.train_update().unwrap();
         }
         let path = ckpt_path("eval_identical.ckpt.json");
         original.save_checkpoint(&path).unwrap();
@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn checkpoint_value_round_trips_exactly() {
         let mut t = trainer(env(), 2, 9);
-        t.train_update();
+        t.train_update().unwrap();
         let saved = t.to_checkpoint_value();
         let reparsed = value::from_json(&value::to_json(&saved)).unwrap();
         assert_eq!(reparsed, saved, "JSON text must round-trip the tree");
@@ -504,7 +504,7 @@ mod tests {
     fn assert_json_binary_bit_exact(lanes: usize, name: &str) {
         let mut t = trainer(env(), lanes, 21);
         for _ in 0..2 {
-            t.train_update();
+            t.train_update().unwrap();
         }
         let saved = t.to_checkpoint_value();
 
@@ -531,8 +531,8 @@ mod tests {
         );
         for round in 0..2 {
             assert_eq!(
-                from_json_file.train_update(),
-                from_bin_file.train_update(),
+                from_json_file.train_update().unwrap(),
+                from_bin_file.train_update().unwrap(),
                 "update {round} diverged between codecs"
             );
         }
@@ -553,15 +553,15 @@ mod tests {
         // The resume guarantee holds through the binary hot path too.
         let mut original = trainer(env(), 2, 13);
         for _ in 0..2 {
-            original.train_update();
+            original.train_update().unwrap();
         }
         let path = ckpt_path("binary_resume.ckpt.bin");
         original.save_checkpoint(&path).unwrap();
         let mut resumed = Trainer::load_checkpoint(&path, env()).unwrap();
         for round in 0..3 {
             assert_eq!(
-                original.train_update(),
-                resumed.train_update(),
+                original.train_update().unwrap(),
+                resumed.train_update().unwrap(),
                 "update {round} diverged after binary resume"
             );
         }
@@ -570,7 +570,7 @@ mod tests {
     #[test]
     fn truncated_binary_checkpoint_is_an_error_not_a_panic() {
         let mut t = trainer(env(), 1, 4);
-        t.train_update();
+        t.train_update().unwrap();
         let path = ckpt_path("truncated.ckpt.bin");
         t.save_checkpoint(&path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
@@ -591,7 +591,7 @@ mod tests {
     #[test]
     fn mismatched_environment_is_rejected() {
         let mut t = trainer(env(), 1, 0);
-        t.train_update();
+        t.train_update().unwrap();
         let saved = t.to_checkpoint_value();
         let other = CacheGuessingGame::new(EnvConfig::prime_probe_dm4()).unwrap();
         let err = Trainer::<CacheGuessingGame>::from_checkpoint_value(&saved, other)
@@ -647,7 +647,7 @@ mod tests {
     #[test]
     fn truncated_checkpoint_file_is_an_error_not_a_panic() {
         let mut t = trainer(env(), 1, 4);
-        t.train_update();
+        t.train_update().unwrap();
         let path = ckpt_path("truncated.ckpt.json");
         t.save_checkpoint(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();

@@ -126,11 +126,12 @@ pub fn evaluate(
     };
     let mut return_sum = 0.0f32;
     let mut length_sum = 0usize;
+    let mut dist = Categorical::default();
     for _ in 0..episodes {
         let mut obs = env.reset(rng);
         loop {
             let (logits, _) = net.forward_inference(&Matrix::from_row(&obs));
-            let dist = Categorical::from_logits(logits.row(0));
+            dist.set_logits(logits.row(0));
             let action = if deterministic {
                 dist.argmax()
             } else {
@@ -259,6 +260,7 @@ pub fn evaluate_batched<E: Environment + Clone>(
         lane.obs = lane.env.reset(&mut lane.rng);
     }
 
+    let mut dist = Categorical::default();
     loop {
         let live: Vec<usize> = (0..lane_states.len())
             .filter(|&i| lane_states[i].remaining > 0)
@@ -273,7 +275,7 @@ pub fn evaluate_batched<E: Environment + Clone>(
         let (logits, _) = net.forward_inference(&Matrix::from_rows(&rows));
         for (row, &i) in live.iter().enumerate() {
             let lane = &mut lane_states[i];
-            let dist = Categorical::from_logits(logits.row(row));
+            dist.set_logits(logits.row(row));
             let action = if deterministic {
                 dist.argmax()
             } else {

@@ -53,4 +53,4 @@ pub mod trainer;
 
 pub use eval::{EpisodeRecord, EvalReport, EvalStats};
 pub use rollout::{gae, RolloutBatch};
-pub use trainer::{Backbone, PpoConfig, TrainResult, Trainer, UpdateStats};
+pub use trainer::{Backbone, Divergence, PpoConfig, TrainResult, Trainer, UpdateStats};

@@ -245,13 +245,14 @@ pub fn collect<E: Environment + Send>(
     let net_ref: &dyn PolicyValueNet = net;
     venv.run_groups(FUSED_GROUP_LANES, tasks, rng, |mut group, steps| {
         let mut group_obs = Matrix::zeros(group.len(), obs_dim);
+        let mut dist = Categorical::default();
         for rows in steps {
             group.write_obs(group_obs.as_mut_slice());
             rows.obs.copy_from_slice(group_obs.as_slice());
             let (logits, vals) = net_ref.forward_inference(&group_obs);
             for (local, &value) in vals.iter().enumerate() {
                 let step = group.step(local, |lane_rng| {
-                    let dist = Categorical::from_logits(logits.row(local));
+                    dist.set_logits(logits.row(local));
                     let action = dist.sample(lane_rng);
                     (action, dist.log_prob(action))
                 });

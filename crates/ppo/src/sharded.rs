@@ -9,12 +9,20 @@
 //! thread, shards 1..N as rayon tasks, which the pool workers and the
 //! waiting caller share between them. Sharding is the update's only
 //! parallelism: the matmul kernels run serially on whichever thread runs
-//! a shard, so one shard keeps the update on one core. Each shard writes
-//! its activations and accumulates its gradients into its own [`Tape`];
-//! shard 0's gradient tensors are then swapped into the primary's
-//! parameters and the rest reduced on top **in fixed shard order**. The
-//! tapes and every buffer the update needs live in an `UpdateWorkspace`
-//! sized on first use, so the steady-state update allocates none of them.
+//! a shard, so one shard keeps the update on one core. Each shard reads
+//! its rows straight out of the rollout batch (no gather), writes its
+//! activations and its gradients into its own [`Tape`], and computes
+//! each row's PPO loss gradient in one pass over the logits
+//! ([`Categorical::grad_into`]) into a row of the tape's buffer; shard
+//! 0's gradient tensors are then swapped into the primary's parameters
+//! and the rest reduced on top **in fixed shard order**. The tapes, the
+//! per-shard distributions and every buffer the update needs live in an
+//! `UpdateWorkspace` sized on first use, so the steady-state update
+//! allocates none of them.
+//!
+//! The trainer reads the norm the reduction returns before Adam steps:
+//! a non-finite norm stops training with a
+//! [`crate::trainer::Divergence`] instead of writing NaN weights.
 //!
 //! # Determinism contract
 //!
@@ -25,7 +33,8 @@
 //!   never on the thread count;
 //! * each shard's computation is self-contained: the primary's weights,
 //!   which nothing writes during the pass, the shard's own rows, and its
-//!   own tape, whose gradients start from zero — no shared float state;
+//!   own tape, whose gradients the pass writes afresh — no shared float
+//!   state;
 //! * the reduction ([`reduce_grads`]) runs on the calling thread in shard
 //!   order — shard 0's gradients swapped in (no copy), shards 1..N added
 //!   on top — regardless of which thread ran a shard or which finished
@@ -82,66 +91,65 @@ impl LossSums {
 
 /// The per-transition PPO loss gradient (clipped surrogate + entropy
 /// bonus + value loss), identical for every shard. `k` is the
-/// transition's index into the full batch; returns
-/// `(dL/dlogits, dL/dvalue)`.
+/// transition's index into the full batch. Writes `dL/dlogits` into
+/// `dlogits` through `dist`, which it refills with `logits` (one pass:
+/// see [`Categorical`]), and returns `dL/dvalue`.
 fn row_grad(
     ctx: &MinibatchCtx,
     k: usize,
-    logits: &[f32],
-    value: f32,
+    dist: &mut Categorical,
+    (logits, value): (&[f32], f32),
     sums: &mut LossSums,
-) -> (Vec<f32>, f32) {
+    dlogits: &mut [f32],
+) -> f32 {
     let action = ctx.batch.actions[k];
     let adv = ctx.advantages[k];
     let old_logp = ctx.batch.logps[k];
     let ret = ctx.batch.returns[k];
-    let dist = Categorical::from_logits(logits);
+    dist.set_logits(logits);
     let logp = dist.log_prob(action);
     let ratio = (logp - old_logp).exp();
     let unclipped = ratio * adv;
     let clipped = ratio.clamp(1.0 - ctx.clip, 1.0 + ctx.clip) * adv;
     sums.policy_loss += -unclipped.min(clipped);
-    sums.entropy += dist.entropy();
     let verr = value - ret;
     sums.value_loss += 0.5 * verr * verr;
-    // Gradient of the surrogate wrt logits: active only when the
-    // unclipped term is the minimum.
+    // The surrogate -ratio·adv has d/dlogits = -adv·ratio·dlogp, active
+    // only when the unclipped term is the minimum; the loss includes
+    // -ecoef·H for the entropy bonus.
     let use_unclipped = unclipped <= clipped;
-    let mut dlogits = vec![0.0f32; dist.num_categories()];
-    if use_unclipped {
-        let dlogp = dist.dlogp_dlogits(action);
-        for (g, d) in dlogits.iter_mut().zip(dlogp.iter()) {
-            // d(-ratio*adv)/dlogits = -adv * ratio * dlogp
-            *g += -adv * ratio * d * ctx.inv;
-        }
-    }
-    // Entropy bonus: loss includes -ecoef * H.
-    let dent = dist.dentropy_dlogits();
-    for (g, d) in dlogits.iter_mut().zip(dent.iter()) {
-        *g += -ctx.entropy_coef * d * ctx.inv;
-    }
-    let dvalue = ctx.value_coef * verr * ctx.inv;
-    (dlogits, dvalue)
+    sums.entropy += dist.grad_into(
+        action,
+        use_unclipped.then_some(-adv * ratio),
+        -ctx.entropy_coef,
+        ctx.inv,
+        dlogits,
+    );
+    ctx.value_coef * verr * ctx.inv
 }
 
-/// One shard's tape and buffers, reused by every minibatch.
+/// One shard's tape and what its loss rows reuse, kept across minibatches.
 struct ShardSlot {
     tape: Tape,
-    obs: Matrix,
+    dist: Categorical,
     sums: LossSums,
 }
 
 impl ShardSlot {
-    /// Forward/backward over `rows` against `net`, gathering the rows'
-    /// observations into `obs`: the gradients accumulate from zero into
-    /// the slot's tape, and the rows' loss sums go into `sums`.
+    /// Forward/backward over the batch rows `rows` against `net`: the
+    /// shard's gradients are written into the slot's tape, and the rows'
+    /// loss sums go into `sums`.
     fn run(&mut self, net: &dyn TrainNet, ctx: &MinibatchCtx, rows: &[usize]) {
-        ctx.batch.obs.gather_rows_into(rows, &mut self.obs);
-        self.tape.grads.iter_mut().for_each(Matrix::fill_zero);
         let mut sums = LossSums::default();
-        net.train_shard(&mut self.tape, &self.obs, &mut |i, logits, value| {
-            row_grad(ctx, rows[i], logits, value, &mut sums)
-        });
+        let dist = &mut self.dist;
+        net.train_shard(
+            &mut self.tape,
+            &ctx.batch.obs,
+            rows,
+            &mut |i, logits, value, dlogits| {
+                row_grad(ctx, rows[i], dist, (logits, value), &mut sums, dlogits)
+            },
+        );
         self.sums = sums;
     }
 }
@@ -185,7 +193,7 @@ pub(crate) fn sharded_minibatch(
     while slots.len() < ranges.len() {
         slots.push(ShardSlot {
             tape: Tape::for_net(primary),
-            obs: Matrix::default(),
+            dist: Categorical::default(),
             sums: LossSums::default(),
         });
     }
@@ -203,7 +211,7 @@ pub(crate) fn sharded_minibatch(
     // Fixed-order reduction: shard 0's gradients move into the primary;
     // add shards 1..N on top in layout order.
     slot0.tape.swap_grads(primary);
-    let shard_grads: Vec<&[Matrix]> = siblings.iter().map(|s| s.tape.grads.as_slice()).collect();
+    let shard_grads: Vec<&[Matrix]> = siblings.iter().map(|s| s.tape.grads()).collect();
     let norm = reduce_grads(&shard_grads, |f| primary.visit_params(f)).sqrt();
     let mut sums = slot0.sums;
     for slot in siblings.iter() {
@@ -249,9 +257,19 @@ mod tests {
     fn run_shard(net: &mut dyn PolicyValueNet, ctx: &MinibatchCtx, rows: &[usize]) -> LossSums {
         let obs = ctx.batch.obs.gather_rows(rows);
         let mut sums = LossSums::default();
+        let mut dist = Categorical::default();
         net.zero_grad();
         net.train_batch(&obs, &mut |i, logits, value| {
-            row_grad(ctx, rows[i], logits, value, &mut sums)
+            let mut dlogits = vec![0.0; logits.len()];
+            let dvalue = row_grad(
+                ctx,
+                rows[i],
+                &mut dist,
+                (logits, value),
+                &mut sums,
+                &mut dlogits,
+            );
+            (dlogits, dvalue)
         });
         sums
     }

@@ -186,6 +186,30 @@ pub struct UpdateStats {
     pub grad_norm: f32,
 }
 
+/// Why training stopped early: a minibatch's global gradient norm was not
+/// finite (NaN or infinite), so its update would have written non-finite
+/// weights. The update stops before its optimizer step, and training goes
+/// no further.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Divergence {
+    /// Environment steps taken, the diverging update's rollout included.
+    pub steps: u64,
+    /// The gradient norm that was not finite.
+    pub grad_norm: f32,
+}
+
+impl std::fmt::Display for Divergence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "training diverged at step {}: the gradient norm is {}",
+            self.steps, self.grad_norm
+        )
+    }
+}
+
+impl std::error::Error for Divergence {}
+
 /// Result of [`Trainer::train_until`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrainResult {
@@ -201,6 +225,8 @@ pub struct TrainResult {
     pub final_avg_length: f32,
     /// Guess accuracy over the trailing window.
     pub final_accuracy: f32,
+    /// Set when training stopped on a non-finite gradient norm.
+    pub diverged: Option<Divergence>,
 }
 
 /// The PPO trainer owning a [`VecEnv`] of environment lanes and a
@@ -304,7 +330,13 @@ impl<E: Environment + Send> Trainer<E> {
     }
 
     /// Runs one PPO update (collect + optimize).
-    pub fn train_update(&mut self) -> UpdateStats {
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`Divergence`] at the first minibatch whose gradient norm
+    /// is not finite, before its optimizer step: the weights keep the
+    /// previous minibatch's values.
+    pub fn train_update(&mut self) -> Result<UpdateStats, Divergence> {
         let cfg = self.config;
         let batch = collect(
             &mut self.venv,
@@ -369,6 +401,12 @@ impl<E: Environment + Send> Trainer<E> {
                     &ctx,
                     chunk,
                 );
+                if !grad_norm.is_finite() {
+                    return Err(Divergence {
+                        steps: self.total_steps,
+                        grad_norm,
+                    });
+                }
                 stats.grad_norm = grad_norm;
                 self.adam
                     .step_scaled(clip_scale(cfg.max_grad_norm, grad_norm), |f| {
@@ -385,12 +423,13 @@ impl<E: Environment + Send> Trainer<E> {
             stats.value_loss /= loss_samples as f32;
             stats.entropy /= loss_samples as f32;
         }
-        stats
+        Ok(stats)
     }
 
     /// Trains until the trailing average episode return reaches
     /// `return_threshold` (with a full trailing window) or `max_steps`
-    /// environment steps have been taken.
+    /// environment steps have been taken, or an update diverges
+    /// ([`TrainResult::diverged`]).
     pub fn train_until(&mut self, return_threshold: f32, max_steps: u64) -> TrainResult {
         self.train_until_with(return_threshold, max_steps, |_, _| {})
     }
@@ -409,8 +448,12 @@ impl<E: Environment + Send> Trainer<E> {
         mut on_update: impl FnMut(u64, f32),
     ) -> TrainResult {
         let mut converged_at = None;
+        let mut diverged = None;
         while self.total_steps < max_steps {
-            self.train_update();
+            if let Err(divergence) = self.train_update() {
+                diverged = Some(divergence);
+                break;
+            }
             on_update(self.total_steps, self.avg_return());
             if converged_at.is_none()
                 && self.recent.len() >= self.recent_cap / 2
@@ -428,6 +471,7 @@ impl<E: Environment + Send> Trainer<E> {
             final_avg_return: self.avg_return(),
             final_avg_length: self.avg_length(),
             final_accuracy: self.accuracy(),
+            diverged,
         }
     }
 
@@ -456,13 +500,51 @@ mod tests {
             },
             0,
         );
-        let stats = t.train_update();
+        let stats = t.train_update().expect("finite update");
         assert!(stats.episodes.count > 0);
         assert!(
             stats.entropy > 0.0,
             "entropy must be positive early in training"
         );
         assert_eq!(t.total_steps(), 256);
+    }
+
+    /// One NaN weight makes every gradient NaN: the first update stops
+    /// before its optimizer step with an error naming the step, the
+    /// weights stay as they were, and `train_until` stops there too.
+    #[test]
+    fn a_nan_weight_stops_training_with_an_error() {
+        let env = CacheGuessingGame::new(EnvConfig::flush_reload_fa4()).unwrap();
+        let config = PpoConfig {
+            horizon: 128,
+            minibatch: 64,
+            ..PpoConfig::default()
+        }
+        .with_grad_shards(2);
+        let mut t = Trainer::new(env, Backbone::Mlp { hidden: vec![16] }, config, 3);
+        // The value head's bias, the last parameter: every row's value,
+        // and so every gradient, is NaN.
+        let mut count = 0;
+        t.net_mut().visit_params(&mut |_| count += 1);
+        let mut index = 0;
+        t.net_mut().visit_params(&mut |p| {
+            index += 1;
+            if index == count {
+                p.value.as_mut_slice()[0] = f32::NAN;
+            }
+        });
+        let before = autocat_nn::state::params_digest(t.net_mut());
+        let err = t.train_update().unwrap_err();
+        assert_eq!(err.steps, 128);
+        assert!(err.grad_norm.is_nan());
+        assert_eq!(
+            err.to_string(),
+            "training diverged at step 128: the gradient norm is NaN"
+        );
+        assert_eq!(autocat_nn::state::params_digest(t.net_mut()), before);
+        let result = t.train_until(f32::INFINITY, 10_000);
+        assert_eq!(result.diverged.map(|d| d.steps), Some(256));
+        assert_eq!(result.total_steps, 256);
     }
 
     #[test]
@@ -480,9 +562,9 @@ mod tests {
             },
             1,
         );
-        let first = t.train_update().episodes.avg_return();
+        let first = t.train_update().unwrap().episodes.avg_return();
         for _ in 0..25 {
-            t.train_update();
+            t.train_update().unwrap();
         }
         let last = t.avg_return();
         assert!(
@@ -509,7 +591,7 @@ mod tests {
             },
             2,
         );
-        let stats = t.train_update();
+        let stats = t.train_update().expect("finite update");
         assert!(stats.episodes.count > 0);
     }
 
@@ -528,7 +610,7 @@ mod tests {
             0,
         );
         assert_eq!(t.num_lanes(), 8);
-        let stats = t.train_update();
+        let stats = t.train_update().expect("finite update");
         assert!(stats.episodes.count > 0);
         assert_eq!(t.total_steps(), 256, "256 divides evenly across 8 lanes");
         assert!(stats.entropy > 0.0);
@@ -548,9 +630,9 @@ mod tests {
             },
             1,
         );
-        let first = t.train_update().episodes.avg_return();
+        let first = t.train_update().unwrap().episodes.avg_return();
         for _ in 0..25 {
-            t.train_update();
+            t.train_update().unwrap();
         }
         let last = t.avg_return();
         assert!(
@@ -574,9 +656,9 @@ mod tests {
             },
             1,
         );
-        let first = t.train_update().episodes.avg_return();
+        let first = t.train_update().unwrap().episodes.avg_return();
         for _ in 0..25 {
-            t.train_update();
+            t.train_update().unwrap();
         }
         let last = t.avg_return();
         assert!(
@@ -606,7 +688,7 @@ mod tests {
             );
             let mut stats = Vec::new();
             for _ in 0..3 {
-                stats.push(t.train_update());
+                stats.push(t.train_update().unwrap());
             }
             (stats, autocat_nn::state::params_digest(t.net_mut()))
         };
@@ -632,8 +714,8 @@ mod tests {
             },
             4,
         );
-        t.train_update();
-        t.train_update();
+        t.train_update().unwrap();
+        t.train_update().unwrap();
         assert_eq!(
             format!("{:016x}", autocat_nn::state::params_digest(t.net_mut())),
             "c6d603bdf9c5243b"
@@ -658,8 +740,8 @@ mod tests {
             },
             4,
         );
-        t.train_update();
-        t.train_update();
+        t.train_update().unwrap();
+        t.train_update().unwrap();
         assert_eq!(
             format!("{:016x}", autocat_nn::state::params_digest(t.net_mut())),
             "86df3be3c89dc2d0"
@@ -722,7 +804,7 @@ mod tests {
         let mk = |cfg: PpoConfig| {
             let env = CacheGuessingGame::new(EnvConfig::flush_reload_fa4()).unwrap();
             let mut t = Trainer::new(env, Backbone::Mlp { hidden: vec![16] }, cfg, 5);
-            let s = t.train_update();
+            let s = t.train_update().unwrap();
             (s.policy_loss, s.value_loss, s.entropy, s.episodes)
         };
         let base = PpoConfig {
@@ -747,7 +829,7 @@ mod tests {
             },
             3,
         );
-        t.train_update();
+        t.train_update().unwrap();
         assert!((t.epochs() - 0.1).abs() < 1e-9);
     }
 }

@@ -170,7 +170,9 @@ pub fn spec_digest(scenario: &Scenario) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns an error if the scenario fails [`Scenario::validate`].
+/// Returns an error if the scenario fails [`Scenario::validate`], or,
+/// naming the step, if training diverges (a non-finite gradient norm; see
+/// [`autocat_ppo::Divergence`]).
 pub fn train_trainer(
     scenario: &Scenario,
     on_update: impl FnMut(u64, f32),
@@ -183,12 +185,15 @@ pub fn train_trainer(
         scenario.train.ppo,
         scenario.train.seed,
     );
-    trainer.train_until_with(
+    let result = trainer.train_until_with(
         scenario.train.return_threshold,
         scenario.train.max_steps,
         on_update,
     );
-    Ok(trainer)
+    match result.diverged {
+        Some(divergence) => Err(format!("{}: {divergence}", scenario.name)),
+        None => Ok(trainer),
+    }
 }
 
 /// One evaluated scenario (one sweep report row), carrying N-episode
@@ -351,6 +356,23 @@ pub fn row_and_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A learning rate of 1e30 blows the weights up on the first
+    /// optimizer step, so a later minibatch's gradient norm overflows:
+    /// training stops with an error that names the scenario and the step.
+    #[test]
+    fn a_diverging_run_is_an_error_naming_the_step() {
+        let mut scenario = crate::table4(1).unwrap();
+        scenario.train.ppo.lr = 1e30;
+        scenario.train.max_steps = 1 << 20;
+        let err = train_trainer(&scenario, |_, _| {})
+            .err()
+            .expect("divergence");
+        assert!(
+            err.starts_with(&format!("{}: training diverged at step ", scenario.name)),
+            "{err}"
+        );
+    }
 
     fn parse_all(args: &[&str]) -> Result<TrainOverrides, String> {
         let mut overrides = TrainOverrides::default();

@@ -257,3 +257,55 @@ fn untrainable_submit_gets_bad_request_before_journaling_and_the_daemon_keeps_se
     assert!(status.success(), "daemon exited {status}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_diverging_job_is_journaled_failed_with_the_step_and_the_daemon_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!(
+        "autocat-serve-e2e-diverging-{}",
+        std::process::id()
+    ));
+    let store = dir.join("store");
+    std::fs::create_dir_all(&store).expect("creating store dir");
+    let mut daemon = Daemon::spawn(&store);
+
+    // A learning rate of 1e30 passes validation but blows the weights up
+    // on the first optimizer step; a later minibatch's gradient norm is
+    // not finite, and training stops there.
+    let mut diverging = autocat_scenario::lookup("table4-1").expect("registry scenario");
+    diverging.train.ppo.lr = 1e30;
+    let file = dir.join("lr1e30.json");
+    diverging.save(&file).expect("writing scenario file");
+    let failed = daemon.client_raw(&[
+        "submit",
+        "--file",
+        file.to_str().expect("utf-8 path"),
+        "--steps",
+        "100000",
+        "--wait",
+    ]);
+    assert!(!failed.status.success());
+    let stderr = String::from_utf8_lossy(&failed.stderr);
+    assert!(stderr.contains("training diverged at step"), "{stderr}");
+    let status = daemon.client(&["status", "--job", "1"]);
+    assert!(
+        status.contains("[failed]") && status.contains("training diverged at step"),
+        "{status}"
+    );
+    let journal = std::fs::read_to_string(autocat_serve::server::journal_path(&store))
+        .expect("reading journal");
+    assert!(
+        journal
+            .lines()
+            .any(|line| line.contains("failed") && line.contains("training diverged at step")),
+        "{journal}"
+    );
+
+    // An honest job behind it finishes.
+    let submit = daemon.client(&["submit", "--scenario", "table4-1", "--steps", "1", "--wait"]);
+    assert!(submit.contains("submitted job 2"), "{submit}");
+
+    daemon.client(&["shutdown"]);
+    let status = daemon.child.wait().expect("daemon exit status");
+    assert!(status.success(), "daemon exited {status}");
+    std::fs::remove_dir_all(&dir).ok();
+}

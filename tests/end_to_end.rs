@@ -195,7 +195,7 @@ fn trainer_runs_on_multi_guess_env() {
         },
         7,
     );
-    let stats = t.train_update();
+    let stats = t.train_update().unwrap();
     assert!(
         stats.episodes.count >= 2,
         "two 160-step episodes fit in 320 steps"
