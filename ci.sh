@@ -286,6 +286,24 @@ echo "==> smoke: eval-bench thread sweep (per-scenario digests at 1 and 2 thread
 cargo run --release -q -p autocat-bench --bin eval-bench -- \
     --dir "$SWEEP_OUT" --eval-episodes 40 --lanes 4 --threads-list 1,2
 
+echo "==> smoke: eval-bench thread sweep over two lane groups (8 lanes, 1 and 2 threads)"
+# At 8 lanes the evaluation splits into two row-block lane groups: pool
+# tasks at 2 threads, inline at 1. Both thread counts must print each
+# scenario's recorded stats digest.
+EVAL_BENCH_OUT=$(cargo run --release -q -p autocat-bench --bin eval-bench -- \
+    --dir "$SWEEP_OUT" --eval-episodes 40 --lanes 8 --threads-list 1,2)
+echo "$EVAL_BENCH_OUT"
+for pin in table4-6:715db82a9a01b26b; do
+    scenario=${pin%%:*}
+    digest=${pin#*:}
+    for threads in 1 2; do
+        if ! grep -qE "^ +$threads +$scenario +$digest\$" <<<"$EVAL_BENCH_OUT"; then
+            echo "error: eval-bench at 8 lanes, $threads thread(s) did not print $digest for $scenario" >&2
+            exit 1
+        fi
+    done
+done
+
 echo "==> smoke: rollout-bench thread sweep (per-lane-count digests at 1 and 2 threads)"
 # The fused rollout at 1/2/4/8 lanes; it fails unless every lane count
 # collects bit-identical batches at both thread counts. This pins each

@@ -386,6 +386,12 @@ fn run_thread_sweep(args: &Args, threads_list: &[usize]) -> Result<(), String> {
         }),
     )
     .map_err(|e| format!("eval stats: {e}"))?;
+    println!("{:>8} {:<24} digest", "threads", "scenario");
+    for (threads, rows) in &per_thread {
+        for row in rows {
+            println!("{:>8} {:<24} {:016x}", threads, row.scenario, row.digest);
+        }
+    }
     println!(
         "determinism: per-scenario digests bit-identical across {} thread count(s)",
         per_thread.len()

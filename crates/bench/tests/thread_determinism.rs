@@ -1,12 +1,12 @@
 //! Cross-thread-count determinism: the same training workload run under
 //! different `RAYON_NUM_THREADS` settings must produce bit-identical
-//! weights.
+//! weights, and evaluate them to bit-identical statistics.
 //!
 //! The vendored rayon shim sizes its worker pool once per process, so the
 //! only faithful way to vary the thread count is to vary it across
 //! processes: these tests drive the `train-bench` binary's `--child` mode
-//! (one full measurement per invocation) and compare the final-weight
-//! digests it reports.
+//! (one full measurement per invocation) and `scenario-run`, and compare
+//! the digests they report.
 
 use autocat_bench::harness::parse_result_lines;
 use std::process::Command;
@@ -19,6 +19,11 @@ const PINNED_DIGEST_SHARDS_1: &str = "e0f757cad59ed09f";
 /// The `--shards 4` run's final-weight digest, pinned (see
 /// [`PINNED_DIGEST_SHARDS_1`]).
 const PINNED_DIGEST_SHARDS_4: &str = "8a5de4fd4fccf9ad";
+
+/// `scenario-run`'s eval digest for the `--shards 1` run: its policy
+/// evaluated through `row_and_stats` on `EVAL_LANES` lanes, two lane
+/// groups, pinned (see [`PINNED_DIGEST_SHARDS_1`]).
+const PINNED_EVAL_DIGEST: &str = "76d2ef0e39015527";
 
 /// Runs one `train-bench --child` measurement and returns its
 /// `(steps, digest)` fields.
@@ -115,4 +120,41 @@ fn unsharded_training_is_also_thread_count_invariant() {
         digest_1, PINNED_DIGEST_SHARDS_1,
         "weights drifted from the pinned digest"
     );
+}
+
+/// Runs `scenario-run` on the `--shards 1` workload and returns its
+/// `(params digest, eval digest)` lines.
+fn scenario_run_digests(threads: &str) -> (String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_scenario-run"))
+        .args(["--scenario", "table4-6", "--steps", "2048", "--lanes", "4"])
+        .args(["--seed", "3"])
+        .env("RAYON_NUM_THREADS", threads)
+        .output()
+        .expect("scenario-run must spawn");
+    assert!(
+        out.status.success(),
+        "scenario-run failed under {threads} thread(s):\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let digest = |label: &str| {
+        stdout
+            .lines()
+            .find_map(|line| line.strip_prefix(label))
+            .and_then(|rest| rest.split(':').nth(1))
+            .map(|d| d.trim().to_string())
+            .unwrap_or_else(|| panic!("no `{label}` line in:\n{stdout}"))
+    };
+    (digest("params digest"), digest("eval digest"))
+}
+
+#[test]
+fn evaluation_at_eval_lanes_is_bit_identical_across_thread_counts() {
+    // The evaluation's lane groups are pool tasks at 2 threads and run
+    // inline at 1; the statistics must not notice.
+    let one = scenario_run_digests("1");
+    let two = scenario_run_digests("2");
+    assert_eq!(one, two, "params or eval diverged between 1 and 2 threads");
+    assert_eq!(one.0, PINNED_DIGEST_SHARDS_1, "weights drifted");
+    assert_eq!(one.1, PINNED_EVAL_DIGEST, "eval stats drifted");
 }

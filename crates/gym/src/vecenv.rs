@@ -384,6 +384,11 @@ impl<E: Environment> LaneGroup<'_, E> {
         }
     }
 
+    /// Lane `local`'s current observation.
+    pub fn obs(&self, local: usize) -> &[f32] {
+        &self.lanes[local].obs
+    }
+
     /// Steps lane `local` of the group once. `choose` maps the lane's RNG
     /// to the action index plus a payload, as in [`VecEnv::step_each`];
     /// a lane that finishes its episode auto-resets.

@@ -4,30 +4,38 @@
 //!
 //! * [`evaluate`] — the historical serial loop: one environment, one-row
 //!   policy forwards, every random draw from the caller's RNG.
-//! * [`evaluate_batched`] — the lane-batched engine: N environment lanes
-//!   advance together against **one batched `net.forward` per step** over
-//!   all live lanes (the same register-blocked matmul hot path training
-//!   uses), with the episode budget split across lanes up front.
+//! * [`evaluate_batched`] — the lane-batched engine: N environment lanes,
+//!   each with its share of the episode budget, split into groups of one
+//!   matmul row block (the width rollout collection groups lanes by). Each
+//!   group plays its lanes' quotas as one task of a single parallel region
+//!   ([`VecEnv::run_groups`]): per step, **one batched `forward_inference`
+//!   over the group's live lanes**, a draw and a step per lane. Groups
+//!   never wait for each other, so the pool synchronizes once per
+//!   evaluation. Where no other thread can take a group
+//!   (`rayon::current_num_threads()` is 1: a daemon job's one-thread pool,
+//!   a pool task, one core), every lane forms one group.
 //!
 //! Determinism contract (mirrors `VecEnv`'s):
 //!
 //! * **One lane**: every draw comes from the caller's RNG in exactly the
-//!   serial loop's order, so [`evaluate_batched`] at one lane is
+//!   serial loop's order (it *is* the serial loop, run inline on a clone of
+//!   the environment), so [`evaluate_batched`] at one lane is
 //!   bit-identical to [`evaluate`] — same [`EvalStats`], same RNG stream
 //!   left behind.
 //! * **Multiple lanes**: each lane owns an RNG stream derived from one
-//!   caller draw via [`autocat_gym::lane_seed`], lane results merge in
-//!   fixed lane order ([`EpisodeTally::merge`]), and the batched forward
-//!   runs serially on the evaluating thread, so results depend only on
-//!   `(inputs, lanes)` — never on `RAYON_NUM_THREADS` or scheduling.
+//!   caller draw via [`autocat_gym::lane_seed`], a forward computes each
+//!   row the same way whatever rows share its call, and lane results merge
+//!   in fixed lane order ([`EpisodeTally::merge`]), so results depend only
+//!   on `(inputs, lanes)` — never on `RAYON_NUM_THREADS`, the grouping or
+//!   the schedule.
 
-use autocat_gym::{lane_seed, Environment};
+use autocat_gym::{Environment, StepInfo, VecEnv};
 use autocat_nn::models::PolicyValueNet;
 use autocat_nn::{Categorical, Matrix};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use crate::rollout::EpisodeTally;
+use crate::rollout::{EpisodeTally, FUSED_GROUP_LANES};
 
 /// Aggregate evaluation statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -120,40 +128,43 @@ pub fn evaluate(
     deterministic: bool,
     rng: &mut StdRng,
 ) -> EvalStats {
-    let mut stats = EvalStats {
-        episodes,
-        ..EvalStats::default()
-    };
-    let mut return_sum = 0.0f32;
-    let mut length_sum = 0usize;
+    let mut lane = LaneOutcome::new(0, episodes);
+    play_serial(env, net, deterministic, rng, &mut lane);
+    EvalStats::from_tally(&lane.tally, episodes)
+}
+
+/// The argmax action, or one sampled with `rng`.
+fn choose(dist: &Categorical, deterministic: bool, rng: &mut StdRng) -> usize {
+    if deterministic {
+        dist.argmax()
+    } else {
+        dist.sample(rng)
+    }
+}
+
+/// The serial loop: plays `lane`'s quota on `env` with one-row forwards,
+/// every draw from `rng`.
+fn play_serial(
+    env: &mut impl Environment,
+    net: &dyn PolicyValueNet,
+    deterministic: bool,
+    rng: &mut StdRng,
+    lane: &mut LaneOutcome,
+) {
     let mut dist = Categorical::default();
-    for _ in 0..episodes {
+    while lane.remaining > 0 {
         let mut obs = env.reset(rng);
         loop {
             let (logits, _) = net.forward_inference(&Matrix::from_row(&obs));
             dist.set_logits(logits.row(0));
-            let action = if deterministic {
-                dist.argmax()
-            } else {
-                dist.sample(rng)
-            };
+            let action = choose(&dist, deterministic, rng);
             let result = env.step(action, rng);
-            return_sum += result.reward;
-            length_sum += 1;
-            if result.done {
-                if let Some(correct) = result.info.guessed {
-                    stats.guessed += 1;
-                    stats.correct += usize::from(correct);
-                }
-                stats.detected += usize::from(result.info.detected);
+            if lane.record(action, result.reward, result.done, &result.info) {
                 break;
             }
             obs = result.obs;
         }
     }
-    stats.avg_return = return_sum / episodes.max(1) as f32;
-    stats.avg_length = length_sum as f32 / episodes.max(1) as f32;
-    stats
 }
 
 /// The canonical lane width for reported evaluation statistics: the width
@@ -192,12 +203,11 @@ pub struct EvalReport {
     pub episodes: Vec<EpisodeRecord>,
 }
 
-/// One evaluation lane: a cloned environment playing its share of the
-/// episode budget on its own RNG stream.
-struct EvalLane<E> {
-    env: E,
-    rng: StdRng,
-    obs: Vec<f32>,
+/// One evaluation lane's share of the episode budget and everything it
+/// observed.
+struct LaneOutcome {
+    lane: usize,
+    /// Episodes still to play.
     remaining: usize,
     episode_return: f32,
     actions: Vec<usize>,
@@ -205,23 +215,68 @@ struct EvalLane<E> {
     records: Vec<EpisodeRecord>,
 }
 
+impl LaneOutcome {
+    fn new(lane: usize, quota: usize) -> Self {
+        Self {
+            lane,
+            remaining: quota,
+            episode_return: 0.0,
+            actions: Vec::new(),
+            tally: EpisodeTally::default(),
+            records: Vec::new(),
+        }
+    }
+
+    /// Folds one step in; returns whether it ended an episode.
+    fn record(&mut self, action: usize, reward: f32, done: bool, info: &StepInfo) -> bool {
+        self.actions.push(action);
+        self.episode_return += reward;
+        // Per-step accumulation, like the serial loop — the same float
+        // association keeps one lane bit-identical to `evaluate`.
+        self.tally.return_sum += reward;
+        self.tally.length_sum += 1;
+        if done {
+            self.tally.count += 1;
+            if let Some(correct) = info.guessed {
+                self.tally.guessed += 1;
+                self.tally.correct += usize::from(correct);
+            }
+            self.tally.detected += usize::from(info.detected);
+            self.records.push(EpisodeRecord {
+                lane: self.lane,
+                actions: std::mem::take(&mut self.actions),
+                correct: info.guessed.unwrap_or(false),
+                guessed: info.guessed.is_some(),
+                detected: info.detected,
+                episode_return: self.episode_return,
+            });
+            self.episode_return = 0.0;
+            self.remaining -= 1;
+        }
+        done
+    }
+}
+
 /// Runs `episodes` evaluation episodes across `lanes` environment lanes
-/// with one batched policy forward per step over all live lanes.
+/// with one batched policy forward per step over each lane group's live
+/// lanes.
 ///
 /// The episode budget is split up front — lane `i` plays
 /// `episodes / lanes` episodes plus one more when `i < episodes % lanes` —
 /// so each lane's workload, RNG stream and statistics are independent of
 /// every other lane's timing. Lanes run their episodes concurrently
 /// (batched forwards); a lane that exhausts its quota goes quiet and drops
-/// out of the batch. `lanes` is clamped to `[1, episodes]`.
+/// out of its group's batch. `lanes` is clamped to `[1, episodes]`.
 ///
 /// `env` is the prototype: each lane evaluates a clone (the caller's
-/// environment is not stepped). With one lane every draw comes from `rng`
-/// in the serial [`evaluate`] order (bit-identical stats and RNG stream);
-/// with more lanes a single `rng` draw seeds the per-lane streams via
-/// [`autocat_gym::lane_seed`], and per-lane results merge in fixed lane
-/// order, so the outcome never depends on thread count.
-pub fn evaluate_batched<E: Environment + Clone>(
+/// environment is not stepped). With one lane, the serial [`evaluate`]
+/// loop runs inline and every draw comes from `rng` (bit-identical stats
+/// and RNG stream). With more lanes a single `rng` draw seeds the per-lane
+/// streams via [`autocat_gym::lane_seed`], the lane groups run as the
+/// tasks of one `rayon::scope` ([`VecEnv::run_groups`]), and per-lane
+/// results merge in fixed lane order, so the outcome never depends on
+/// the thread count or the grouping.
+pub fn evaluate_batched<E: Environment + Clone + Send>(
     env: &E,
     net: &mut dyn PolicyValueNet,
     episodes: usize,
@@ -236,94 +291,58 @@ pub fn evaluate_batched<E: Environment + Clone>(
         };
     }
     let lanes = lanes.clamp(1, episodes);
-    let scalar_compat = lanes == 1;
-    let base_seed = if scalar_compat { 0 } else { rng.gen::<u64>() };
-    let mut lane_states: Vec<EvalLane<E>> = (0..lanes)
-        .map(|i| EvalLane {
-            env: env.clone(),
-            // Lane 0 in scalar-compat mode continues the caller's stream
-            // (restored into `rng` below); otherwise streams are derived.
-            rng: if scalar_compat {
-                StdRng::from_state(rng.state())
-            } else {
-                StdRng::seed_from_u64(lane_seed(base_seed, i as u64))
-            },
-            obs: Vec::new(),
-            remaining: episodes / lanes + usize::from(i < episodes % lanes),
-            episode_return: 0.0,
-            actions: Vec::new(),
-            tally: EpisodeTally::default(),
-            records: Vec::new(),
-        })
+    let mut outcomes: Vec<LaneOutcome> = (0..lanes)
+        .map(|i| LaneOutcome::new(i, episodes / lanes + usize::from(i < episodes % lanes)))
         .collect();
-    for lane in &mut lane_states {
-        lane.obs = lane.env.reset(&mut lane.rng);
-    }
-
-    let mut dist = Categorical::default();
-    loop {
-        let live: Vec<usize> = (0..lane_states.len())
-            .filter(|&i| lane_states[i].remaining > 0)
-            .collect();
-        if live.is_empty() {
-            break;
-        }
-        let rows: Vec<&[f32]> = live
-            .iter()
-            .map(|&i| lane_states[i].obs.as_slice())
-            .collect();
-        let (logits, _) = net.forward_inference(&Matrix::from_rows(&rows));
-        for (row, &i) in live.iter().enumerate() {
-            let lane = &mut lane_states[i];
-            dist.set_logits(logits.row(row));
-            let action = if deterministic {
-                dist.argmax()
-            } else {
-                dist.sample(&mut lane.rng)
-            };
-            lane.actions.push(action);
-            let result = lane.env.step(action, &mut lane.rng);
-            lane.episode_return += result.reward;
-            // Per-step accumulation, like the serial loop — the same float
-            // association keeps one lane bit-identical to `evaluate`.
-            lane.tally.return_sum += result.reward;
-            lane.tally.length_sum += 1;
-            if result.done {
-                lane.tally.count += 1;
-                if let Some(correct) = result.info.guessed {
-                    lane.tally.guessed += 1;
-                    lane.tally.correct += usize::from(correct);
+    let net: &dyn PolicyValueNet = net;
+    if lanes == 1 {
+        play_serial(&mut env.clone(), net, deterministic, rng, &mut outcomes[0]);
+    } else {
+        let mut venv =
+            VecEnv::new(lanes, env.clone(), rng.gen::<u64>()).expect("lanes is at least 2 here");
+        // Each lane resets from its own stream; `rng` is not drawn again.
+        venv.reset_all(rng);
+        // Where the groups would all run inline on this thread (a daemon
+        // job, a pool task, one core), one group of every lane saves the
+        // extra forward calls; the split only pays across threads.
+        let group_len = if rayon::current_num_threads() == 1 {
+            lanes
+        } else {
+            FUSED_GROUP_LANES
+        };
+        let tasks: Vec<&mut [LaneOutcome]> = outcomes.chunks_mut(group_len).collect();
+        venv.run_groups(group_len, tasks, rng, |mut group, outcomes| {
+            let mut dist = Categorical::default();
+            let mut live = Vec::with_capacity(outcomes.len());
+            loop {
+                live.clear();
+                live.extend((0..outcomes.len()).filter(|&l| outcomes[l].remaining > 0));
+                if live.is_empty() {
+                    break;
                 }
-                lane.tally.detected += usize::from(result.info.detected);
-                lane.records.push(EpisodeRecord {
-                    lane: i,
-                    actions: std::mem::take(&mut lane.actions),
-                    correct: result.info.guessed.unwrap_or(false),
-                    guessed: result.info.guessed.is_some(),
-                    detected: result.info.detected,
-                    episode_return: lane.episode_return,
-                });
-                lane.episode_return = 0.0;
-                lane.remaining -= 1;
-                if lane.remaining > 0 {
-                    lane.obs = lane.env.reset(&mut lane.rng);
+                let batch = {
+                    let rows: Vec<&[f32]> = live.iter().map(|&l| group.obs(l)).collect();
+                    Matrix::from_rows(&rows)
+                };
+                let (logits, _) = net.forward_inference(&batch);
+                for (row, &l) in live.iter().enumerate() {
+                    // A lane that ends its last episode auto-resets like
+                    // any VecEnv lane; nothing reads that reset.
+                    let step = group.step(l, |lane_rng| {
+                        dist.set_logits(logits.row(row));
+                        (choose(&dist, deterministic, lane_rng), ())
+                    });
+                    outcomes[l].record(step.action, step.reward, step.done, &step.info);
                 }
-            } else {
-                lane.obs = result.obs;
             }
-        }
+        });
     }
 
-    if scalar_compat {
-        // Hand the advanced stream back so the caller's RNG ends exactly
-        // where the serial loop would have left it.
-        *rng = StdRng::from_state(lane_states[0].rng.state());
-    }
     // Fixed lane-order reduction: the float sums associate identically for
     // every thread count.
     let mut tally = EpisodeTally::default();
     let mut records = Vec::with_capacity(episodes);
-    for lane in lane_states {
+    for lane in outcomes {
         tally.merge(&lane.tally);
         records.extend(lane.records);
     }
@@ -338,6 +357,7 @@ mod tests {
     use super::*;
     use autocat_gym::{env::CacheGuessingGame, EnvConfig};
     use autocat_nn::models::{MlpConfig, MlpPolicy};
+    use rand::SeedableRng;
 
     fn setup() -> (CacheGuessingGame, MlpPolicy, StdRng) {
         let env = CacheGuessingGame::new(EnvConfig::flush_reload_fa4()).unwrap();
@@ -480,6 +500,174 @@ mod tests {
         let length_sum: usize = report.episodes.iter().map(|e| e.actions.len()).sum();
         assert!((stats.avg_length - length_sum as f32 / 40.0).abs() < 1e-6);
         assert!(report.episodes.iter().all(|e| !e.actions.is_empty()));
+    }
+
+    /// The batched evaluator as it was before lane groups: every live lane
+    /// in one forward per step, all lanes stepped in lane order on the
+    /// calling thread. The reference the grouped engine is held to.
+    fn reference_batched(
+        env: &CacheGuessingGame,
+        net: &dyn PolicyValueNet,
+        episodes: usize,
+        lanes: usize,
+        deterministic: bool,
+        rng: &mut StdRng,
+    ) -> EvalReport {
+        use autocat_gym::lane_seed;
+
+        struct Lane {
+            env: CacheGuessingGame,
+            rng: StdRng,
+            obs: Vec<f32>,
+            remaining: usize,
+            episode_return: f32,
+            actions: Vec<usize>,
+            tally: EpisodeTally,
+            records: Vec<EpisodeRecord>,
+        }
+        if episodes == 0 {
+            return EvalReport {
+                stats: EvalStats::default(),
+                episodes: Vec::new(),
+            };
+        }
+        let lanes = lanes.clamp(1, episodes);
+        let scalar_compat = lanes == 1;
+        let base_seed = if scalar_compat { 0 } else { rng.gen::<u64>() };
+        let mut states: Vec<Lane> = (0..lanes)
+            .map(|i| Lane {
+                env: env.clone(),
+                rng: if scalar_compat {
+                    StdRng::from_state(rng.state())
+                } else {
+                    StdRng::seed_from_u64(lane_seed(base_seed, i as u64))
+                },
+                obs: Vec::new(),
+                remaining: episodes / lanes + usize::from(i < episodes % lanes),
+                episode_return: 0.0,
+                actions: Vec::new(),
+                tally: EpisodeTally::default(),
+                records: Vec::new(),
+            })
+            .collect();
+        for lane in &mut states {
+            lane.obs = lane.env.reset(&mut lane.rng);
+        }
+        let mut dist = Categorical::default();
+        loop {
+            let live: Vec<usize> = (0..lanes).filter(|&i| states[i].remaining > 0).collect();
+            if live.is_empty() {
+                break;
+            }
+            let rows: Vec<&[f32]> = live.iter().map(|&i| states[i].obs.as_slice()).collect();
+            let (logits, _) = net.forward_inference(&Matrix::from_rows(&rows));
+            for (row, &i) in live.iter().enumerate() {
+                let lane = &mut states[i];
+                dist.set_logits(logits.row(row));
+                let action = if deterministic {
+                    dist.argmax()
+                } else {
+                    dist.sample(&mut lane.rng)
+                };
+                lane.actions.push(action);
+                let result = lane.env.step(action, &mut lane.rng);
+                lane.episode_return += result.reward;
+                lane.tally.return_sum += result.reward;
+                lane.tally.length_sum += 1;
+                if result.done {
+                    lane.tally.count += 1;
+                    if let Some(correct) = result.info.guessed {
+                        lane.tally.guessed += 1;
+                        lane.tally.correct += usize::from(correct);
+                    }
+                    lane.tally.detected += usize::from(result.info.detected);
+                    lane.records.push(EpisodeRecord {
+                        lane: i,
+                        actions: std::mem::take(&mut lane.actions),
+                        correct: result.info.guessed.unwrap_or(false),
+                        guessed: result.info.guessed.is_some(),
+                        detected: result.info.detected,
+                        episode_return: lane.episode_return,
+                    });
+                    lane.episode_return = 0.0;
+                    lane.remaining -= 1;
+                    if lane.remaining > 0 {
+                        lane.obs = lane.env.reset(&mut lane.rng);
+                    }
+                } else {
+                    lane.obs = result.obs;
+                }
+            }
+        }
+        if scalar_compat {
+            *rng = StdRng::from_state(states[0].rng.state());
+        }
+        let mut tally = EpisodeTally::default();
+        let mut records = Vec::with_capacity(episodes);
+        for lane in states {
+            tally.merge(&lane.tally);
+            records.extend(lane.records);
+        }
+        EvalReport {
+            stats: EvalStats::from_tally(&tally, episodes),
+            episodes: records,
+        }
+    }
+
+    #[test]
+    fn grouped_eval_equals_the_serial_batched_loop_bit_for_bit() {
+        // Lane counts below, at and across the group width, ragged last
+        // groups included; budgets that leave lanes idle (1), split
+        // unevenly (7) and evenly (40).
+        let one_thread = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        for lanes in [1usize, 2, 3, 4, 5, 8, 13] {
+            for episodes in [1usize, 7, 40] {
+                for deterministic in [false, true] {
+                    let what = format!("lanes={lanes} episodes={episodes} det={deterministic}");
+                    let (env, net, mut rng) = setup();
+                    let want =
+                        reference_batched(&env, &net, episodes, lanes, deterministic, &mut rng);
+                    let bits = |r: &EvalReport| -> Vec<u32> {
+                        r.episodes
+                            .iter()
+                            .map(|e| e.episode_return.to_bits())
+                            .collect()
+                    };
+                    // On the pool (row-block groups, when it has more than
+                    // one thread) and in a one-thread pool (one group).
+                    for pool in [None, Some(&one_thread)] {
+                        let what = format!("{what} one-thread-pool={}", pool.is_some());
+                        let run = || {
+                            let (env, mut net, mut rng) = setup();
+                            let report = evaluate_batched(
+                                &env,
+                                &mut net,
+                                episodes,
+                                lanes,
+                                deterministic,
+                                &mut rng,
+                            );
+                            (report, rng.state())
+                        };
+                        let (got, rng_after) = match pool {
+                            Some(pool) => pool.install(run),
+                            None => run(),
+                        };
+                        assert_eq!(
+                            got.stats.digest(),
+                            want.stats.digest(),
+                            "{what}: stats bits"
+                        );
+                        assert_eq!(got, want, "{what}: records and lane indices");
+                        assert_eq!(bits(&got), bits(&want), "{what}: episode return bits");
+                        assert_eq!(rng_after, rng.state(), "{what}: caller RNG");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   its own tape, and the gradients reduced in fixed shard order, so the
 //!   update is bit-identical for every `RAYON_NUM_THREADS` setting,
 //! * [`eval`] — policy evaluation: the serial loop and the lane-batched
-//!   [`eval::evaluate_batched`] engine (one batched forward per step over
-//!   all live lanes, bit-identical to the serial path at one lane), whose
+//!   [`eval::evaluate_batched`] engine (lane groups as pool tasks, one
+//!   batched forward per step over a group's live lanes, bit-identical to
+//!   the serial path at one lane), whose
 //!   per-episode action records are the attack sequences a report
 //!   classifies,
 //! * [`checkpoint`] — trainer persistence: weights, Adam moments and every

@@ -27,14 +27,15 @@ use autocat_nn::models::PolicyValueNet;
 use autocat_nn::{Categorical, Matrix};
 use rand::rngs::StdRng;
 
-/// Lanes per fused rollout group ([`VecEnv::run_groups`]).
+/// Lanes per fused group ([`VecEnv::run_groups`]), in rollout collection
+/// and in batched evaluation alike.
 ///
 /// One [`Matrix::MM_ROW_BLOCK`] of rows: each group forward fills the
 /// dense matmul kernel's packed multi-row block, and this is the finest
 /// (most overlap-friendly) split that does. Every kernel computes an
 /// output row the same way whatever rows share its call, so the fused
 /// collect is bit-identical to one whole-batch `net.forward` per step.
-const FUSED_GROUP_LANES: usize = Matrix::MM_ROW_BLOCK;
+pub(crate) const FUSED_GROUP_LANES: usize = Matrix::MM_ROW_BLOCK;
 
 /// A batch of transitions collected from the environment, with advantages
 /// and value targets already computed.

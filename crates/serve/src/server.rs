@@ -19,6 +19,17 @@
 //! object digest plus the two bit-identity fingerprints (params digest,
 //! eval stats digest); on error it becomes **failed** with the message.
 //!
+//! # Workers: one thread per job, panics contained
+//!
+//! A worker runs each job inside a one-thread rayon pool
+//! (`ThreadPool::install`), so every parallel region of the job —
+//! multi-lane rollout and evaluation, sharded updates — runs inline on
+//! the worker and the daemon never starts the rayon pool: its parallelism
+//! is its `--workers` threads alone. The cost is that one multi-lane or
+//! multi-shard job uses one core; its result does not change. The job
+//! runs under `catch_unwind`: a panic becomes a journaled **failed** with
+//! the panic's message, and the worker claims the next job.
+//!
 //! # Durable job table
 //!
 //! Every lifecycle transition is journaled (`jobs.jsonl` next to the
@@ -269,7 +280,7 @@ pub fn run(config: &DaemonConfig) -> Result<(), String> {
     let workers: Vec<_> = (0..config.workers)
         .map(|_| {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || worker_loop(&shared))
+            std::thread::spawn(move || worker_loop(&shared, run_job))
         })
         .collect();
 
@@ -293,7 +304,29 @@ pub fn run(config: &DaemonConfig) -> Result<(), String> {
     Ok(())
 }
 
-fn worker_loop(shared: &Shared) {
+/// How a worker runs a claimed job: [`run_job`], or a stand-in in tests.
+type JobRunner = fn(&Shared, u64, &Scenario) -> Result<(), String>;
+
+/// The text of a panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-text panic payload")
+}
+
+fn worker_loop(shared: &Shared, run: JobRunner) {
+    // The daemon's one level of parallelism is its workers: a job's
+    // parallel regions (multi-lane rollout and evaluation, sharded
+    // updates) run inline on the worker, so the rayon pool never starts.
+    let serial = match rayon::ThreadPoolBuilder::new().num_threads(1).build() {
+        Ok(pool) => pool,
+        Err(e) => {
+            eprintln!("autocat-serve: worker: {e}");
+            return;
+        }
+    };
     loop {
         // Claim the highest-priority queued job (FIFO within a priority),
         // or sleep until signaled.
@@ -320,7 +353,12 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let (id, scenario) = claimed;
-        let result = run_job(shared, id, &scenario);
+        // A panicking job fails alone: it is journaled `failed` with the
+        // panic's message and this worker serves the next job.
+        let result = serial.install(|| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(shared, id, &scenario)))
+                .unwrap_or_else(|panic| Err(format!("job panicked: {}", panic_message(&*panic))))
+        });
         {
             let mut jobs = lock(&shared.jobs);
             match jobs.iter_mut().find(|j| j.status.job == id) {
@@ -350,12 +388,12 @@ fn worker_loop(shared: &Shared) {
 fn run_job(shared: &Shared, id: u64, scenario: &Scenario) -> Result<(), String> {
     let spec = spec_digest(scenario);
     let mut trainer = train_trainer(scenario, |steps, avg_return| {
-        if let Ok(mut jobs) = shared.jobs.lock() {
-            if let Some(job) = jobs.iter_mut().find(|j| j.status.job == id) {
-                job.status.steps = steps;
-                job.status.avg_return = avg_return;
-                job.progress.push((steps, avg_return));
-            }
+        // `lock`, not `.lock().ok()`: a job that panicked holding the table
+        // poisons it for good, and later jobs must still report progress.
+        if let Some(job) = lock(&shared.jobs).iter_mut().find(|j| j.status.job == id) {
+            job.status.steps = steps;
+            job.status.avg_return = avg_return;
+            job.progress.push((steps, avg_return));
         }
         shared.signal.notify_all();
     })?;
@@ -790,6 +828,87 @@ mod tests {
         assert_eq!(jobs[1].status.priority, 5, "priority survives replay");
         assert_eq!(jobs[2].status.state, JobState::Queued);
         assert_eq!(jobs[2].scenario.name, "table4-6");
+    }
+
+    /// A job runner that panics on job 1 while holding the job table,
+    /// poisoning it, and trains any other job for real, then asks the
+    /// worker to stop. A job it trains outside a one-thread pool fails.
+    fn panic_then_train(shared: &Shared, id: u64, scenario: &Scenario) -> Result<(), String> {
+        if id == 1 {
+            let _jobs = lock(&shared.jobs);
+            panic!("scenario exploded");
+        }
+        let threads = rayon::current_num_threads();
+        let result = run_job(shared, id, scenario);
+        shared.shutdown.store(true, Ordering::SeqCst);
+        if threads != 1 {
+            return Err(format!("the job ran on {threads} threads"));
+        }
+        result
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone_and_its_worker_serves_on() {
+        let dir = std::env::temp_dir().join(format!("autocat-serve-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut scenario = autocat_scenario::lookup("table4-6").unwrap();
+        TrainOverrides {
+            steps: Some(256),
+            eval_episodes: Some(16),
+            ..TrainOverrides::default()
+        }
+        .apply(&mut scenario);
+        // Job 1 has the higher priority, so the worker claims it first.
+        let store = Store::open(&dir).unwrap();
+        let (mut journal, _) =
+            Journal::open(journal_path(&dir), JOURNAL_KIND, JOURNAL_VERSION).unwrap();
+        let jobs = [queued_status(1, 0x11, 5), queued_status(2, 0x22, 0)]
+            .into_iter()
+            .map(|status| {
+                journal.append(&submit_record(&status, &scenario)).unwrap();
+                Job {
+                    status,
+                    scenario: scenario.clone(),
+                    progress: Vec::new(),
+                }
+            })
+            .collect();
+        let shared = Shared {
+            jobs: Mutex::new(jobs),
+            signal: Condvar::new(),
+            store: Mutex::new(store),
+            journal: Mutex::new(journal),
+            shutdown: AtomicBool::new(false),
+        };
+        // Returns once job 2 has run and asked for shutdown.
+        std::thread::scope(|s| {
+            s.spawn(|| worker_loop(&shared, panic_then_train));
+        });
+
+        let jobs = lock(&shared.jobs);
+        assert_eq!(jobs[0].status.state, JobState::Failed);
+        let error = jobs[0].status.error.clone().unwrap();
+        assert!(error.contains("scenario exploded"), "{error}");
+        let served = &jobs[1];
+        assert_eq!(
+            served.status.state,
+            JobState::Done,
+            "{:?}",
+            served.status.error
+        );
+        assert!(
+            !served.progress.is_empty(),
+            "progress survives the poisoned table"
+        );
+        assert!(served.status.eval_digest.is_some());
+        drop(jobs);
+
+        let (_, records) =
+            Journal::open(journal_path(&dir), JOURNAL_KIND, JOURNAL_VERSION).unwrap();
+        let (replayed, _) = replay(&records).unwrap();
+        assert_eq!(replayed[0].status.state, JobState::Failed, "journaled");
+        assert_eq!(replayed[0].status.error.as_deref(), Some(error.as_str()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
