@@ -10,6 +10,12 @@ cargo build --release --workspace --all-targets
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> cargo test at two threads (the shim's spin/park handoff, the split minibatch tail)"
+# The pool sizes itself to the cores, so on a one-vCPU runner it has no
+# worker and tasks run inline: the shim's wake-up paths and the tail's
+# split would go untested. Two threads start one worker on any runner.
+RAYON_NUM_THREADS=2 cargo test -q -p rayon -p autocat-ppo
+
 echo "==> cargo test --doc (trait-contract examples)"
 cargo test -q --doc --workspace
 

@@ -128,8 +128,17 @@ pub fn reduce_grads(shards: &[&[Matrix]], mut visit: impl FnMut(&mut ParamVisito
 }
 
 tiered_kernel! {
-    /// Tier-dispatched [`reduce_sq_sum_body`].
-    fn reduce_sq_sum / reduce_sq_sum_body(dst: &mut [f32], sources: &[&[f32]]) -> f32
+    /// One tensor's share of [`reduce_grads`]: adds `sources` into `dst`
+    /// one after another and returns the sum of the squares of the result
+    /// as one scalar chain `((+0 + r₀²) + r₁²) + …` in ascending element
+    /// order. Tensors reduced separately, say on different threads, give
+    /// [`reduce_grads`]'s result bit for bit when their chains are added
+    /// in visitation order starting from `+0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every source is as long as `dst`.
+    pub fn reduce_sq_sum / reduce_sq_sum_body(dst: &mut [f32], sources: &[&[f32]]) -> f32
 }
 
 /// Adds `sources` into `dst` one after another and returns the sum of the
@@ -137,6 +146,12 @@ tiered_kernel! {
 /// optional 8-lane step, then a scalar tail), so each element still sees
 /// its adds in source order; the squares go into one scalar chain in
 /// ascending element order, which no vector width can reorder.
+///
+/// A 16-lane block whose squares are all `+0` (zero or underflowing
+/// gradients, such as the input-layer rows no observation in the
+/// minibatch touched) leaves the chain out: the chain starts at `+0` and
+/// only ever adds squares, which are never negative, so it is never `−0`,
+/// and adding `+0` to anything else returns it unchanged.
 #[inline(always)]
 fn reduce_sq_sum_body<I: Isa>(dst: &mut [f32], sources: &[&[f32]]) -> f32 {
     let len = dst.len();
@@ -154,8 +169,10 @@ fn reduce_sq_sum_body<I: Isa>(dst: &mut [f32], sources: &[&[f32]]) -> f32 {
         }
         acc.write_to_slice(&mut dst[j..]);
         (acc * acc).write_to_slice(&mut squares);
-        for &sq in &squares {
-            sq_sum += sq;
+        if squares.iter().fold(0, |bits, sq| bits | sq.to_bits()) != 0 {
+            for &sq in &squares {
+                sq_sum += sq;
+            }
         }
         j += I::F16::LANES;
     }
@@ -366,6 +383,39 @@ mod tests {
                         |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(bits(&got.grad), bits(&want.grad), "{what}");
                 }
+            }
+        }
+    }
+
+    /// Blocks whose squares are all `+0` (zero, signed-zero and
+    /// underflowing gradients) leave the norm chain out; the chain must
+    /// still equal the plain one over every square, on every tier, with
+    /// such blocks first, last, between live ones and making up a whole
+    /// tensor.
+    #[test]
+    fn zero_square_blocks_leave_the_norm_chain_unchanged() {
+        let live = awkward(16 * 9 + 11, 7);
+        let dead = |i: usize| [0.0f32, -0.0, 1e-30, -3e-25, 1e-39][i % 5];
+        for dead_blocks in [vec![0usize], vec![8], vec![1, 2, 5], (0..9).collect()] {
+            // Element 48 is dead too, so block 3, when live, starts with
+            // a `+0` square.
+            let is_dead = |i: usize| i == 48 || dead_blocks.contains(&(i / 16));
+            let grad: Vec<f32> = (0..live.len())
+                .map(|i| if is_dead(i) { dead(i) } else { live[i] })
+                .collect();
+            let shard: Vec<f32> = (0..live.len())
+                .map(|i| if is_dead(i) { dead(i + 2) } else { 0.5 })
+                .collect();
+            let mut want = grad.clone();
+            want.iter_mut().zip(&shard).for_each(|(g, s)| *g += s);
+            let want_sq = want.iter().fold(0.0f32, |acc, g| acc + g * g);
+            for tier in tiers() {
+                let mut got = grad.clone();
+                let sq = simd::with_forced_tier(tier, || reduce_sq_sum(&mut got, &[&shard]));
+                let what = format!("dead blocks {dead_blocks:?}, {} tier", tier.name());
+                assert_eq!(sq.to_bits(), want_sq.to_bits(), "{what}");
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{what}");
             }
         }
     }

@@ -97,9 +97,17 @@ impl Adam {
         grad_scale: Option<f32>,
         mut visit: impl FnMut(&mut dyn FnMut(&mut Param)),
     ) {
+        let step = self.begin_scaled_step(grad_scale);
+        visit(&mut |p: &mut Param| update_tensor(p, &step));
+    }
+
+    /// Begins a new update step, as [`Adam::begin_step`], and returns what
+    /// [`Adam::step_scaled`] applies to every element on it, for a caller
+    /// that updates the parameters' element ranges itself (say, on
+    /// several threads) through [`AdamStep::update`].
+    pub fn begin_scaled_step(&mut self, grad_scale: Option<f32>) -> AdamStep {
         self.begin_step();
-        let coeffs = self.coeffs(grad_scale);
-        visit(&mut |p: &mut Param| update_tensor(p, &coeffs));
+        self.coeffs(grad_scale)
     }
 
     /// Applies one Adam update to a single parameter using its accumulated
@@ -109,9 +117,9 @@ impl Adam {
         update_tensor(p, &self.coeffs(None));
     }
 
-    fn coeffs(&self, grad_scale: Option<f32>) -> AdamCoeffs {
+    fn coeffs(&self, grad_scale: Option<f32>) -> AdamStep {
         debug_assert!(self.t > 0, "call begin_step before update_param");
-        let mut c = AdamCoeffs {
+        let mut c = AdamStep {
             grad_scale,
             beta1: self.beta1,
             one_minus_beta1: 1.0 - self.beta1,
@@ -128,8 +136,10 @@ impl Adam {
     }
 }
 
-/// The scalars one Adam step applies to every element.
-struct AdamCoeffs {
+/// The scalars one Adam step applies to every element
+/// ([`Adam::begin_scaled_step`]).
+#[derive(Debug)]
+pub struct AdamStep {
     grad_scale: Option<f32>,
     beta1: f32,
     one_minus_beta1: f32,
@@ -147,7 +157,26 @@ struct AdamCoeffs {
     stuck_bound: u32,
 }
 
-impl AdamCoeffs {
+impl AdamStep {
+    /// This step over one range of a parameter: `value`, `grad`, `m` and
+    /// `v` are the same elements of the parameter's four tensors. Every
+    /// element gets the operations [`Adam::step_scaled`] gives it, so
+    /// updating a tensor range by range gives its bits. A range that
+    /// starts at a multiple of 16 into its tensor also runs the same
+    /// 16-lane blocks, and so takes the stuck-moment fast path on the same
+    /// blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the four slices have one length.
+    pub fn update(&self, value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32]) {
+        assert!(
+            grad.len() == value.len() && m.len() == value.len() && v.len() == value.len(),
+            "Param buffers must share one shape"
+        );
+        adam_update(value, grad, m, v, self);
+    }
+
     /// The largest `K` for which every `k` in `1..=K` is a fixed point of
     /// `k·2⁻¹⁴⁹ ← RN(β1·k·2⁻¹⁴⁹)`, if this step meets the fast path's
     /// other conditions (`bc1 == 1`, `lr·K ≤ 0.5` with `lr ≥ +0`, a finite
@@ -185,18 +214,13 @@ impl AdamCoeffs {
     }
 }
 
-fn update_tensor(p: &mut Param, c: &AdamCoeffs) {
+fn update_tensor(p: &mut Param, step: &AdamStep) {
     let Param { value, grad, m, v } = p;
-    assert!(
-        grad.len() == value.len() && m.len() == value.len() && v.len() == value.len(),
-        "Param buffers must share one shape"
-    );
-    adam_update(
+    step.update(
         value.as_mut_slice(),
         grad.as_slice(),
         m.as_mut_slice(),
         v.as_mut_slice(),
-        c,
     );
 }
 
@@ -207,7 +231,7 @@ tiered_kernel! {
         grad: &[f32],
         m: &mut [f32],
         v: &mut [f32],
-        c: &AdamCoeffs,
+        c: &AdamStep,
     )
 }
 
@@ -219,7 +243,7 @@ tiered_kernel! {
 ///
 /// A lane is *stuck* when its (clip-scaled) gradient is `±0` and its first
 /// moment is a nonzero subnormal with `|m| ≤ K·2⁻¹⁴⁹`, `K` as
-/// [`AdamCoeffs::stuck_moment_bound`] computes it. On a step with
+/// [`AdamStep::stuck_moment_bound`] computes it. On a step with
 /// `bc1 == 1` (from about step 165 on for `β1 = 0.9`), `lr·K ≤ 1/2`,
 /// `bc2 > 0` and `eps > 0`, the formula's result for a stuck lane is
 /// known exactly:
@@ -250,7 +274,7 @@ fn adam_update_body<I: Isa>(
     grad: &[f32],
     m: &mut [f32],
     v: &mut [f32],
-    c: &AdamCoeffs,
+    c: &AdamStep,
 ) {
     const L: usize = 16;
     debug_assert_eq!(L, I::F16::LANES);
@@ -314,7 +338,7 @@ fn stuck_block(grad: &[f32], m: &[f32], bound: u32) -> bool {
 
 /// The scalar Adam formula for one element.
 #[inline(always)]
-fn adam_lane(val: &mut f32, mut g: f32, m: &mut f32, v: &mut f32, c: &AdamCoeffs) {
+fn adam_lane(val: &mut f32, mut g: f32, m: &mut f32, v: &mut f32, c: &AdamStep) {
     if let Some(scale) = c.grad_scale {
         g *= scale;
     }

@@ -7,9 +7,11 @@
 //! **one** primary network, which every shard reads through `&` (its
 //! [`TrainNet::train_shard`] takes `&self`): shard 0 on the calling
 //! thread, shards 1..N as rayon tasks, which the pool workers and the
-//! waiting caller share between them. Sharding is the update's only
-//! parallelism: the matmul kernels run serially on whichever thread runs
-//! a shard, so one shard keeps the update on one core. Each shard reads
+//! waiting caller share between them. The matmul kernels run serially
+//! on whichever thread runs a shard; besides the shards, only the
+//! minibatch's tail splits across the pool: the reduce and norm by
+//! tensors, then Adam by element ranges, each element's operations
+//! unchanged. Each shard reads
 //! its rows straight out of the rollout batch (no gather), writes its
 //! activations and its gradients into its own [`Tape`], and computes
 //! each row's PPO loss gradient in one pass over the logits
@@ -35,12 +37,16 @@
 //!   which nothing writes during the pass, the shard's own rows, and its
 //!   own tape, whose gradients the pass writes afresh — no shared float
 //!   state;
-//! * the reduction ([`reduce_grads`]) runs on the calling thread in shard
-//!   order — shard 0's gradients swapped in (no copy), shards 1..N added
-//!   on top — regardless of which thread ran a shard or which finished
-//!   first; the per-shard loss sums are added in the same fixed order.
-//!   The same pass sums the squared global norm the clip needs, in the
-//!   order a separate norm pass would.
+//! * the reduction adds each element's shard gradients in shard order —
+//!   shard 0's gradients swapped in (no copy), shards 1..N added on top —
+//!   whichever thread reduces its tensor, and regardless of which thread
+//!   ran a shard or which finished first; the per-shard loss sums are
+//!   added in the same fixed order. The same pass sums the squared
+//!   global norm the clip needs as one chain per tensor, which the
+//!   calling thread adds in visitation order: the sequence
+//!   [`reduce_grads`] sums;
+//! * Adam's operations on an element do not depend on which thread's
+//!   range holds it.
 //!
 //! Note that sharded results are *not* bit-identical to the unsharded
 //! (`grad_shards = 1`) update: splitting a matrix product over the batch
@@ -49,9 +55,14 @@
 //! hyper-parameter), and the single-shard layout runs the historical
 //! single-threaded update's exact operations.
 
+use std::mem;
+
+#[cfg(doc)]
 use autocat_nn::grad::reduce_grads;
+use autocat_nn::grad::reduce_sq_sum;
 use autocat_nn::models::{Tape, TrainNet};
-use autocat_nn::{Categorical, Matrix};
+use autocat_nn::optim::AdamStep;
+use autocat_nn::{Adam, Categorical, Param};
 
 use crate::rollout::RolloutBatch;
 
@@ -156,10 +167,18 @@ impl ShardSlot {
 
 /// Everything the update allocates: one [`ShardSlot`] per shard, added on
 /// the first minibatch that runs that many shards and reused by every
-/// minibatch after. It holds no weights, so it is never checkpointed.
+/// minibatch after, and the buffers of the minibatch's tail. It holds no
+/// weights between calls, so it is never checkpointed.
 #[derive(Default)]
 pub(crate) struct UpdateWorkspace {
     slots: Vec<ShardSlot>,
+    /// The primary's parameters while the tail runs on them (see
+    /// [`with_params`]), empty placeholders otherwise.
+    params: Vec<Param>,
+    /// Each parameter tensor's squared-norm chain.
+    chains: Vec<f32>,
+    /// One list of shard tensors per reduce task, empty between calls.
+    sources: Vec<Vec<&'static [f32]>>,
 }
 
 /// Runs one minibatch split across up to `shards` shards, leaving the
@@ -177,9 +196,9 @@ pub(crate) struct UpdateWorkspace {
 /// Shard 0's gradient tensors are then swapped into `primary` and the
 /// others reduced on top **in shard order**, whichever thread ran them
 /// and whatever order they finished in, with the norm summed in the same
-/// pass; loss sums reduce in the same order. With one range there is
-/// nothing to add, and the reduction only sums the norm: the plain
-/// unsharded update.
+/// pass ([`reduce_and_norm`]); loss sums reduce in the same order. With
+/// one range there is nothing to add, and the reduction only sums the
+/// norm: the plain unsharded update.
 pub(crate) fn sharded_minibatch(
     primary: &mut dyn TrainNet,
     workspace: &mut UpdateWorkspace,
@@ -188,8 +207,13 @@ pub(crate) fn sharded_minibatch(
     chunk: &[usize],
 ) -> (LossSums, f32) {
     let sub_len = chunk.len().div_ceil(shards.max(1));
-    let mut ranges = chunk.chunks(sub_len.max(1));
-    let slots = &mut workspace.slots;
+    let ranges = chunk.chunks(sub_len.max(1));
+    let UpdateWorkspace {
+        slots,
+        params,
+        chains,
+        sources,
+    } = workspace;
     while slots.len() < ranges.len() {
         slots.push(ShardSlot {
             tape: Tape::for_net(primary),
@@ -197,36 +221,274 @@ pub(crate) fn sharded_minibatch(
             sums: LossSums::default(),
         });
     }
-    let (slot0, siblings) = slots[..ranges.len()]
+    let slots = &mut slots[..ranges.len()];
+    let net: &dyn TrainNet = primary;
+    run_tasks(
+        slots
+            .iter_mut()
+            .zip(ranges)
+            .map(|(slot, rows)| move || slot.run(net, ctx, rows)),
+    );
+    let (slot0, siblings) = slots
         .split_first_mut()
         .expect("minibatch chunks are non-empty");
-    let shard0_rows = ranges.next().expect("minibatch chunks are non-empty");
-    let net: &dyn TrainNet = primary;
-    rayon::scope(|scope| {
-        for (slot, rows) in siblings.iter_mut().zip(ranges) {
-            scope.spawn(move |_| slot.run(net, ctx, rows));
-        }
-        slot0.run(net, ctx, shard0_rows);
-    });
-    // Fixed-order reduction: shard 0's gradients move into the primary;
-    // add shards 1..N on top in layout order.
     slot0.tape.swap_grads(primary);
-    let shard_grads: Vec<&[Matrix]> = siblings.iter().map(|s| s.tape.grads()).collect();
-    let norm = reduce_grads(&shard_grads, |f| primary.visit_params(f)).sqrt();
+    let threads = rayon::current_num_threads();
+    let sq_sum = with_params(primary, params, |params| {
+        reduce_and_norm(params, siblings, chains, sources, threads)
+    });
     let mut sums = slot0.sums;
     for slot in siblings.iter() {
         sums.absorb(&slot.sums);
     }
-    (sums, norm)
+    (sums, sq_sum.sqrt())
+}
+
+/// One Adam step on `primary`'s parameters, each gradient multiplied by
+/// `grad_scale` first: [`Adam::step_scaled`]'s result bit for bit, split
+/// into one element range per thread ([`Share`]). Every element gets the
+/// same operations whichever range it falls in, and every cut is at a
+/// multiple of 16 into its tensor, so the ranges run the same 16-lane
+/// blocks too.
+pub(crate) fn adam_step(
+    primary: &mut dyn TrainNet,
+    workspace: &mut UpdateWorkspace,
+    adam: &mut Adam,
+    grad_scale: Option<f32>,
+) {
+    let step = adam.begin_scaled_step(grad_scale);
+    let threads = rayon::current_num_threads();
+    with_params(primary, &mut workspace.params, |params| {
+        update_in_shares(params, &step, threads);
+    });
+}
+
+/// `step` over `params` as up to `threads` tasks, one [`Share`] of about
+/// `1 / threads` of the elements each.
+fn update_in_shares(params: &mut [Param], step: &AdamStep, threads: usize) {
+    let total: usize = params.iter().map(Param::len).sum();
+    let (mut carry, mut rest, mut done) = (Piece::default(), params, 0);
+    run_tasks((0..threads).map(|t| {
+        let want = if t + 1 == threads {
+            usize::MAX
+        } else {
+            total * (t + 1) / threads - done
+        };
+        let share = Share::take(&mut carry, &mut rest, want);
+        done += share.len();
+        move || share.update(step)
+    }));
+}
+
+/// Runs the first task on the calling thread and the others as the tasks
+/// of one rayon scope, which the pool's workers and the waiting caller
+/// share. One task runs inline, with no scope.
+fn run_tasks<F: FnOnce() + Send>(mut tasks: impl Iterator<Item = F>) {
+    let Some(first) = tasks.next() else { return };
+    let Some(second) = tasks.next() else {
+        return first();
+    };
+    rayon::scope(|scope| {
+        scope.spawn(|_| second());
+        for task in tasks {
+            scope.spawn(|_| task());
+        }
+        first();
+    });
+}
+
+/// Runs `f` on `net`'s parameters moved into `store` for the call, so
+/// that the tail can hand disjoint parts of them to different threads.
+/// Each whole [`Param`] is swapped with a placeholder and back (no copy).
+fn with_params<R>(
+    net: &mut dyn TrainNet,
+    store: &mut Vec<Param>,
+    f: impl FnOnce(&mut [Param]) -> R,
+) -> R {
+    let mut count = 0;
+    net.visit_params(&mut |p| {
+        if count == store.len() {
+            store.push(Param::zeros(0, 0));
+        }
+        mem::swap(p, &mut store[count]);
+        count += 1;
+    });
+    let out = f(&mut store[..count]);
+    let mut back = store.iter_mut();
+    net.visit_params(&mut |p| mem::swap(p, back.next().expect("one walk, one parameter list")));
+    out
+}
+
+/// [`reduce_grads`] over `params` with the siblings' tapes as the shards,
+/// returning the squared global norm. Each tensor's adds and its own
+/// squared-norm chain ([`reduce_sq_sum`]) run as one task; the tensors go
+/// to up to `threads` tasks in visitation order, each task taking whole
+/// tensors until it holds about its share of the elements. The chains are
+/// then added in visitation order from `+0`: the sum `reduce_grads`
+/// makes, bit for bit, whichever task ran a tensor.
+fn reduce_and_norm(
+    params: &mut [Param],
+    siblings: &[ShardSlot],
+    chains: &mut Vec<f32>,
+    sources: &mut Vec<Vec<&'static [f32]>>,
+    threads: usize,
+) -> f32 {
+    chains.resize(params.len(), 0.0);
+    sources.resize_with(threads, Vec::new);
+    let total: usize = params.iter().map(Param::len).sum();
+    let (mut rest, mut rest_chains) = (params, &mut chains[..]);
+    let (mut first, mut done) = (0, 0);
+    run_tasks(sources.iter_mut().enumerate().map(|(t, list)| {
+        let target = total * (t + 1) / threads;
+        let mut count = 0;
+        while count < rest.len() && (done < target || t + 1 == threads) {
+            done += rest[count].len();
+            count += 1;
+        }
+        let (mine, more) = mem::take(&mut rest).split_at_mut(count);
+        rest = more;
+        let (my_chains, more) = mem::take(&mut rest_chains).split_at_mut(count);
+        rest_chains = more;
+        let index = first;
+        first += count;
+        move || {
+            let mut tensors = recycle(mem::take(list));
+            for (i, (p, chain)) in mine.iter_mut().zip(my_chains).enumerate() {
+                tensors.clear();
+                tensors.extend(
+                    siblings
+                        .iter()
+                        .map(|s| s.tape.grads()[index + i].as_slice()),
+                );
+                *chain = reduce_sq_sum(p.grad.as_mut_slice(), &tensors);
+            }
+            *list = recycle(tensors);
+        }
+    }));
+    chains.iter().fold(0.0, |sq_sum, chain| sq_sum + chain)
+}
+
+/// `list`, emptied and typed for borrows of another lifetime. A collect
+/// from a vector's own iterator into elements of the same layout reuses
+/// its buffer, so the reduce's source lists keep their allocation from
+/// one minibatch to the next.
+fn recycle<'b>(mut list: Vec<&[f32]>) -> Vec<&'b [f32]> {
+    list.clear();
+    list.into_iter()
+        .map(|_| unreachable!("the list is empty"))
+        .collect()
+}
+
+/// The same elements of one parameter's four tensors.
+#[derive(Default)]
+struct Piece<'a> {
+    value: &'a mut [f32],
+    grad: &'a [f32],
+    m: &'a mut [f32],
+    v: &'a mut [f32],
+}
+
+impl<'a> Piece<'a> {
+    fn of(p: &'a mut Param) -> Self {
+        let Param { value, grad, m, v } = p;
+        Self {
+            value: value.as_mut_slice(),
+            grad: grad.as_slice(),
+            m: m.as_mut_slice(),
+            v: v.as_mut_slice(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.value.len()
+    }
+
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (value, value_after) = self.value.split_at_mut(mid);
+        let (grad, grad_after) = self.grad.split_at(mid);
+        let (m, m_after) = self.m.split_at_mut(mid);
+        let (v, v_after) = self.v.split_at_mut(mid);
+        let after = Self {
+            value: value_after,
+            grad: grad_after,
+            m: m_after,
+            v: v_after,
+        };
+        (Self { value, grad, m, v }, after)
+    }
+
+    fn update(self, step: &AdamStep) {
+        step.update(self.value, self.grad, self.m, self.v);
+    }
+}
+
+/// One thread's contiguous range of the parameters' elements, in
+/// visitation order: the end of one tensor, whole tensors, and the start
+/// of the next one.
+struct Share<'a> {
+    head: Piece<'a>,
+    whole: &'a mut [Param],
+    tail: Piece<'a>,
+}
+
+impl<'a> Share<'a> {
+    /// The next share of about `want` elements (all that are left for
+    /// `usize::MAX`): from `carry`, the part of a tensor the last share
+    /// did not take, then from the tensors in `rest`. A tensor is cut at
+    /// a multiple of 16 into it, at or below `want`, and its remainder
+    /// becomes the new `carry`.
+    fn take(carry: &mut Piece<'a>, rest: &mut &'a mut [Param], want: usize) -> Self {
+        if carry.len() >= want {
+            let (head, after) = mem::take(carry).split_at(want & !15);
+            *carry = after;
+            return Self {
+                head,
+                whole: &mut [],
+                tail: Piece::default(),
+            };
+        }
+        let head = mem::take(carry);
+        let mut left = want - head.len();
+        let mut count = 0;
+        while count < rest.len() && rest[count].len() <= left {
+            left -= rest[count].len();
+            count += 1;
+        }
+        let (whole, after) = mem::take(rest).split_at_mut(count);
+        let tail = match after.split_first_mut() {
+            Some((next, more)) => {
+                *rest = more;
+                let (tail, remainder) = Piece::of(next).split_at(left & !15);
+                *carry = remainder;
+                tail
+            }
+            None => Piece::default(),
+        };
+        Self { head, whole, tail }
+    }
+
+    fn len(&self) -> usize {
+        self.head.len() + self.whole.iter().map(Param::len).sum::<usize>() + self.tail.len()
+    }
+
+    fn update(self, step: &AdamStep) {
+        self.head.update(step);
+        for p in self.whole {
+            Piece::of(p).update(step);
+        }
+        self.tail.update(step);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autocat_nn::grad::reduce_grads;
     use autocat_nn::models::{
         MlpConfig, MlpPolicy, PolicyValueNet, TransformerConfig, TransformerPolicy,
     };
-    use autocat_nn::Param;
+    use autocat_nn::optim::clip_scale;
+    use autocat_nn::Matrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -514,5 +776,292 @@ mod tests {
             let expected = outcome(&mut fresh_net, &mut UpdateWorkspace::default(), chunk);
             assert_eq!(got, expected, "chunk of {} rows", chunk.len());
         }
+    }
+
+    /// [`fake_batch`] with three of every four observation columns zero
+    /// in every row, so the MLP's input-layer gradient has all-zero rows
+    /// (whose 16-lane blocks the norm chain skips).
+    fn sparse_batch(n: usize, obs_dim: usize, actions: usize, seed: u64) -> RolloutBatch {
+        let mut batch = fake_batch(n, obs_dim, actions, seed);
+        for (i, x) in batch.obs.as_mut_slice().iter_mut().enumerate() {
+            if !(i % obs_dim).is_multiple_of(4) {
+                *x = 0.0;
+            }
+        }
+        batch
+    }
+
+    /// Puts the first parameter's moments where a long run leaves the
+    /// input rows no observation touches: first moments stuck at the
+    /// fixed points `±k·2⁻¹⁴⁹` (`k ≤ 4`) of `m ← RN(0.9·m)` on the rows
+    /// [`sparse_batch`] zeroes. With an optimizer past step 165, whose
+    /// `bc1` is 1, whole blocks of them take Adam's stuck-moment path.
+    fn stick_moments(net: &mut dyn PolicyValueNet) {
+        let mut first = true;
+        net.visit_params(&mut |p| {
+            if mem::take(&mut first) {
+                let cols = p.m.cols();
+                for (i, m) in p.m.as_mut_slice().iter_mut().enumerate() {
+                    if !(i / cols).is_multiple_of(4) {
+                        let tiny = f32::from_bits(i as u32 % 4 + 1);
+                        *m = if i % 3 == 0 { -tiny } else { tiny };
+                    }
+                }
+            }
+        });
+    }
+
+    /// Value, gradient and moment bits of every parameter, in that order.
+    fn state_bits(net: &mut dyn PolicyValueNet) -> [Vec<u32>; 4] {
+        let mut out: [Vec<u32>; 4] = Default::default();
+        net.visit_params(&mut |p: &mut Param| {
+            for (bits, t) in out.iter_mut().zip([&p.value, &p.grad, &p.m, &p.v]) {
+                bits.extend(t.as_slice().iter().map(|x| x.to_bits()));
+            }
+        });
+        out
+    }
+
+    /// Shard slots that have run the ranges of `chunk` over `shards`.
+    fn run_slots(
+        net: &mut dyn TrainNet,
+        ctx: &MinibatchCtx,
+        chunk: &[usize],
+        shards: usize,
+    ) -> Vec<ShardSlot> {
+        let sub_len = chunk.len().div_ceil(shards);
+        chunk
+            .chunks(sub_len)
+            .map(|rows| {
+                let mut slot = ShardSlot {
+                    tape: Tape::for_net(net),
+                    dist: Categorical::default(),
+                    sums: LossSums::default(),
+                };
+                slot.run(net, ctx, rows);
+                slot
+            })
+            .collect()
+    }
+
+    /// The minibatch tail as it ran before it was split: shard 0's
+    /// gradients swapped into `net`, [`reduce_grads`] with the other
+    /// tapes, then [`Adam::step_scaled`] unless the norm is not finite.
+    /// Returns the norm.
+    fn reference_minibatch(
+        net: &mut dyn TrainNet,
+        adam: &mut Adam,
+        max_norm: f32,
+        ctx: &MinibatchCtx,
+        chunk: &[usize],
+    ) -> f32 {
+        let mut slots = run_slots(net, ctx, chunk, 8);
+        slots[0].tape.swap_grads(net);
+        let grads: Vec<&[Matrix]> = slots[1..].iter().map(|s| s.tape.grads()).collect();
+        let norm = reduce_grads(&grads, |f| net.visit_params(f)).sqrt();
+        if norm.is_finite() {
+            adam.step_scaled(clip_scale(max_norm, norm), |f| net.visit_params(f));
+        }
+        norm
+    }
+
+    /// The trainer's minibatch: [`sharded_minibatch`], then [`adam_step`]
+    /// unless the norm is not finite. Returns the norm.
+    fn split_minibatch(
+        net: &mut dyn TrainNet,
+        ws: &mut UpdateWorkspace,
+        adam: &mut Adam,
+        max_norm: f32,
+        ctx: &MinibatchCtx,
+        chunk: &[usize],
+    ) -> f32 {
+        let (_, norm) = sharded_minibatch(net, ws, 8, ctx, chunk);
+        if norm.is_finite() {
+            adam_step(net, ws, adam, clip_scale(max_norm, norm));
+        }
+        norm
+    }
+
+    /// The minibatch tail split across the pool (reduce and norm by
+    /// tensors, Adam by element ranges) against the one-thread tail it
+    /// replaced, [`reduce_grads`] then [`Adam::step_scaled`]: gradients,
+    /// norm, values and both moments must agree bit for bit, for the MLP
+    /// and the Transformer at 8 shards, on minibatches that clip and ones
+    /// that do not, with all-zero input rows (the norm chain's skipped
+    /// blocks) and blocks of stuck subnormal moments, on the pool and
+    /// inside a one-thread pool's `install`.
+    #[test]
+    fn split_tail_is_bitwise_reduce_grads_then_step_scaled() {
+        let cfg = MlpConfig::new(40, 5).with_hidden(vec![32, 24]);
+        check_split_tail(MlpPolicy::new(&cfg, &mut StdRng::seed_from_u64(12)));
+        let cfg = TransformerConfig::new(4, 5, 6).with_dims(16, 2, 32);
+        check_split_tail(TransformerPolicy::new(&cfg, &mut StdRng::seed_from_u64(13)));
+    }
+
+    fn check_split_tail<N: TrainNet + Clone>(mut primary: N) {
+        let (obs_dim, num_actions) = (primary.obs_dim(), primary.num_actions());
+        let one_thread = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        stick_moments(&mut primary);
+        let (mut reference, mut pooled, mut inline) = (primary.clone(), primary.clone(), primary);
+        let adam = Adam::restore(3e-4, 0.9, 0.999, 1e-8, 500);
+        let (mut adam_ref, mut adam_pooled, mut adam_inline) = (adam.clone(), adam.clone(), adam);
+        let (mut ws_pooled, mut ws_inline) = Default::default();
+        let mut clipped = [false; 2];
+        for (n, seed, max_norm) in [
+            (48usize, 1u64, 1e-3f32),
+            (48, 2, 1e9),
+            (33, 3, 1e-3),
+            (17, 4, 1e9),
+        ] {
+            let batch = sparse_batch(n, obs_dim, num_actions, seed);
+            let chunk: Vec<usize> = (0..n).rev().collect();
+            let mut ctx = ctx_over(&batch, &batch.advantages);
+            ctx.inv = 1.0 / n as f32;
+            let want = reference_minibatch(&mut reference, &mut adam_ref, max_norm, &ctx, &chunk);
+            clipped[usize::from(clip_scale(max_norm, want).is_some())] = true;
+            let got = split_minibatch(
+                &mut pooled,
+                &mut ws_pooled,
+                &mut adam_pooled,
+                max_norm,
+                &ctx,
+                &chunk,
+            );
+            let got_inline = one_thread.install(|| {
+                assert_eq!(rayon::current_num_threads(), 1);
+                split_minibatch(
+                    &mut inline,
+                    &mut ws_inline,
+                    &mut adam_inline,
+                    max_norm,
+                    &ctx,
+                    &chunk,
+                )
+            });
+            let want_bits = state_bits(&mut reference);
+            for (norm, net, what) in [
+                (got, &mut pooled, "pool"),
+                (got_inline, &mut inline, "one thread"),
+            ] {
+                assert_eq!(norm.to_bits(), want.to_bits(), "norm, {n} rows, {what}");
+                let got_bits = state_bits(net);
+                for (k, name) in ["values", "grads", "m", "v"].iter().enumerate() {
+                    assert_eq!(got_bits[k], want_bits[k], "{name}, {n} rows, {what}");
+                }
+            }
+        }
+        assert_eq!(
+            clipped, [true; 2],
+            "minibatches that clip and ones that do not"
+        );
+    }
+
+    /// What the split tail must have met in the MLP run above: zero
+    /// blocks in the input layer's reduced gradient and blocks of stuck
+    /// first moments, on the same minibatches.
+    #[test]
+    fn split_tail_test_reaches_zero_blocks_and_stuck_moments() {
+        let cfg = MlpConfig::new(40, 5).with_hidden(vec![32, 24]);
+        let mut net = MlpPolicy::new(&cfg, &mut StdRng::seed_from_u64(12));
+        stick_moments(&mut net);
+        let mut adam = Adam::restore(3e-4, 0.9, 0.999, 1e-8, 500);
+        let mut ws = UpdateWorkspace::default();
+        let batch = sparse_batch(48, 40, 5, 1);
+        let chunk: Vec<usize> = (0..48).collect();
+        let ctx = ctx_over(&batch, &batch.advantages);
+        split_minibatch(&mut net, &mut ws, &mut adam, 1e9, &ctx, &chunk);
+        let (mut zero_blocks, mut stuck_blocks) = (0, 0);
+        let mut first = true;
+        net.visit_params(&mut |p| {
+            if mem::take(&mut first) {
+                let blocks = p.grad.as_slice().chunks(16).zip(p.m.as_slice().chunks(16));
+                for (g, m) in blocks {
+                    let zero = g.iter().all(|g| *g == 0.0);
+                    zero_blocks += usize::from(zero);
+                    stuck_blocks += usize::from(zero && m.iter().all(|m| m.is_subnormal()));
+                }
+            }
+        });
+        assert!(zero_blocks >= 40, "{zero_blocks} zero blocks");
+        assert!(stuck_blocks >= 40, "{stuck_blocks} stuck blocks");
+    }
+
+    /// Every split, not only the pool's size: the reduce over 1 to 8
+    /// tasks and Adam over 1 to 8 shares give [`reduce_grads`]'s and
+    /// [`Adam::step_scaled`]'s bits, with shares that cut one tensor into
+    /// several, span several tensors, or are empty.
+    #[test]
+    fn tail_splits_are_bitwise_at_every_task_count() {
+        let cfg = MlpConfig::new(40, 5).with_hidden(vec![32, 24]);
+        let mut primary = MlpPolicy::new(&cfg, &mut StdRng::seed_from_u64(14));
+        stick_moments(&mut primary);
+        let batch = sparse_batch(48, 40, 5, 5);
+        let chunk: Vec<usize> = (0..48).collect();
+        let ctx = ctx_over(&batch, &batch.advantages);
+        let slots = run_slots(&mut primary, &ctx, &chunk, 8);
+        let grads: Vec<&[Matrix]> = slots.iter().map(|s| s.tape.grads()).collect();
+        let adam = Adam::restore(3e-4, 0.9, 0.999, 1e-8, 500);
+        let mut want = primary.clone();
+        let want_sq = reduce_grads(&grads, |f| want.visit_params(f));
+        let scale = clip_scale(0.01, want_sq.sqrt());
+        assert!(scale.is_some());
+        adam.clone().step_scaled(scale, |f| want.visit_params(f));
+        let want_bits = state_bits(&mut want);
+        for threads in 1..=8 {
+            let mut got = primary.clone();
+            let mut ws = UpdateWorkspace::default();
+            let sq = with_params(&mut got, &mut ws.params, |params| {
+                reduce_and_norm(params, &slots, &mut ws.chains, &mut ws.sources, threads)
+            });
+            let step = adam.clone().begin_scaled_step(scale);
+            with_params(&mut got, &mut ws.params, |params| {
+                update_in_shares(params, &step, threads)
+            });
+            assert_eq!(sq.to_bits(), want_sq.to_bits(), "{threads} tasks");
+            assert_eq!(state_bits(&mut got), want_bits, "{threads} tasks");
+        }
+    }
+
+    /// A NaN gradient in one shard still makes the norm NaN, split or
+    /// not, so the trainer stops before Adam steps (see
+    /// `a_nan_weight_stops_training_with_an_error` in the trainer).
+    #[test]
+    fn a_nan_gradient_gives_a_nan_norm() {
+        let cfg = MlpConfig::new(40, 5).with_hidden(vec![32, 24]);
+        let primary = MlpPolicy::new(&cfg, &mut StdRng::seed_from_u64(15));
+        let mut batch = sparse_batch(48, 40, 5, 6);
+        batch.returns[30] = f32::NAN;
+        let chunk: Vec<usize> = (0..48).collect();
+        let ctx = ctx_over(&batch, &batch.advantages);
+        let mut adam = Adam::new(3e-4);
+        let mut reference = primary.clone();
+        assert!(reference_minibatch(&mut reference, &mut adam, 0.5, &ctx, &chunk).is_nan());
+        let mut net = primary.clone();
+        let mut ws = UpdateWorkspace::default();
+        assert!(split_minibatch(&mut net, &mut ws, &mut adam, 0.5, &ctx, &chunk).is_nan());
+        assert_eq!(adam.steps(), 0, "no optimizer step");
+        let one_thread = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let norm = one_thread.install(|| sharded_minibatch(&mut net, &mut ws, 8, &ctx, &chunk).1);
+        assert!(norm.is_nan());
+    }
+
+    /// The reduce's source lists keep their buffers from one minibatch to
+    /// the next.
+    #[test]
+    fn recycled_lists_keep_their_buffer() {
+        let data = [1.0f32, 2.0];
+        let mut list: Vec<&[f32]> = Vec::with_capacity(8);
+        list.extend([&data[..], &data[1..]]);
+        let buffer = list.as_ptr() as usize;
+        let recycled: Vec<&'static [f32]> = recycle(list);
+        assert!(recycled.is_empty());
+        assert_eq!(recycled.capacity(), 8);
+        assert_eq!(recycled.as_ptr() as usize, buffer);
     }
 }

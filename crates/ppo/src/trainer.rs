@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use std::collections::VecDeque;
 
 use crate::rollout::{collect, EpisodeTally};
-use crate::sharded::{sharded_minibatch, MinibatchCtx, UpdateWorkspace};
+use crate::sharded::{adam_step, sharded_minibatch, MinibatchCtx, UpdateWorkspace};
 
 /// PPO hyper-parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -393,7 +393,9 @@ impl<E: Environment + Send> Trainer<E> {
                 // tape, reducing gradients and loss sums in fixed shard
                 // order. The reduction also returns the global norm, so
                 // the clip is a scale factor Adam applies as it reads
-                // each gradient.
+                // each gradient. The reduce and Adam split across the
+                // pool's threads, with each element's operations, and so
+                // the result, unchanged.
                 let (sums, grad_norm) = sharded_minibatch(
                     self.net.as_mut(),
                     &mut self.workspace,
@@ -408,10 +410,12 @@ impl<E: Environment + Send> Trainer<E> {
                     });
                 }
                 stats.grad_norm = grad_norm;
-                self.adam
-                    .step_scaled(clip_scale(cfg.max_grad_norm, grad_norm), |f| {
-                        self.net.visit_params(f)
-                    });
+                adam_step(
+                    self.net.as_mut(),
+                    &mut self.workspace,
+                    &mut self.adam,
+                    clip_scale(cfg.max_grad_norm, grad_norm),
+                );
                 stats.policy_loss += sums.policy_loss;
                 stats.value_loss += sums.value_loss;
                 stats.entropy += sums.entropy;
