@@ -128,6 +128,23 @@ for threads in 1 2; do
     fi
 done
 
+echo "==> smoke: train-bench digest gate, one shard (1 lane, 1 and 2 threads)"
+# The unsharded update branch (`grad_shards` 1, the default, which the
+# daemon's jobs train with unless a scenario asks for more): one shard
+# over the whole minibatch, reading its rows from the per-update CSR and
+# both heads as one product. Both thread counts must end on the
+# recorded weights.
+TRAIN_BENCH_ONE_DIGEST=72aae05f9ad15e04
+TRAIN_BENCH_ONE_OUT=$(cargo run --release -q -p autocat-bench --bin train-bench -- \
+    --scenario table4-6 --steps 16384 --lanes 1 --shards 1 --threads-list 1,2)
+echo "$TRAIN_BENCH_ONE_OUT"
+for threads in 1 2; do
+    if ! grep -qE "^ +$threads +16384 .* $TRAIN_BENCH_ONE_DIGEST\$" <<<"$TRAIN_BENCH_ONE_OUT"; then
+        echo "error: train-bench (one shard) at $threads thread(s) did not print $TRAIN_BENCH_ONE_DIGEST" >&2
+        exit 1
+    fi
+done
+
 echo "==> smoke: train-bench digest gate past the subnormal-moment point (65536 steps)"
 # At 16384 steps no Adam first moment is subnormal yet; by 65536, 5,696
 # are, and on the last step 328 16-lane blocks have every lane stuck at a

@@ -127,38 +127,57 @@ pub fn reduce_grads(shards: &[&[Matrix]], mut visit: impl FnMut(&mut ParamVisito
     sq_sum
 }
 
+/// One tensor's share of [`reduce_grads`]: adds `sources` into `dst`
+/// one after another and returns the sum of the squares of the result
+/// as one scalar chain `((+0 + r₀²) + r₁²) + …` in ascending element
+/// order. Tensors reduced separately, say on different threads, give
+/// [`reduce_grads`]'s result bit for bit when their chains are added
+/// in visitation order starting from `+0`.
+///
+/// # Panics
+///
+/// Panics unless every source is as long as `dst`.
+pub fn reduce_sq_sum(dst: &mut [f32], sources: &[&[f32]]) -> f32 {
+    reduce_sq_sum_from(0.0, dst, sources)
+}
+
 tiered_kernel! {
-    /// One tensor's share of [`reduce_grads`]: adds `sources` into `dst`
-    /// one after another and returns the sum of the squares of the result
-    /// as one scalar chain `((+0 + r₀²) + r₁²) + …` in ascending element
-    /// order. Tensors reduced separately, say on different threads, give
-    /// [`reduce_grads`]'s result bit for bit when their chains are added
-    /// in visitation order starting from `+0`.
+    /// [`reduce_sq_sum`] with its chain continued from `chain` instead of
+    /// `+0`: a tensor cut at a multiple of 16 and reduced piece by piece
+    /// in ascending order, each piece continuing the last one's chain,
+    /// gives one [`reduce_sq_sum`]'s sums and chain, bit for bit, because
+    /// the pieces run the same 16-lane blocks. `chain` is a chain's value,
+    /// never `−0`.
     ///
     /// # Panics
     ///
     /// Panics unless every source is as long as `dst`.
-    pub fn reduce_sq_sum / reduce_sq_sum_body(dst: &mut [f32], sources: &[&[f32]]) -> f32
+    pub fn reduce_sq_sum_from / reduce_sq_sum_body(
+        chain: f32,
+        dst: &mut [f32],
+        sources: &[&[f32]],
+    ) -> f32
 }
 
-/// Adds `sources` into `dst` one after another and returns the sum of the
-/// squares of the result. Vectorised across elements (16 lanes, one
+/// Adds `sources` into `dst` one after another and returns `chain` plus
+/// the squares of the result. Vectorised across elements (16 lanes, one
 /// optional 8-lane step, then a scalar tail), so each element still sees
 /// its adds in source order; the squares go into one scalar chain in
 /// ascending element order, which no vector width can reorder.
 ///
 /// A 16-lane block whose squares are all `+0` (zero or underflowing
 /// gradients, such as the input-layer rows no observation in the
-/// minibatch touched) leaves the chain out: the chain starts at `+0` and
-/// only ever adds squares, which are never negative, so it is never `−0`,
+/// minibatch touched) leaves the chain out: the chain starts at `+0` (or
+/// an earlier chain's value) and only ever adds squares, which are never
+/// negative, so it is never `−0`,
 /// and adding `+0` to anything else returns it unchanged.
 #[inline(always)]
-fn reduce_sq_sum_body<I: Isa>(dst: &mut [f32], sources: &[&[f32]]) -> f32 {
+fn reduce_sq_sum_body<I: Isa>(chain: f32, dst: &mut [f32], sources: &[&[f32]]) -> f32 {
     let len = dst.len();
     for src in sources {
         assert_eq!(src.len(), len, "reduce source length mismatch");
     }
-    let mut sq_sum = 0.0f32;
+    let mut sq_sum = chain;
     let mut squares = [0.0f32; 16];
     let n16 = len & !(I::F16::LANES - 1);
     let mut j = 0;
@@ -197,6 +216,42 @@ fn reduce_sq_sum_body<I: Isa>(dst: &mut [f32], sources: &[&[f32]]) -> f32 {
         sq_sum += x * x;
     }
     sq_sum
+}
+
+tiered_kernel! {
+    /// The adds of [`reduce_sq_sum`] without its chain: adds `sources`
+    /// into `dst` one after another. Each element's sum depends on that
+    /// element alone, so a tensor added as several ranges, say on
+    /// different threads, holds what one [`reduce_sq_sum`] over it
+    /// writes, and [`reduce_sq_sum_from`] with no sources then continues
+    /// the chain over it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every source is as long as `dst`.
+    pub fn reduce_add / reduce_add_body(dst: &mut [f32], sources: &[&[f32]])
+}
+
+/// [`reduce_sq_sum_body`]'s adds, 16 lanes at a time then a scalar tail.
+#[inline(always)]
+fn reduce_add_body<I: Isa>(dst: &mut [f32], sources: &[&[f32]]) {
+    let len = dst.len();
+    for src in sources {
+        assert_eq!(src.len(), len, "reduce source length mismatch");
+    }
+    let n16 = len & !(I::F16::LANES - 1);
+    for j in (0..n16).step_by(I::F16::LANES) {
+        let mut acc = I::F16::from_slice(&dst[j..]);
+        for src in sources {
+            acc = acc + I::F16::from_slice(&src[j..]);
+        }
+        acc.write_to_slice(&mut dst[j..]);
+    }
+    for (i, out) in dst.iter_mut().enumerate().skip(n16) {
+        for src in sources {
+            *out += src[i];
+        }
+    }
 }
 
 /// Copies every parameter *value* out of a model, in visitation order
@@ -416,6 +471,56 @@ mod tests {
                 assert_eq!(sq.to_bits(), want_sq.to_bits(), "{what}");
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got), bits(&want), "{what}");
+            }
+        }
+    }
+
+    /// A tensor added in ranges by [`reduce_add`], cut anywhere, then
+    /// chained alone by [`reduce_sq_sum`] with no sources, and one reduced
+    /// piece by piece at multiples of 16, each piece continuing the last
+    /// one's chain ([`reduce_sq_sum_from`]), both give one
+    /// [`reduce_sq_sum`]'s sums and chain, on every tier.
+    #[test]
+    fn ranged_adds_and_continued_chains_equal_one_reduce_sq_sum() {
+        for (len, cuts) in [
+            (0usize, vec![]),
+            (7, vec![3]),
+            (40, vec![16]),
+            (203, vec![0, 16, 112, 192, 203]),
+            (203, vec![0, 16, 112, 192]),
+            (203, vec![5, 37, 190]),
+            (1024, vec![512]),
+        ] {
+            let grad = awkward(len, 1);
+            let shards: Vec<Vec<f32>> = (2..9).map(|seed| awkward(len, seed)).collect();
+            let views: Vec<&[f32]> = shards.iter().map(Vec::as_slice).collect();
+            let bounds: Vec<usize> = [0].into_iter().chain(cuts.clone()).chain([len]).collect();
+            let ranges = || bounds.windows(2).map(|w| w[0]..w[1]);
+            let of = |range: &std::ops::Range<usize>| -> Vec<&[f32]> {
+                views.iter().map(|v| &v[range.clone()]).collect()
+            };
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for tier in tiers() {
+                let what = format!("{len} elements cut at {cuts:?}, {} tier", tier.name());
+                simd::with_forced_tier(tier, || {
+                    let mut want = grad.clone();
+                    let want_sq = reduce_sq_sum(&mut want, &views);
+                    let mut got = grad.clone();
+                    for range in ranges() {
+                        reduce_add(&mut got[range.clone()], &of(&range));
+                    }
+                    let sq = reduce_sq_sum(&mut got, &[]);
+                    assert_eq!(bits(&got), bits(&want), "sums, {what}");
+                    assert_eq!(sq.to_bits(), want_sq.to_bits(), "chain, {what}");
+                    if cuts.iter().all(|c| c % 16 == 0) {
+                        let mut got = grad.clone();
+                        let sq = ranges().fold(0.0, |chain, range| {
+                            reduce_sq_sum_from(chain, &mut got[range.clone()], &of(&range))
+                        });
+                        assert_eq!(bits(&got), bits(&want), "piecewise sums, {what}");
+                        assert_eq!(sq.to_bits(), want_sq.to_bits(), "continued chain, {what}");
+                    }
+                });
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Fully-connected (affine) layer.
 
 use crate::init;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, NtPanels};
 use crate::param::Param;
 use crate::sparse::{self, SparseRows};
 use rand::Rng;
@@ -49,6 +49,47 @@ impl LinearInput for SparseRows {
 
     fn matmul_tn_into(&self, dy: &Matrix, out: &mut Matrix) {
         SparseRows::matmul_tn_into(self, dy, out);
+    }
+}
+
+/// Two layers over the same input run as one: their weights side by side,
+/// `[W_a | W_b]`, and their biases likewise, built from the layers'
+/// current parameters. A product's output columns are computed each on
+/// its own, in ascending `k` from `+0`, and each bias is added to its own
+/// column, so [`SideBySide::forward_into`] gives `a`'s outputs, then
+/// `b`'s, bit for bit, in one narrow product instead of two (the policy
+/// and value heads). It is stale once either layer's weights change.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SideBySide {
+    w: Matrix,
+    b: Vec<f32>,
+}
+
+impl SideBySide {
+    /// Packs `a` and `b`, reusing this pack's storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the layers have the same input dimension.
+    pub fn pack(&mut self, a: &Linear, b: &Linear) {
+        assert_eq!(a.in_dim(), b.in_dim(), "side-by-side layers share an input");
+        let (na, nb) = (a.out_dim(), b.out_dim());
+        self.w.set_shape(a.in_dim(), na + nb);
+        for k in 0..a.in_dim() {
+            let row = self.w.row_mut(k);
+            row[..na].copy_from_slice(a.w.value.row(k));
+            row[na..].copy_from_slice(b.w.value.row(k));
+        }
+        self.b.clear();
+        self.b.extend_from_slice(a.b.value.as_slice());
+        self.b.extend_from_slice(b.b.value.as_slice());
+    }
+
+    /// Both layers' forward passes into `y`, reusing its storage: the
+    /// first layer's outputs in the leading columns, the second's after.
+    pub fn forward_into(&self, x: &Matrix, y: &mut Matrix) {
+        x.matmul_into(&self.w, y);
+        y.add_row_broadcast(&self.b);
     }
 }
 
@@ -143,29 +184,37 @@ impl Linear {
     /// The backward pass of one training pass whose gradients nothing
     /// else adds to: **writes** `dW = xᵀ dy` and `db = Σ_rows dy` into
     /// `grads` (the layer's two tensors in [`Linear::visit_params`]
-    /// order), whatever they held, and `dx = dy Wᵀ` into `dx`. Every
-    /// product goes into storage the caller reuses, so nothing is
-    /// allocated. Each written element is the finished product
+    /// order), whatever they held, and `dx = dy Wᵀ` into `dx`, reading
+    /// `Wᵀ` from `wt`, the caller's [`NtPanels::pack`] of the current
+    /// `W`. Every product goes into storage the caller reuses, so nothing
+    /// is allocated. Each written element is the finished product
     /// [`Linear::backward`] adds, so it equals that sum added onto zeroed
     /// tensors (`+0 + P = P`: a product that starts from `+0` is never
     /// `−0`).
     ///
     /// # Panics
     ///
-    /// Panics unless `grads` holds exactly two tensors.
+    /// Panics unless `grads` holds exactly two tensors, or if `wt` is not
+    /// shaped like `Wᵀ`.
     pub fn backward_into(
         &self,
         x: &impl LinearInput,
         dy: &Matrix,
+        wt: &NtPanels,
         grads: &mut [Matrix],
         dx: &mut Matrix,
     ) {
         let [dw, db] = grads else {
             panic!("a Linear layer has 2 gradient tensors, got {}", grads.len());
         };
+        assert_eq!(
+            wt.shape(),
+            (self.in_dim(), self.out_dim()),
+            "wt is not a pack of this layer's W"
+        );
         x.matmul_tn_into(dy, dw);
         dy.sum_rows_into(db.as_mut_slice());
-        dy.matmul_nt_into(&self.w.value, dx);
+        dy.matmul_nt_packed_into(wt, dx);
     }
 
     /// Visits all parameters mutably (for the optimizer).
@@ -253,6 +302,56 @@ mod tests {
         let g1 = grads[0][(0, 0)];
         l.backward(&x, &dy, &mut grads);
         assert!((grads[0][(0, 0)] - 2.0 * g1).abs() < 1e-6);
+    }
+
+    /// Both heads run as one product over their weights side by side give
+    /// each head's own `forward_into` bits, on every tier, at row counts
+    /// on both sides of the matmul's 4-row block (one row takes its
+    /// pack-free path), for side-by-side widths under, at and over one
+    /// 16-wide column block.
+    #[test]
+    fn side_by_side_forward_equals_each_layers_forward_bit_for_bit() {
+        let mut rng = rng();
+        let tiers = [simd::Tier::Scalar, simd::Tier::Avx2, simd::Tier::Avx512]
+            .into_iter()
+            .filter(|&t| t <= simd::tier());
+        let tiers: Vec<_> = tiers.collect();
+        let mut packed = SideBySide::default();
+        for actions in [11, 4, 15, 16] {
+            let mut policy = Linear::with_gain(64, actions, 0.01, &mut rng);
+            let mut value = Linear::new(64, 1, &mut rng);
+            for b in [&mut policy.b.value, &mut value.b.value] {
+                b.as_mut_slice()
+                    .iter_mut()
+                    .for_each(|v| *v = rng.gen_range(-0.5..0.5));
+            }
+            packed.pack(&policy, &value);
+            for rows in [1, 3, 4, 5, 32] {
+                let features = Matrix::from_vec(
+                    rows,
+                    64,
+                    (0..rows * 64)
+                        .map(|_| rng.gen_range(-1.0f32..1.0))
+                        .collect(),
+                );
+                for &tier in &tiers {
+                    simd::with_forced_tier(tier, || {
+                        let (mut heads, mut logits, mut values) = Default::default();
+                        packed.forward_into(&features, &mut heads);
+                        policy.forward_into(&features, &mut logits);
+                        value.forward_into(&features, &mut values);
+                        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!((heads.rows(), heads.cols()), (rows, actions + 1));
+                        for r in 0..rows {
+                            let (l, v) = heads.row(r).split_at(actions);
+                            let what = format!("{actions} actions, {rows} rows, {}", tier.name());
+                            assert_eq!(bits(l), bits(logits.row(r)), "logits, {what}");
+                            assert_eq!(bits(v), bits(values.row(r)), "value, {what}");
+                        }
+                    });
+                }
+            }
+        }
     }
 
     #[test]

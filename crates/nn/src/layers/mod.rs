@@ -16,4 +16,5 @@ mod linear;
 pub use activation::{Activation, ActivationKind};
 pub use attention::{AttentionTape, MultiHeadAttention};
 pub use layernorm::{LayerNorm, LayerNormTape};
+pub(crate) use linear::SideBySide;
 pub use linear::{Linear, LinearInput};

@@ -18,7 +18,8 @@
 //!   both implementing [`models::PolicyValueNet`] (shared trunk, categorical
 //!   policy head, scalar value head) and [`models::TrainNet`], whose
 //!   `train_shard` trains through `&self` into a per-shard
-//!   [`models::Tape`].
+//!   [`models::Tape`], reading one [`models::ShardInput`] that every
+//!   shard of a minibatch shares.
 //! * [`math`] — `tanh` as a port of glibc 2.36's fdlibm `tanhf`, scalar
 //!   and as a tier-dispatched slice kernel: the same bits on every host.
 //! * [`optim::Adam`] — the Adam optimizer (per-parameter moments).
@@ -43,7 +44,8 @@
 //! because PPO rollout throughput on this workload is dominated by
 //! small-batch policy forwards. The one sparse operand is the MLP's
 //! input: the observation window is a few one-hot tokens, so the input
-//! layer compacts it into [`SparseRows`] and multiplies only the nonzeros,
+//! layer reads it as [`SparseRows`] (compacted once per batch, each
+//! shard's rows copied out of that) and multiplies only the nonzeros,
 //! forward and backward, with the same bits the dense kernels give (for
 //! finite weights). Backward passes are hand-derived per layer; a model's
 //! tape is a fixed struct of the activations its backward reads, not a
@@ -81,7 +83,7 @@ pub mod value;
 
 pub use dist::Categorical;
 pub use grad::GradBuffer;
-pub use matrix::Matrix;
+pub use matrix::{Matrix, NtPanels};
 pub use optim::Adam;
 pub use param::Param;
 pub use sparse::SparseRows;

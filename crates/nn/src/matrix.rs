@@ -33,7 +33,8 @@
 //! computes the transposed product so its axpys span the wide side, and
 //! `matmul_nt` evaluates `dot_canonical` for 16 outputs at once. The
 //! operand copies and packs these need live in per-thread scratch that is
-//! reused across calls.
+//! reused across calls; a weight that many products read transposed is
+//! packed once instead ([`NtPanels`]).
 
 use simd::{Isa, SimdF32x16, SimdF32x8};
 use std::cell::Cell;
@@ -421,6 +422,31 @@ impl Matrix {
         });
     }
 
+    /// [`Matrix::matmul_nt_into`] against `other^T` packed ahead of the
+    /// call ([`NtPanels::pack`]), for a weight many products read: the
+    /// same panel kernel on the same panels, and so the same bits, with
+    /// no pack per call. Fewer than [`Self::MM_COL_BLOCK`] rows or outputs
+    /// run the panel kernel too: its lanes keep `dot_canonical`'s order,
+    /// so they give the per-element path's bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.cols()`.
+    pub fn matmul_nt_packed_into(&self, other: &NtPanels, out: &mut Matrix) {
+        assert_eq!(
+            self.cols, other.cols,
+            "matmul_nt shape mismatch: {}x{} * ({}x{})^T",
+            self.rows, self.cols, other.rows, other.cols
+        );
+        let (m, cols, n) = (self.rows, self.cols, other.rows);
+        out.set_shape(m, n);
+        if cols == 0 || n == 0 {
+            out.fill_zero(); // every element is the empty sum, +0
+            return;
+        }
+        matmul_nt_panels_dispatch(&self.data, cols, &other.data, n, &mut out.data);
+    }
+
     /// Writes `self^T` into the zeroed `out` as column panels of
     /// [`Self::MM_COL_BLOCK`] rows of `self` each: panel `p` holds rows
     /// `16p..16p + 16` k-major (`out[p * cols * 16 + k * 16 + j] =
@@ -551,6 +577,37 @@ impl Matrix {
             other.rows,
             other.cols
         );
+    }
+}
+
+/// A matrix's transpose packed as [`Matrix::matmul_nt`]'s panel kernel
+/// reads it: what [`Matrix::matmul_nt_packed_into`] multiplies by. A
+/// training pass packs each weight its backward reads transposed once per
+/// minibatch, and every shard's `dx = dy·Wᵀ` reads the one pack; it is
+/// stale once the weight changes.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct NtPanels {
+    /// Rows of the packed matrix: the product's output width.
+    rows: usize,
+    /// Columns of the packed matrix: the product's shared axis.
+    cols: usize,
+    data: Vec<f32>,
+}
+
+impl NtPanels {
+    /// Packs `w`, reusing this pack's storage.
+    pub fn pack(&mut self, w: &Matrix) {
+        const CB: usize = Matrix::MM_COL_BLOCK;
+        self.rows = w.rows;
+        self.cols = w.cols;
+        self.data.clear();
+        self.data.resize(w.cols * w.rows.next_multiple_of(CB), 0.0);
+        w.pack_nt_panels(&mut self.data);
+    }
+
+    /// `(rows, cols)` of the packed matrix.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
     }
 }
 

@@ -1,22 +1,27 @@
 //! MLP policy/value network.
 //!
 //! The training pass ([`TrainNet::train_shard`]) allocates nothing once
-//! its [`Tape`] has seen a shard this large. The input layer compacts the
-//! shard's observation rows straight into the tape's CSR buffer, with no
-//! dense gather, and multiplies only their nonzeros. Every other product
-//! (each trunk layer's output, the heads' logits and values, the loss
-//! gradients and the backward pass's two gradient buffers) goes into a
-//! matrix the tape owns, sized on first use. `tanh` and its derivative
-//! run in place on those buffers. Each gradient tensor is written once
-//! per pass, as the finished product, so a reused tape needs no zeroing
-//! and the bits equal adding each product onto zeroed tensors. The input
-//! layer's `dW` (observation width × first hidden width) is scattered
-//! from the nonzeros only: the tape remembers which of its rows the last
-//! pass wrote, and only those are cleared for the next.
+//! its [`Tape`] has seen a shard this large. The input layer reads the
+//! shard's rows as CSR, copied span by span out of the whole batch's
+//! compaction ([`ShardInput::sparse`]), and multiplies only their
+//! nonzeros. Every other product (each trunk layer's output, both heads'
+//! outputs, the loss gradients and the backward pass's two gradient
+//! buffers) goes into a matrix the tape owns, sized on first use. The
+//! heads run as one product over their weights side by side, and each
+//! `dx = dy·Wᵀ` reads `Wᵀ` from panels packed once per minibatch
+//! ([`MlpPacks`], built by [`TrainNet::pack_for_shards`]). `tanh` and
+//! its derivative run in place on those buffers. Each gradient tensor is
+//! written once per pass, as the finished product, so a reused tape needs
+//! no zeroing and the bits equal adding each product onto zeroed tensors.
+//! The input layer's `dW` (observation width × first hidden width) is
+//! scattered from the nonzeros only: the tape remembers which of its rows
+//! the last pass wrote, and only those are cleared for the next.
 
-use crate::layers::{Activation, ActivationKind, Linear};
-use crate::matrix::Matrix;
-use crate::models::{train_batch_via_shard, PolicyValueNet, RowGrad, RowLoss, Tape, TrainNet};
+use crate::layers::{Activation, ActivationKind, Linear, SideBySide};
+use crate::matrix::{Matrix, NtPanels};
+use crate::models::{
+    train_batch_via_shard, PolicyValueNet, RowGrad, RowLoss, ShardInput, ShardPacks, Tape, TrainNet,
+};
 use crate::param::Param;
 use crate::sparse::{SparseRows, TouchedRows};
 use rand::Rng;
@@ -137,8 +142,9 @@ pub(crate) struct MlpTape {
     /// and the next layer's input; the last is the features both heads
     /// read.
     hs: Vec<Matrix>,
-    logits: Matrix,
-    values: Matrix,
+    /// Both heads' outputs, one row per shard row: the logits, then the
+    /// value.
+    heads: Matrix,
     /// The loss gradients the loss closure writes, row by row.
     dlogits: Matrix,
     dvalues: Matrix,
@@ -164,6 +170,18 @@ impl MlpTape {
     pub(crate) fn forget_grads(&mut self) {
         self.input_rows.forget();
     }
+}
+
+/// [`MlpPolicy`]'s part of the [`ShardPacks`]: what every shard reads
+/// from the weights, packed once per minibatch.
+#[derive(Debug, Default)]
+pub(crate) struct MlpPacks {
+    /// `Wᵀ` of every layer whose `dx` the backward pass computes: the
+    /// trunk's layers after the input layer, in order, then the policy
+    /// head and the value head.
+    wt: Vec<NtPanels>,
+    /// The policy and value heads side by side.
+    heads: SideBySide,
 }
 
 impl PolicyValueNet for MlpPolicy {
@@ -214,16 +232,38 @@ impl PolicyValueNet for MlpPolicy {
 }
 
 impl TrainNet for MlpPolicy {
-    fn train_shard(&self, tape: &mut Tape, obs: &Matrix, rows: &[usize], loss: &mut RowLoss) {
-        assert_eq!(obs.cols(), self.obs_dim, "observation dim mismatch");
+    fn reads_sparse(&self) -> bool {
+        true
+    }
+
+    fn pack_for_shards(&self, packed: &mut ShardPacks) {
+        let MlpPacks { wt, heads } = &mut packed.mlp;
+        let layers = self.trunk[1..].iter().map(|(lin, _)| lin);
+        let layers = layers.chain([&self.policy_head, &self.value_head]);
+        wt.resize_with(self.trunk.len() + 1, NtPanels::default);
+        for (panels, lin) in wt.iter_mut().zip(layers) {
+            panels.pack(&lin.w.value);
+        }
+        heads.pack(&self.policy_head, &self.value_head);
+    }
+
+    fn train_shard(&self, tape: &mut Tape, input: &ShardInput, rows: &[usize], loss: &mut RowLoss) {
+        let batch_csr = input
+            .sparse
+            .expect("the MLP trains from the batch's CSR (TrainNet::reads_sparse)");
+        assert_eq!(batch_csr.cols(), self.obs_dim, "observation dim mismatch");
+        let MlpPacks {
+            wt,
+            heads: packed_heads,
+        } = &input.packed.mlp;
+        assert_eq!(wt.len(), self.trunk.len() + 1, "packs of another net");
         let Tape {
             grads,
             mlp:
                 MlpTape {
                     csr,
                     hs,
-                    logits,
-                    values,
+                    heads,
                     dlogits,
                     dvalues,
                     grad,
@@ -234,7 +274,7 @@ impl TrainNet for MlpPolicy {
         } = tape;
         let ((input_layer, input_act), hidden) = self.trunk.split_first().expect("non-empty trunk");
         hs.resize_with(self.trunk.len(), Matrix::default);
-        csr.compact_rows(obs, rows);
+        csr.gather_rows(batch_csr, rows);
         input_layer.forward_into(&*csr, &mut hs[0]);
         input_act.forward_in_place(&mut hs[0]);
         for (i, (lin, act)) in hidden.iter().enumerate() {
@@ -243,28 +283,29 @@ impl TrainNet for MlpPolicy {
             act.forward_in_place(&mut outputs[0]);
         }
         let features = &hs[hidden.len()];
-        self.policy_head.forward_into(features, logits);
-        self.value_head.forward_into(features, values);
+        packed_heads.forward_into(features, heads);
         // The loss writes every element of both (the `RowLoss` contract).
-        let batch = rows.len();
-        dlogits.set_shape(batch, self.num_actions);
+        let (batch, actions) = (rows.len(), self.num_actions);
+        dlogits.set_shape(batch, actions);
         dvalues.set_shape(batch, 1);
         for i in 0..batch {
-            dvalues[(i, 0)] = loss(i, logits.row(i), values[(i, 0)], dlogits.row_mut(i));
+            let (logits, value) = heads.row(i).split_at(actions);
+            dvalues[(i, 0)] = loss(i, logits, value[0], dlogits.row_mut(i));
         }
         // Two gradient tensors per `Linear`: the trunk's, then the heads'.
         let (trunk_grads, head_grads) = grads.split_at_mut(2 * self.trunk.len());
         let (policy_grads, value_grads) = head_grads.split_at_mut(2);
+        let (hidden_wt, head_wt) = wt.split_at(hidden.len());
         self.policy_head
-            .backward_into(features, dlogits, policy_grads, grad);
+            .backward_into(features, dlogits, &head_wt[0], policy_grads, grad);
         self.value_head
-            .backward_into(features, dvalues, value_grads, grad_next);
+            .backward_into(features, dvalues, &head_wt[1], value_grads, grad_next);
         grad.add_assign(grad_next);
         let mut layer_grads = trunk_grads.chunks_exact_mut(2).rev();
         for (i, (lin, act)) in hidden.iter().enumerate().rev() {
             act.backward_in_place(&hs[i + 1], grad);
             let layer = layer_grads.next().expect("a pair per layer");
-            lin.backward_into(&hs[i], grad, layer, grad_next);
+            lin.backward_into(&hs[i], grad, &hidden_wt[i], layer, grad_next);
             std::mem::swap(grad, grad_next);
         }
         // Nothing reads the observation's gradient: skip the input

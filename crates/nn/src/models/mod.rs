@@ -8,6 +8,7 @@ pub use transformer::{TransformerConfig, TransformerPolicy};
 
 use crate::matrix::Matrix;
 use crate::param::Param;
+use crate::sparse::SparseRows;
 
 /// Per-row loss gradients returned by a training callback:
 /// `(dL/dlogits, dL/dvalue)`.
@@ -74,16 +75,60 @@ pub trait PolicyValueNet: Send + Sync {
 /// the trainer holds, so every gradient shard runs against the one set of
 /// weights, each with its own [`Tape`].
 pub trait TrainNet: PolicyValueNet {
-    /// One shard's training pass over the rows of `obs` that `rows`
-    /// selects, in that order: row `i` of the shard is
-    /// `obs.row(rows[i])`, and `loss` is called once per shard row, in
-    /// order. What the backward pass needs goes into `tape`, and the
+    /// Whether [`TrainNet::train_shard`] reads the batch as CSR
+    /// ([`ShardInput::sparse`]): a caller compacts the batch only for a
+    /// net that does.
+    fn reads_sparse(&self) -> bool {
+        false
+    }
+
+    /// Packs what every shard of a minibatch reads from the current
+    /// weights into `packed`, reusing its storage. Run it after the
+    /// weights last changed and before the shards: a pack is stale once
+    /// an optimizer step writes the weights it was made from.
+    fn pack_for_shards(&self, _packed: &mut ShardPacks) {}
+
+    /// One shard's training pass over the rows of `input`'s batch that
+    /// `rows` selects, in that order: row `i` of the shard is
+    /// `input.obs.row(rows[i])`, and `loss` is called once per shard row,
+    /// in order. What the backward pass needs goes into `tape`, and the
     /// shard's parameter gradients are **written** into `tape.grads`,
     /// which must hold one tensor per parameter, shaped like it, in
     /// [`PolicyValueNet::visit_params`] order: whatever the tensors held
     /// is replaced, so a reused tape needs no zeroing. The model's own
     /// `Param::grad`s are not touched.
-    fn train_shard(&self, tape: &mut Tape, obs: &Matrix, rows: &[usize], loss: &mut RowLoss);
+    fn train_shard(&self, tape: &mut Tape, input: &ShardInput, rows: &[usize], loss: &mut RowLoss);
+}
+
+/// What [`TrainNet::pack_for_shards`] builds once per minibatch from the
+/// weights, for every shard to read: the MLP's `Wᵀ` panels and its heads
+/// side by side. Storage reused pack after pack.
+#[derive(Debug, Default)]
+pub struct ShardPacks {
+    mlp: mlp::MlpPacks,
+}
+
+/// The read-only input every shard of one minibatch shares: the batch,
+/// dense and, for a net that [`TrainNet::reads_sparse`], as CSR, and the
+/// net's [`ShardPacks`] of its current weights.
+#[derive(Clone, Copy, Debug)]
+pub struct ShardInput<'a> {
+    /// The batch's observations, one row per transition.
+    pub obs: &'a Matrix,
+    /// The same rows compacted ([`SparseRows::compact`]); `None` for a
+    /// net that does not read them so.
+    pub sparse: Option<&'a SparseRows>,
+    /// The net's packs, made since its weights last changed.
+    pub packed: &'a ShardPacks,
+}
+
+/// The CSR and packs of `obs` that `net` reads, owned: what one training
+/// call outside the trainer builds for its shard input.
+fn owned_input(net: &dyn TrainNet, obs: &Matrix) -> (Option<SparseRows>, ShardPacks) {
+    let sparse = net.reads_sparse().then(|| SparseRows::from_dense(obs));
+    let mut packed = ShardPacks::default();
+    net.pack_for_shards(&mut packed);
+    (sparse, packed)
 }
 
 /// One gradient shard's training state: the gradient tensors its
@@ -166,7 +211,13 @@ fn train_batch_via_shard(
 ) {
     let mut tape = Tape::for_net(net);
     let rows: Vec<usize> = (0..obs.rows()).collect();
-    net.train_shard(&mut tape, obs, &rows, &mut row_loss(grad_fn));
+    let (sparse, packed) = owned_input(net, obs);
+    let input = ShardInput {
+        obs,
+        sparse: sparse.as_ref(),
+        packed: &packed,
+    };
+    net.train_shard(&mut tape, &input, &rows, &mut row_loss(grad_fn));
     let mut grads = tape.grads.iter();
     net.visit_params(&mut |p| {
         p.grad
@@ -193,12 +244,13 @@ mod tests {
     }
 
     /// Three threads train their own row selections of one observation
-    /// matrix into their own tapes against one shared `net`, twice: first
-    /// on another thread's rows, so the second pass starts from a tape
-    /// holding a different selection's activations and gradients. Each
-    /// tape must then hold, bit for bit, what `train_batch` accumulates
-    /// from zero on a private clone over the gathered rows, and the shared
-    /// net's own gradients stay zero.
+    /// matrix into their own tapes against one shared `net` and one shard
+    /// input, built once (CSR and packs) and read by all three, twice:
+    /// first on another thread's rows, so the second pass starts from a
+    /// tape holding a different selection's activations and gradients.
+    /// Each tape must then hold, bit for bit, what `train_batch`
+    /// accumulates from zero on a private clone over the gathered rows,
+    /// and the shared net's own gradients stay zero.
     fn check_shared_net<N: TrainNet + Clone>(mut net: N) {
         let mut rng = StdRng::seed_from_u64(1);
         let obs_dim = net.obs_dim();
@@ -214,13 +266,20 @@ mod tests {
         );
         let selections: [Vec<usize>; 3] = [vec![4, 0, 11, 2, 7], vec![9], (0..12).rev().collect()];
         let mut tapes: Vec<Tape> = selections.iter().map(|_| Tape::for_net(&mut net)).collect();
+        let (sparse, packed) = owned_input(&net, &obs);
+        assert_eq!(sparse.is_some(), net.reads_sparse());
+        let input = ShardInput {
+            obs: &obs,
+            sparse: sparse.as_ref(),
+            packed: &packed,
+        };
         for shift in [1, 0] {
             std::thread::scope(|scope| {
                 for (k, tape) in tapes.iter_mut().enumerate() {
-                    let (net, obs) = (&net, &obs);
+                    let (net, input) = (&net, &input);
                     let rows = &selections[(k + shift) % selections.len()];
                     scope.spawn(move || {
-                        net.train_shard(tape, obs, rows, &mut row_loss(&mut loss_grad));
+                        net.train_shard(tape, input, rows, &mut row_loss(&mut loss_grad));
                     });
                 }
             });

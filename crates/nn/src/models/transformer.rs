@@ -10,7 +10,7 @@ use crate::layers::{
     Activation, ActivationKind, AttentionTape, LayerNorm, LayerNormTape, Linear, MultiHeadAttention,
 };
 use crate::matrix::Matrix;
-use crate::models::{row_loss, PolicyValueNet, RowGrad, RowLoss, Tape, TrainNet};
+use crate::models::{row_loss, PolicyValueNet, RowGrad, RowLoss, ShardInput, Tape, TrainNet};
 use crate::param::Param;
 use rand::Rng;
 
@@ -332,9 +332,9 @@ impl PolicyValueNet for TransformerPolicy {
 }
 
 impl TrainNet for TransformerPolicy {
-    fn train_shard(&self, tape: &mut Tape, obs: &Matrix, rows: &[usize], loss: &mut RowLoss) {
+    fn train_shard(&self, tape: &mut Tape, input: &ShardInput, rows: &[usize], loss: &mut RowLoss) {
         tape.grads.iter_mut().for_each(Matrix::fill_zero);
-        self.accumulate_rows(tape, obs, rows, loss);
+        self.accumulate_rows(tape, input.obs, rows, loss);
     }
 }
 

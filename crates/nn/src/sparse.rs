@@ -27,9 +27,13 @@
 //!
 //! Compaction keeps every entry with `v != 0.0`: NaN, infinities and
 //! subnormals are kept and `−0` is dropped, exactly the entries the
-//! dense kernels' zero test skips. Both kernels are tier-dispatched
-//! through `tiered_kernel!` like the dense ones, and their tiers agree bit
-//! for bit (`matmul-bench --check` and `crates/nn/tests/sparse.rs`).
+//! dense kernels' zero test skips. A row's entries depend on that row
+//! alone, so a trainer compacts a whole batch once and each shard copies
+//! its rows' spans out of it ([`SparseRows::gather_rows`]): the same
+//! entries, in the same order, as compacting the shard's dense rows.
+//! Both kernels are tier-dispatched through `tiered_kernel!` like the
+//! dense ones, and their tiers agree bit for bit (`matmul-bench --check`
+//! and `crates/nn/tests/sparse.rs`).
 
 use crate::matrix::{axpy_row, tiered_kernel, Matrix};
 use simd::{Isa, SimdF32x16, SimdF32x8};
@@ -62,6 +66,28 @@ impl Default for SparseRows {
 /// which is one token of the cache-game observation.
 const ZERO_CHUNK: usize = 16;
 
+/// One bit per entry of a chunk of at most 32 floats that compaction
+/// keeps (`v != 0.0`). A chunk whose bits are all `±0` costs one test:
+/// shifting out the sign bit maps `±0` to 0 and every other value, NaN
+/// included, to a nonzero word.
+#[inline(always)]
+fn kept_mask(chunk: &[f32]) -> u32 {
+    if chunk.iter().fold(0, |bits, v| bits | (v.to_bits() << 1)) == 0 {
+        return 0;
+    }
+    chunk
+        .iter()
+        .enumerate()
+        .fold(0u32, |mask, (j, &v)| mask | (u32::from(v != 0.0) << j))
+}
+
+/// The number of entries of `row` that compaction keeps.
+fn nonzeros(row: &[f32]) -> usize {
+    row.chunks(ZERO_CHUNK)
+        .map(|chunk| kept_mask(chunk).count_ones() as usize)
+        .sum()
+}
+
 thread_local! {
     /// The compaction buffer [`with_compacted`] reuses across calls on
     /// this thread. It is taken out while in use, so a nested call would
@@ -91,53 +117,37 @@ impl SparseRows {
     ///
     /// Keeps every entry with `v != 0.0`, so `−0` is dropped and NaN,
     /// infinities and subnormals are kept. A chunk of 16 floats whose bits
-    /// are all `±0` costs one test.
+    /// are all `±0` costs one test. The buffers grow to the nonzeros `x`
+    /// holds and one row's width to spare: the first row that might not
+    /// fit counts what is left, so a reused buffer ends one row wider than
+    /// the largest batch's nonzeros, and a batch no larger counts nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `x` has more than `u32::MAX` elements.
+    /// Panics if `x` has more than `u32::MAX` nonzeros or columns.
     pub fn compact(&mut self, x: &Matrix) {
-        self.fill(x.cols(), (0..x.rows()).map(|r| x.row(r)));
-    }
-
-    /// [`SparseRows::compact`] of the rows of `x` that `rows` selects, in
-    /// that order: the compaction of `x.gather_rows(rows)`, without the
-    /// dense copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a row index is out of range or the selection has more
-    /// than `u32::MAX` elements.
-    pub fn compact_rows(&mut self, x: &Matrix, rows: &[usize]) {
-        self.fill(x.cols(), rows.iter().map(|&r| x.row(r)));
-    }
-
-    fn fill<'a>(&mut self, cols: usize, rows: impl ExactSizeIterator<Item = &'a [f32]>) {
+        let cols = x.cols();
         assert!(
-            u32::try_from(rows.len().saturating_mul(cols)).is_ok(),
-            "SparseRows holds at most u32::MAX elements, got {}",
-            rows.len() * cols
+            u32::try_from(cols).is_ok(),
+            "SparseRows holds at most u32::MAX columns, got {cols}"
         );
         self.cols = cols;
         self.ptr.clear();
         self.idx.clear();
         self.val.clear();
+        self.ptr.reserve_exact(x.rows() + 1);
         self.ptr.push(0);
-        for row in rows {
-            self.idx.reserve(row.len());
-            self.val.reserve(row.len());
+        for r in 0..x.rows() {
+            let row = x.row(r);
+            if self.idx.len() + row.len() > self.idx.capacity() {
+                let rest = row.len() + (r..x.rows()).map(|r| nonzeros(x.row(r))).sum::<usize>();
+                self.idx.reserve_exact(rest);
+                self.val.reserve_exact(rest);
+            }
             for (c, chunk) in row.chunks(ZERO_CHUNK).enumerate() {
-                // Shifting out the sign bit maps ±0 to 0 and every other
-                // value, NaN included, to a nonzero word.
-                if chunk.iter().fold(0, |bits, v| bits | (v.to_bits() << 1)) == 0 {
-                    continue;
-                }
-                // A bit per kept entry, then one step per set bit: no
-                // branch on the (unpredictable) position of each one-hot.
-                let mut kept = chunk
-                    .iter()
-                    .enumerate()
-                    .fold(0u32, |mask, (j, &v)| mask | (u32::from(v != 0.0) << j));
+                let mut kept = kept_mask(chunk);
+                // One step per set bit: no branch on the (unpredictable)
+                // position of each one-hot.
                 while kept != 0 {
                     let j = kept.trailing_zeros() as usize;
                     kept &= kept - 1;
@@ -145,8 +155,43 @@ impl SparseRows {
                     self.val.push(chunk[j]);
                 }
             }
-            self.ptr.push(self.idx.len() as u32);
+            self.push_row_end();
         }
+    }
+
+    /// Refills this batch with the rows of `src` that `rows` selects, in
+    /// that order, reusing its storage: each row's span of column indices
+    /// and values is copied as it is, so the result is the compaction of
+    /// the dense rows `rows` selects, bit for bit. The buffers grow to
+    /// exactly the selection's nonzeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row index is out of range or the selection has more
+    /// than `u32::MAX` nonzeros.
+    pub fn gather_rows(&mut self, src: &SparseRows, rows: &[usize]) {
+        let span = |r: usize| src.ptr[r] as usize..src.ptr[r + 1] as usize;
+        let nnz: usize = rows.iter().map(|&r| span(r).len()).sum();
+        self.cols = src.cols;
+        self.ptr.clear();
+        self.idx.clear();
+        self.val.clear();
+        self.ptr.reserve_exact(rows.len() + 1);
+        self.idx.reserve_exact(nnz);
+        self.val.reserve_exact(nnz);
+        self.ptr.push(0);
+        for &r in rows {
+            self.idx.extend_from_slice(&src.idx[span(r)]);
+            self.val.extend_from_slice(&src.val[span(r)]);
+            self.push_row_end();
+        }
+    }
+
+    /// Closes the row being filled at the current nonzero count.
+    fn push_row_end(&mut self) {
+        let end =
+            u32::try_from(self.idx.len()).expect("SparseRows holds at most u32::MAX nonzeros");
+        self.ptr.push(end);
     }
 
     /// Number of rows.
@@ -475,5 +520,39 @@ fn sparse_matmul_tn_body<I: Isa>(
             }
             axpy_row::<I>(out, v, dy_row);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Compaction sizes a buffer to the nonzeros it must hold and one
+    /// 40-wide row, from empty and from a buffer that overflows partway,
+    /// and not at all for a batch that fits; gathering sizes it to exactly
+    /// the nonzeros.
+    #[test]
+    fn buffers_grow_to_the_nonzeros() {
+        let dense = |rows: usize, ones: &[(usize, usize)]| {
+            let mut x = Matrix::zeros(rows, 40);
+            ones.iter().for_each(|&(r, c)| x[(r, c)] = 1.0);
+            x
+        };
+        let seven = dense(
+            5,
+            &[(0, 3), (0, 17), (1, 39), (3, 0), (3, 1), (3, 2), (4, 20)],
+        );
+        let capacity = |csr: &SparseRows| (csr.idx.capacity(), csr.val.capacity());
+        let mut csr = SparseRows::from_dense(&dense(2, &[(0, 5), (1, 6)]));
+        assert_eq!(capacity(&csr), (42, 42));
+        csr.compact(&seven);
+        assert_eq!(capacity(&csr), (47, 47));
+        csr.compact(&dense(1, &[(0, 9)]));
+        csr.compact(&seven);
+        assert_eq!(capacity(&csr), (47, 47));
+        assert_eq!(capacity(&SparseRows::from_dense(&seven)), (47, 47));
+        let mut gathered = SparseRows::default();
+        gathered.gather_rows(&SparseRows::from_dense(&seven), &[3, 2, 3]);
+        assert_eq!((gathered.nnz(), capacity(&gathered)), (6, (6, 6)));
     }
 }

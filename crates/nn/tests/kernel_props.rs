@@ -33,7 +33,7 @@
 //! finite-operand argument on ReLU-like inputs against `±0` weights.
 
 use autocat_nn::state::fnv1a;
-use autocat_nn::Matrix;
+use autocat_nn::{Matrix, NtPanels};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -255,6 +255,38 @@ fn assert_bits_equal(got: &Matrix, want: &[f32], what: &str) -> Result<(), Strin
 
 fn digest(m: &Matrix) -> u64 {
     fnv1a(m.as_slice().iter().flat_map(|v| v.to_le_bytes()))
+}
+
+/// `matmul_nt` against `Wᵀ` packed ahead of the call equals the call
+/// that packs for itself, and the striped reference, bit for bit on every
+/// tier: outputs and rows on both sides of the 16-wide panel, including
+/// the shapes the packing call sends to its per-element path, with one
+/// pack buffer reused across every shape.
+#[test]
+fn prepacked_matmul_nt_equals_matmul_nt_bit_for_bit() {
+    const SIDES: [usize; 5] = [1, 15, 16, 17, 64];
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut packed = NtPanels::default();
+    for cols in [1, 11, 64] {
+        for n in SIDES {
+            let b = dense(n, cols, &mut rng);
+            packed.pack(&b);
+            assert_eq!(packed.shape(), (n, cols));
+            for m in SIDES {
+                let a = signed_zeros(m, cols, &mut rng);
+                let what = format!("{m}x{cols}x{n}");
+                let want = striped_matmul_nt(&a, &b);
+                assert_every_tier(&|| a.matmul_nt(&b), &want, &what).unwrap();
+                let prepacked = || {
+                    let mut out = Matrix::full(3, 2, f32::NAN);
+                    a.matmul_nt_packed_into(&packed, &mut out);
+                    assert_eq!((out.rows(), out.cols()), (m, n), "{what}");
+                    out
+                };
+                assert_every_tier(&prepacked, &want, &format!("prepacked {what}")).unwrap();
+            }
+        }
+    }
 }
 
 proptest! {

@@ -8,6 +8,8 @@
 //! * [`SparseRows::matmul_tn`], added into nonzero starting gradients as
 //!   `Linear::backward_params` does, equals the dense [`Matrix::matmul_tn`]
 //!   added the same way.
+//! * [`SparseRows::gather_rows`] of a batch's compaction equals the
+//!   compaction of the gathered dense rows.
 //!
 //! Each check runs on every tier this build and CPU can run, each tier is
 //! compared with the scalar tier, and the whole file also passes in the
@@ -17,7 +19,7 @@
 //! `n` ∈ {1, 7, 8, 15, 16, 17, 64, 65}.
 
 use autocat_nn::layers::Linear;
-use autocat_nn::{Matrix, SparseRows};
+use autocat_nn::{Matrix, NtPanels, SparseRows};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -194,6 +196,68 @@ fn compaction_round_trips_every_kept_value() {
     );
 }
 
+/// A row of specials and signed zeros: every value compaction must keep
+/// or drop, at random columns of a `cols`-wide row.
+fn special_row(cols: usize, rng: &mut StdRng) -> Vec<f32> {
+    const SPECIALS: [f32; 9] = [
+        -0.0,
+        f32::NAN,
+        f32::from_bits(0x7fa0_0001),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::from_bits(1),
+        -f32::from_bits(0x007f_ffff),
+        1.0,
+        -2.5,
+    ];
+    (0..cols)
+        .map(|_| match rng.gen_range(0..4) {
+            0 => SPECIALS[rng.gen_range(0..SPECIALS.len())],
+            _ => 0.0,
+        })
+        .collect()
+}
+
+/// Gathering rows out of a batch's compaction equals compacting the
+/// gathered dense rows, bit for bit: random selections with repeated
+/// rows, empty rows, `−0`, NaN, ±inf and subnormals, into one reused
+/// buffer.
+#[test]
+fn gathered_rows_equal_the_compaction_of_the_gathered_dense_rows() {
+    let mut rng = StdRng::seed_from_u64(9);
+    let mut csr = SparseRows::default();
+    for (rows, cols) in [(12usize, 40usize), (1, 17), (30, 64), (5, 3), (0, 8)] {
+        let mut data = Vec::with_capacity(rows * cols);
+        for r in 0..rows {
+            match r % 4 {
+                0 => data.extend(std::iter::repeat_n(0.0, cols)),
+                1 => data.extend((0..cols).map(|c| if c % 2 == 0 { -0.0 } else { 0.0 })),
+                _ => data.extend(special_row(cols, &mut rng)),
+            }
+        }
+        let x = Matrix::from_vec(rows, cols, data);
+        let batch = SparseRows::from_dense(&x);
+        for len in [0, 1, rows, 2 * rows + 3] {
+            let selection: Vec<usize> = (0..len)
+                .map(|_| rng.gen_range(0..rows.max(1)))
+                .filter(|&r| r < rows)
+                .collect();
+            csr.gather_rows(&batch, &selection);
+            let want = SparseRows::from_dense(&x.gather_rows(&selection));
+            assert_eq!(
+                (csr.rows(), csr.cols(), csr.nnz()),
+                (want.rows(), want.cols(), want.nnz())
+            );
+            for r in 0..want.rows() {
+                let ((got_idx, got_val), (want_idx, want_val)) = (csr.row(r), want.row(r));
+                assert_eq!(got_idx, want_idx, "{rows}x{cols}, row {r}");
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got_val), bits(want_val), "{rows}x{cols}, row {r}");
+            }
+        }
+    }
+}
+
 #[test]
 fn compact_reuses_a_buffer_across_shapes() {
     let mut rng = StdRng::seed_from_u64(1);
@@ -277,20 +341,23 @@ fn sparse_backward_params_equals_dense_into_nonzero_gradients() {
         assert_eq!(bits(&grads[0]), bits(&dense[0]), "dW from a reused buffer");
         // The write-into backward over a selection of rows, into tensors
         // holding stale values, writes the product the accumulating
-        // backward adds onto zeros: the rows compacted straight from `x`
-        // equal the compaction of their dense gather.
+        // backward adds onto zeros: the rows gathered out of `x`'s
+        // compaction equal the compaction of their dense gather.
         let rows: Vec<usize> = (0..x.rows()).rev().step_by(2).collect();
         let gathered = x.gather_rows(&rows);
         let dy_rows = dy.gather_rows(&(0..rows.len()).collect::<Vec<_>>());
         let mut zeroed = vec![Matrix::zeros(x.cols(), n), Matrix::zeros(1, n)];
         layer.backward_params(&gathered, &dy_rows, &mut zeroed);
+        let batch_csr = SparseRows::from_dense(&x);
+        let mut wt = NtPanels::default();
+        wt.pack(&layer.w.value);
         on_every_tier("Linear::backward_into", || {
             let mut csr = SparseRows::default();
-            csr.compact_rows(&x, &rows);
+            csr.gather_rows(&batch_csr, &rows);
             assert_eq!(csr, SparseRows::from_dense(&gathered));
             let mut written = start.clone();
             let mut dx = Matrix::full(2, 3, f32::NAN);
-            layer.backward_into(&csr, &dy_rows, &mut written, &mut dx);
+            layer.backward_into(&csr, &dy_rows, &wt, &mut written, &mut dx);
             assert_eq!(
                 bits(&dx),
                 bits(&dy_rows.matmul_nt(&layer.w.value)),

@@ -324,6 +324,7 @@ impl<E: Environment + Clone + Send> Trainer<E> {
             recent_cap: req(table, "recent_cap")?.as_usize()?,
             // Transient: rebuilt lazily on the first sharded update.
             workspace: Default::default(),
+            batch_csr: Default::default(),
         })
     }
 

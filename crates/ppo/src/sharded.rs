@@ -11,8 +11,12 @@
 //! on whichever thread runs a shard; besides the shards, only the
 //! minibatch's tail splits across the pool: the reduce and norm by
 //! tensors, then Adam by element ranges, each element's operations
-//! unchanged. Each shard reads
-//! its rows straight out of the rollout batch (no gather), writes its
+//! unchanged. What depends only on the update or the minibatch is
+//! built once, not per shard: the trainer compacts the batch's
+//! observations once per update for a net that reads them as CSR, and
+//! the primary packs what its shards read from the weights once per
+//! minibatch ([`TrainNet::pack_for_shards`]). Each shard reads its rows
+//! out of that one [`ShardInput`] (no dense gather), writes its
 //! activations and its gradients into its own [`Tape`], and computes
 //! each row's PPO loss gradient in one pass over the logits
 //! ([`Categorical::grad_into`]) into a row of the tape's buffer; shard
@@ -33,10 +37,10 @@
 //!
 //! * the shard layout depends only on `(minibatch_len, grad_shards)` —
 //!   never on the thread count;
-//! * each shard's computation is self-contained: the primary's weights,
-//!   which nothing writes during the pass, the shard's own rows, and its
-//!   own tape, whose gradients the pass writes afresh — no shared float
-//!   state;
+//! * each shard's computation is self-contained: the primary's weights
+//!   and the shard input, which nothing writes during the pass, the
+//!   shard's own rows, and its own tape, whose gradients the pass writes
+//!   afresh — no shared float state;
 //! * the reduction adds each element's shard gradients in shard order —
 //!   shard 0's gradients swapped in (no copy), shards 1..N added on top —
 //!   whichever thread reduces its tensor, and regardless of which thread
@@ -56,13 +60,14 @@
 //! single-threaded update's exact operations.
 
 use std::mem;
+use std::sync::Mutex;
 
 #[cfg(doc)]
 use autocat_nn::grad::reduce_grads;
-use autocat_nn::grad::reduce_sq_sum;
-use autocat_nn::models::{Tape, TrainNet};
+use autocat_nn::grad::{reduce_add, reduce_sq_sum, reduce_sq_sum_from};
+use autocat_nn::models::{ShardInput, ShardPacks, Tape, TrainNet};
 use autocat_nn::optim::AdamStep;
-use autocat_nn::{Adam, Categorical, Param};
+use autocat_nn::{Adam, Categorical, Param, SparseRows};
 
 use crate::rollout::RolloutBatch;
 
@@ -70,6 +75,9 @@ use crate::rollout::RolloutBatch;
 pub(crate) struct MinibatchCtx<'a> {
     /// The collected rollout batch (observations, actions, targets).
     pub batch: &'a RolloutBatch,
+    /// The batch's observations compacted once per update, for a net
+    /// that [`TrainNet::reads_sparse`]; `None` for one that does not.
+    pub sparse: Option<&'a SparseRows>,
     /// Normalized advantages, indexed like the batch.
     pub advantages: &'a [f32],
     /// PPO clipping range ε.
@@ -147,15 +155,15 @@ struct ShardSlot {
 }
 
 impl ShardSlot {
-    /// Forward/backward over the batch rows `rows` against `net`: the
-    /// shard's gradients are written into the slot's tape, and the rows'
-    /// loss sums go into `sums`.
-    fn run(&mut self, net: &dyn TrainNet, ctx: &MinibatchCtx, rows: &[usize]) {
+    /// Forward/backward over the batch rows `rows` against `net`, which
+    /// `input` was packed from: the shard's gradients are written into
+    /// the slot's tape, and the rows' loss sums go into `sums`.
+    fn run(&mut self, net: &dyn TrainNet, ctx: &MinibatchCtx, input: &ShardInput, rows: &[usize]) {
         let mut sums = LossSums::default();
         let dist = &mut self.dist;
         net.train_shard(
             &mut self.tape,
-            &ctx.batch.obs,
+            input,
             rows,
             &mut |i, logits, value, dlogits| {
                 row_grad(ctx, rows[i], dist, (logits, value), &mut sums, dlogits)
@@ -172,6 +180,9 @@ impl ShardSlot {
 #[derive(Default)]
 pub(crate) struct UpdateWorkspace {
     slots: Vec<ShardSlot>,
+    /// The primary's packs of its weights for the shards, refilled each
+    /// minibatch.
+    packed: ShardPacks,
     /// The primary's parameters while the tail runs on them (see
     /// [`with_params`]), empty placeholders otherwise.
     params: Vec<Param>,
@@ -191,6 +202,10 @@ pub(crate) struct UpdateWorkspace {
 /// bit-identical for every thread count. Shards 1..N are queued on the
 /// rayon pool; shard 0 (the first rows of `chunk`) then runs on the
 /// calling thread, which helps run whichever siblings are still queued.
+/// Before them, `primary` packs what they all read from its weights
+/// ([`TrainNet::pack_for_shards`]) into the workspace: the shards share
+/// one [`ShardInput`], and the Adam step after them leaves the packs
+/// stale until the next minibatch packs again.
 /// Each shard's matmuls run serially on the thread that runs the shard.
 /// All of them read `primary`'s weights and write only their own slot.
 /// Shard 0's gradient tensors are then swapped into `primary` and the
@@ -210,10 +225,12 @@ pub(crate) fn sharded_minibatch(
     let ranges = chunk.chunks(sub_len.max(1));
     let UpdateWorkspace {
         slots,
+        packed,
         params,
         chains,
         sources,
     } = workspace;
+    primary.pack_for_shards(packed);
     while slots.len() < ranges.len() {
         slots.push(ShardSlot {
             tape: Tape::for_net(primary),
@@ -223,11 +240,16 @@ pub(crate) fn sharded_minibatch(
     }
     let slots = &mut slots[..ranges.len()];
     let net: &dyn TrainNet = primary;
+    let input = &ShardInput {
+        obs: &ctx.batch.obs,
+        sparse: ctx.sparse,
+        packed,
+    };
     run_tasks(
         slots
             .iter_mut()
             .zip(ranges)
-            .map(|(slot, rows)| move || slot.run(net, ctx, rows)),
+            .map(|(slot, rows)| move || slot.run(net, ctx, input, rows)),
     );
     let (slot0, siblings) = slots
         .split_first_mut()
@@ -326,6 +348,15 @@ fn with_params<R>(
 /// tensors until it holds about its share of the elements. The chains are
 /// then added in visitation order from `+0`: the sum `reduce_grads`
 /// makes, bit for bit, whichever task ran a tensor.
+///
+/// A first tensor that alone holds more than one task's share (the MLP's
+/// input layer, 83% of attack-fr's elements) is cut in two at a multiple
+/// of 16 instead, and only its chain stays on the calling thread, which
+/// the chain's order ties to one thread: the caller reduces the first
+/// part, adds and chain, while the next task adds the second part
+/// ([`reduce_add`]) before its tensors; the caller then continues the
+/// chain over the second part ([`reduce_sq_sum_from`]). The other tasks
+/// share the remaining tensors.
 fn reduce_and_norm(
     params: &mut [Param],
     siblings: &[ShardSlot],
@@ -338,8 +369,29 @@ fn reduce_and_norm(
     let total: usize = params.iter().map(Param::len).sum();
     let (mut rest, mut rest_chains) = (params, &mut chains[..]);
     let (mut first, mut done) = (0, 0);
+    // A cut first tensor: the caller's part with its chain, and the lock
+    // on the other part.
+    let (mut head, mut second) = (None, None);
+    if threads > 1 && rest.first().is_some_and(|p| p.len() * threads > total) {
+        let (p, more) = mem::take(&mut rest)
+            .split_first_mut()
+            .expect("a first tensor");
+        let (chain, more_chains) = mem::take(&mut rest_chains)
+            .split_first_mut()
+            .expect("a chain per tensor");
+        let cut = (p.len() / 2) & !15;
+        (rest, rest_chains, first, done) = (more, more_chains, 1, p.len());
+        let (elems, tail) = p.grad.as_mut_slice().split_at_mut(cut);
+        head = Some((elems, chain));
+        second = Some(Mutex::new(SecondPart {
+            cut,
+            elems: tail,
+            added: false,
+        }));
+    }
+    let split = usize::from(second.is_some());
     run_tasks(sources.iter_mut().enumerate().map(|(t, list)| {
-        let target = total * (t + 1) / threads;
+        let target = done + (total - done) * (t + 1 - split) / (threads - split);
         let mut count = 0;
         while count < rest.len() && (done < target || t + 1 == threads) {
             done += rest[count].len();
@@ -351,8 +403,24 @@ fn reduce_and_norm(
         rest_chains = more;
         let index = first;
         first += count;
+        let head = head.take();
+        let second = second.as_ref().filter(|_| t < 2);
         move || {
             let mut tensors = recycle(mem::take(list));
+            if let (Some((elems, chain)), Some(second)) = (head, second) {
+                let cut = elems.len();
+                tensors.extend(
+                    siblings
+                        .iter()
+                        .map(|s| &s.tape.grads()[0].as_slice()[..cut]),
+                );
+                let head_chain = reduce_sq_sum(elems, &tensors);
+                let mut second = second.lock().expect("no reduce task panicked");
+                second.add(siblings, &mut tensors);
+                *chain = reduce_sq_sum_from(head_chain, second.elems, &[]);
+            } else if let Some(Ok(mut second)) = second.map(Mutex::try_lock) {
+                second.add(siblings, &mut tensors);
+            }
             for (i, (p, chain)) in mine.iter_mut().zip(my_chains).enumerate() {
                 tensors.clear();
                 tensors.extend(
@@ -366,6 +434,35 @@ fn reduce_and_norm(
         }
     }));
     chains.iter().fold(0.0, |sq_sum, chain| sq_sum + chain)
+}
+
+/// The second part of a first tensor [`reduce_and_norm`] cuts in two.
+/// Whichever task takes its lock first adds its sums; the caller's task
+/// waits on the lock only while the other task is adding, and adds them
+/// itself if that task has not started, so it never waits on work that is
+/// not running.
+struct SecondPart<'a> {
+    /// Where the tensor was cut.
+    cut: usize,
+    /// The primary's elements from `cut` on.
+    elems: &'a mut [f32],
+    added: bool,
+}
+
+impl SecondPart<'_> {
+    /// Adds the siblings' elements from `cut` into `elems`, once.
+    fn add<'s>(&mut self, siblings: &'s [ShardSlot], tensors: &mut Vec<&'s [f32]>) {
+        if !mem::replace(&mut self.added, true) {
+            let cut = self.cut;
+            tensors.clear();
+            tensors.extend(
+                siblings
+                    .iter()
+                    .map(|s| &s.tape.grads()[0].as_slice()[cut..]),
+            );
+            reduce_add(self.elems, tensors);
+        }
+    }
 }
 
 /// `list`, emptied and typed for borrows of another lifetime. A collect
@@ -491,6 +588,7 @@ mod tests {
     use autocat_nn::Matrix;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Barrier;
 
     /// A synthetic rollout batch with non-trivial targets.
     fn fake_batch(n: usize, obs_dim: usize, actions: usize, seed: u64) -> RolloutBatch {
@@ -536,9 +634,15 @@ mod tests {
         sums
     }
 
-    fn ctx_over<'a>(batch: &'a RolloutBatch, advantages: &'a [f32]) -> MinibatchCtx<'a> {
+    /// The minibatch context over `batch`, whose compaction is `sparse`.
+    fn ctx_over<'a>(
+        batch: &'a RolloutBatch,
+        advantages: &'a [f32],
+        sparse: &'a SparseRows,
+    ) -> MinibatchCtx<'a> {
         MinibatchCtx {
             batch,
+            sparse: Some(sparse),
             advantages,
             clip: 0.2,
             entropy_coef: 0.01,
@@ -556,7 +660,8 @@ mod tests {
         let batch = fake_batch(n, obs_dim, num_actions, 3);
         let advantages = batch.advantages.clone();
         let chunk: Vec<usize> = (0..n).collect();
-        let ctx = ctx_over(&batch, &advantages);
+        let csr = SparseRows::from_dense(&batch.obs);
+        let ctx = ctx_over(&batch, &advantages, &csr);
 
         let mut rng = StdRng::seed_from_u64(0);
         let cfg = MlpConfig::new(obs_dim, num_actions).with_hidden(vec![12]);
@@ -601,7 +706,8 @@ mod tests {
         let batch = fake_batch(n, obs_dim, num_actions, 9);
         let advantages = batch.advantages.clone();
         let chunk: Vec<usize> = (0..n).collect();
-        let ctx = ctx_over(&batch, &advantages);
+        let csr = SparseRows::from_dense(&batch.obs);
+        let ctx = ctx_over(&batch, &advantages, &csr);
         let mut rng = StdRng::seed_from_u64(1);
         let cfg = MlpConfig::new(obs_dim, num_actions).with_hidden(vec![8]);
         let primary = MlpPolicy::new(&cfg, &mut rng);
@@ -628,7 +734,8 @@ mod tests {
             let batch = fake_batch(n, obs_dim, num_actions, 2);
             let advantages = batch.advantages.clone();
             let chunk: Vec<usize> = (0..n).collect();
-            let ctx = ctx_over(&batch, &advantages);
+            let csr = SparseRows::from_dense(&batch.obs);
+            let ctx = ctx_over(&batch, &advantages, &csr);
             let mut rng = StdRng::seed_from_u64(2);
             let cfg = MlpConfig::new(obs_dim, num_actions).with_hidden(vec![4]);
             let primary = MlpPolicy::new(&cfg, &mut rng);
@@ -664,7 +771,8 @@ mod tests {
         let batch = fake_batch(n, obs_dim, num_actions, 5);
         let advantages = batch.advantages.clone();
         let chunk: Vec<usize> = (0..n).collect();
-        let ctx = ctx_over(&batch, &advantages);
+        let csr = SparseRows::from_dense(&batch.obs);
+        let ctx = ctx_over(&batch, &advantages, &csr);
         let mut rng = StdRng::seed_from_u64(4);
         let cfg = MlpConfig::new(obs_dim, num_actions).with_hidden(vec![6]);
         let primary = MlpPolicy::new(&cfg, &mut rng);
@@ -715,7 +823,8 @@ mod tests {
             let batch = fake_batch(n, obs_dim, num_actions, seed);
             let advantages = batch.advantages.clone();
             let chunk: Vec<usize> = (0..n).rev().collect();
-            let ctx = ctx_over(&batch, &advantages);
+            let csr = SparseRows::from_dense(&batch.obs);
+            let ctx = ctx_over(&batch, &advantages, &csr);
 
             let mut reference = primary.clone();
             let sub_len = n.div_ceil(8);
@@ -761,7 +870,8 @@ mod tests {
         let chunks = [&indices[..48], &indices[48..85], &indices[85..]];
 
         let outcome = |net: &mut MlpPolicy, ws: &mut UpdateWorkspace, chunk: &[usize]| {
-            let mut ctx = ctx_over(&batch, &advantages);
+            let csr = SparseRows::from_dense(&batch.obs);
+            let mut ctx = ctx_over(&batch, &advantages, &csr);
             ctx.inv = 1.0 / chunk.len() as f32;
             let (sums, norm) = sharded_minibatch(net, ws, 8, &ctx, chunk);
             let grads: Vec<u32> = grads_of(net).into_iter().map(f32::to_bits).collect();
@@ -830,6 +940,13 @@ mod tests {
         shards: usize,
     ) -> Vec<ShardSlot> {
         let sub_len = chunk.len().div_ceil(shards);
+        let mut packed = ShardPacks::default();
+        net.pack_for_shards(&mut packed);
+        let input = ShardInput {
+            obs: &ctx.batch.obs,
+            sparse: ctx.sparse,
+            packed: &packed,
+        };
         chunk
             .chunks(sub_len)
             .map(|rows| {
@@ -838,7 +955,7 @@ mod tests {
                     dist: Categorical::default(),
                     sums: LossSums::default(),
                 };
-                slot.run(net, ctx, rows);
+                slot.run(net, ctx, &input, rows);
                 slot
             })
             .collect()
@@ -889,11 +1006,15 @@ mod tests {
     /// and the Transformer at 8 shards, on minibatches that clip and ones
     /// that do not, with all-zero input rows (the norm chain's skipped
     /// blocks) and blocks of stuck subnormal moments, on the pool and
-    /// inside a one-thread pool's `install`.
+    /// inside a one-thread pool's `install`. The second MLP's input layer
+    /// holds 83% of its elements, as attack-fr's does.
     #[test]
     fn split_tail_is_bitwise_reduce_grads_then_step_scaled() {
         let cfg = MlpConfig::new(40, 5).with_hidden(vec![32, 24]);
         check_split_tail(MlpPolicy::new(&cfg, &mut StdRng::seed_from_u64(12)));
+        let mut net = MlpPolicy::new(&dominant_input_layer(), &mut StdRng::seed_from_u64(16));
+        assert!(input_layer_share(&mut net) > 0.8);
+        check_split_tail(net);
         let cfg = TransformerConfig::new(4, 5, 6).with_dims(16, 2, 32);
         check_split_tail(TransformerPolicy::new(&cfg, &mut StdRng::seed_from_u64(13)));
     }
@@ -918,7 +1039,8 @@ mod tests {
         ] {
             let batch = sparse_batch(n, obs_dim, num_actions, seed);
             let chunk: Vec<usize> = (0..n).rev().collect();
-            let mut ctx = ctx_over(&batch, &batch.advantages);
+            let csr = SparseRows::from_dense(&batch.obs);
+            let mut ctx = ctx_over(&batch, &batch.advantages, &csr);
             ctx.inv = 1.0 / n as f32;
             let want = reference_minibatch(&mut reference, &mut adam_ref, max_norm, &ctx, &chunk);
             clipped[usize::from(clip_scale(max_norm, want).is_some())] = true;
@@ -971,7 +1093,8 @@ mod tests {
         let mut ws = UpdateWorkspace::default();
         let batch = sparse_batch(48, 40, 5, 1);
         let chunk: Vec<usize> = (0..48).collect();
-        let ctx = ctx_over(&batch, &batch.advantages);
+        let csr = SparseRows::from_dense(&batch.obs);
+        let ctx = ctx_over(&batch, &batch.advantages, &csr);
         split_minibatch(&mut net, &mut ws, &mut adam, 1e9, &ctx, &chunk);
         let (mut zero_blocks, mut stuck_blocks) = (0, 0);
         let mut first = true;
@@ -989,18 +1112,45 @@ mod tests {
         assert!(stuck_blocks >= 40, "{stuck_blocks} stuck blocks");
     }
 
+    /// An MLP whose input layer holds more than 80% of the elements, as
+    /// attack-fr's 384-wide observation gives its input layer 83%.
+    fn dominant_input_layer() -> MlpConfig {
+        MlpConfig::new(96, 5).with_hidden(vec![32, 16])
+    }
+
+    /// The input layer's share of `net`'s elements.
+    fn input_layer_share(net: &mut dyn PolicyValueNet) -> f64 {
+        let mut lens = Vec::new();
+        net.visit_params(&mut |p| lens.push(p.len()));
+        (lens[0] + lens[1]) as f64 / lens.iter().sum::<usize>() as f64
+    }
+
     /// Every split, not only the pool's size: the reduce over 1 to 8
     /// tasks and Adam over 1 to 8 shares give [`reduce_grads`]'s and
     /// [`Adam::step_scaled`]'s bits, with shares that cut one tensor into
-    /// several, span several tensors, or are empty.
+    /// several, span several tensors, or are empty, for an MLP with
+    /// balanced layers and one whose input layer dominates.
     #[test]
     fn tail_splits_are_bitwise_at_every_task_count() {
-        let cfg = MlpConfig::new(40, 5).with_hidden(vec![32, 24]);
-        let mut primary = MlpPolicy::new(&cfg, &mut StdRng::seed_from_u64(14));
+        let balanced = MlpConfig::new(40, 5).with_hidden(vec![32, 24]);
+        check_tail_splits(&balanced, 14);
+        let dominant = dominant_input_layer();
+        assert!(
+            input_layer_share(&mut MlpPolicy::new(
+                &dominant,
+                &mut StdRng::seed_from_u64(0)
+            )) > 0.8
+        );
+        check_tail_splits(&dominant, 17);
+    }
+
+    fn check_tail_splits(cfg: &MlpConfig, seed: u64) {
+        let mut primary = MlpPolicy::new(cfg, &mut StdRng::seed_from_u64(seed));
         stick_moments(&mut primary);
-        let batch = sparse_batch(48, 40, 5, 5);
+        let batch = sparse_batch(48, cfg.obs_dim, cfg.num_actions, seed);
         let chunk: Vec<usize> = (0..48).collect();
-        let ctx = ctx_over(&batch, &batch.advantages);
+        let csr = SparseRows::from_dense(&batch.obs);
+        let ctx = ctx_over(&batch, &batch.advantages, &csr);
         let slots = run_slots(&mut primary, &ctx, &chunk, 8);
         let grads: Vec<&[Matrix]> = slots.iter().map(|s| s.tape.grads()).collect();
         let adam = Adam::restore(3e-4, 0.9, 0.999, 1e-8, 500);
@@ -1025,6 +1175,48 @@ mod tests {
         }
     }
 
+    /// With every pool worker held on a barrier, the task that adds a cut
+    /// first tensor's second part is still queued when the caller reaches
+    /// that part: the caller adds it itself, the task later finds it
+    /// added, and the gradients and norm are `reduce_grads`'s bits.
+    #[test]
+    fn the_caller_adds_a_second_part_no_worker_took() {
+        let cfg = dominant_input_layer();
+        let mut primary = MlpPolicy::new(&cfg, &mut StdRng::seed_from_u64(18));
+        let batch = sparse_batch(48, cfg.obs_dim, cfg.num_actions, 18);
+        let chunk: Vec<usize> = (0..48).collect();
+        let csr = SparseRows::from_dense(&batch.obs);
+        let ctx = ctx_over(&batch, &batch.advantages, &csr);
+        let slots = run_slots(&mut primary, &ctx, &chunk, 8);
+        let grads: Vec<&[Matrix]> = slots.iter().map(|s| s.tape.grads()).collect();
+        let mut want = primary.clone();
+        let want_sq = reduce_grads(&grads, |f| want.visit_params(f));
+        // One more holder than workers: the scope's own caller runs one.
+        let holders = rayon::current_num_threads();
+        let (started, release) = (Barrier::new(holders + 1), Barrier::new(holders + 1));
+        let mut ws = UpdateWorkspace::default();
+        let sq = std::thread::scope(|threads| {
+            threads.spawn(|| {
+                rayon::scope(|scope| {
+                    for _ in 0..holders {
+                        scope.spawn(|_| {
+                            started.wait();
+                            release.wait();
+                        });
+                    }
+                })
+            });
+            started.wait();
+            let sq = with_params(&mut primary, &mut ws.params, |params| {
+                reduce_and_norm(params, &slots, &mut ws.chains, &mut ws.sources, 2)
+            });
+            release.wait();
+            sq
+        });
+        assert_eq!(sq.to_bits(), want_sq.to_bits());
+        assert_eq!(state_bits(&mut primary), state_bits(&mut want));
+    }
+
     /// A NaN gradient in one shard still makes the norm NaN, split or
     /// not, so the trainer stops before Adam steps (see
     /// `a_nan_weight_stops_training_with_an_error` in the trainer).
@@ -1035,7 +1227,8 @@ mod tests {
         let mut batch = sparse_batch(48, 40, 5, 6);
         batch.returns[30] = f32::NAN;
         let chunk: Vec<usize> = (0..48).collect();
-        let ctx = ctx_over(&batch, &batch.advantages);
+        let csr = SparseRows::from_dense(&batch.obs);
+        let ctx = ctx_over(&batch, &batch.advantages, &csr);
         let mut adam = Adam::new(3e-4);
         let mut reference = primary.clone();
         assert!(reference_minibatch(&mut reference, &mut adam, 0.5, &ctx, &chunk).is_nan());

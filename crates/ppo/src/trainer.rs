@@ -5,7 +5,7 @@ use autocat_nn::models::{
     MlpConfig, MlpPolicy, PolicyValueNet, TrainNet, TransformerConfig, TransformerPolicy,
 };
 use autocat_nn::optim::clip_scale;
-use autocat_nn::Adam;
+use autocat_nn::{Adam, SparseRows};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -248,6 +248,11 @@ pub struct Trainer<E: Environment> {
     /// weights (every shard reads `net`'s), so they are never
     /// checkpointed.
     pub(crate) workspace: UpdateWorkspace,
+    /// The update's rollout observations as CSR, compacted once per
+    /// update for a net that reads them so and reused by every update
+    /// after: it grows to the largest batch's nonzeros. Never
+    /// checkpointed.
+    pub(crate) batch_csr: SparseRows,
 }
 
 impl<E: Environment + Clone + Send> Trainer<E> {
@@ -270,6 +275,7 @@ impl<E: Environment + Clone + Send> Trainer<E> {
             recent: VecDeque::new(),
             recent_cap: 100,
             workspace: UpdateWorkspace::default(),
+            batch_csr: SparseRows::default(),
         }
     }
 }
@@ -375,6 +381,12 @@ impl<E: Environment + Send> Trainer<E> {
             episodes: batch.episodes,
             ..UpdateStats::default()
         };
+        // Every shard of every epoch reads its rows' spans out of one
+        // compaction of the batch.
+        let sparse = self.net.reads_sparse().then(|| {
+            self.batch_csr.compact(&batch.obs);
+            &self.batch_csr
+        });
         let mut loss_samples = 0usize;
         let mut indices: Vec<usize> = (0..n).collect();
         for _ in 0..cfg.epochs_per_update {
@@ -382,6 +394,7 @@ impl<E: Environment + Send> Trainer<E> {
             for chunk in indices.chunks(cfg.minibatch) {
                 let ctx = MinibatchCtx {
                     batch: &batch,
+                    sparse,
                     advantages: &advantages,
                     clip: cfg.clip,
                     entropy_coef: cfg.entropy_coef,
